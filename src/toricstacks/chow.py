@@ -179,7 +179,7 @@ def exceptional_comparison(sigma: Cone, max_deg: int = 4) -> Comparison:
             substitution.append(tuple(1 if j == dst[i] else 0
                                       for j in range(n_target)))
     rm = ring_map(source, target, substitution)
-    cert = certify_well_defined(rm, max_deg)
+    cert = certify_well_defined(rm)
     if not cert.ok:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))

@@ -20,7 +20,7 @@ from .intlinalg import (
     Vector,
     cokernel,
     freeze,
-    hnf,
+    hnf_form,
     kernel_basis,
     solve_in_span,
     transpose,
@@ -97,7 +97,7 @@ def cox(f: Fan) -> CoxData:
     weights = tuple(
         group.project(tuple(1 if j == i else 0 for j in range(r)))
         for i in range(r))
-    h, _ = hnf(beta)
+    h = hnf_form(beta)
     kernel = tuple(row for row in h if any(row))
     for row in kernel:
         assert not any(group.project(row)), "kernel row has nonzero class"

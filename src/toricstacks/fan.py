@@ -23,7 +23,7 @@ from .intlinalg import (
     identity,
     kernel_basis,
     matvec,
-    snf,
+    snf_diagonal,
     solve_in_span,
     transpose,
 )
@@ -252,8 +252,7 @@ def classify(c: Cone) -> str:
         return "smooth"
     if len(c.rays) != c.dim:
         return "general"
-    diag, _, _ = snf(c.rays)
-    if all(diag[i][i] == 1 for i in range(len(c.rays))):
+    if all(d == 1 for d in snf_diagonal(c.rays)):
         return "smooth"
     return "simplicial"
 

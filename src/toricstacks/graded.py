@@ -253,16 +253,14 @@ class Certification:
     witness: tuple | None  # (degree, source generator as sorted item tuple)
 
 
-def certify_well_defined(rm: RingMap, max_deg: int = 6) -> Certification:
+def certify_well_defined(rm: RingMap) -> Certification:
     """Check that the substitution maps every source generator into the
     target's relation lattice.
 
     Generator images pin down the whole map (relation lattices are spanned
     by generator multiples and substitution is a ring map), so every
-    generator is checked outright; max_deg only records the working bound
-    callers report against.
+    generator is checked outright, with no degree bound.
     """
-    del max_deg
     n = rm.source.n_vars
     gens = [(1, {tuple(1 if j == i else 0 for j in range(n)): c
                  for i, c in enumerate(row) if c})

@@ -6,6 +6,10 @@ point anywhere.  Matrices are sequences of equal-length integer rows; public
 functions return tuples of tuples.  Normal forms are canonical (positive
 pivots, entries above a pivot reduced into [0, pivot)), which lets callers
 compare lattices by comparing matrices.
+
+Each elimination tracks only the unimodular transforms its caller reads
+(hnf_form and snf_diagonal track none).  Tracking never changes the
+operations applied to the working matrix, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -52,43 +56,49 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class _RowOps:
-    """A mutable matrix with a tracked unimodular row transform and its
-    inverse: work = u * original and u * u_inv = 1 at all times."""
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def __init__(self, m):
+
+class _RowOps:
+    """A mutable matrix under unimodular row operations, tracking only the
+    transforms asked for: u with work = u * original, u_inv with
+    u * u_inv = 1.  An untracked transform is None and costs nothing."""
+
+    def __init__(self, m, u: bool = False, u_inv: bool = False):
         self.a = [list(map(int, row)) for row in m]
-        n = len(self.a)
-        self.u = [[int(i == j) for j in range(n)] for i in range(n)]
-        self.u_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.u = _eye(len(self.a)) if u else None
+        self.u_inv = _eye(len(self.a)) if u_inv else None
+        self.row_mats = [self.a] + ([self.u] if u else [])
 
     def swap(self, i, j):
         if i == j:
             return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.u_inv:
+        for mat in self.row_mats:
+            mat[i], mat[j] = mat[j], mat[i]
+        for row in self.u_inv or ():
             row[i], row[j] = row[j], row[i]
 
     def negate(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.u_inv:
+        for mat in self.row_mats:
+            mat[i] = [-x for x in mat[i]]
+        for row in self.u_inv or ():
             row[i] = -row[i]
 
     def submul(self, i, j, q):
         # row i -= q * row j;  the inverse transform gains col j += q * col i.
         if not q:
             return
-        self.a[i] = [x - q * y for x, y in zip(self.a[i], self.a[j])]
-        self.u[i] = [x - q * y for x, y in zip(self.u[i], self.u[j])]
-        for row in self.u_inv:
+        for mat in self.row_mats:
+            mat[i] = [x - q * y for x, y in zip(mat[i], mat[j])]
+        for row in self.u_inv or ():
             row[j] += q * row[i]
 
 
-def _hnf_rows(ops: _RowOps) -> None:
-    """Row Hermite normal form in place: echelon, pivots positive, entries
-    above a pivot reduced into [0, pivot)."""
+def _hnf(m, u: bool = False, u_inv: bool = False) -> _RowOps:
+    """Row Hermite normal form (echelon, pivots positive, entries above a
+    pivot reduced into [0, pivot)) with the transforms asked for."""
+    ops = _RowOps(m, u, u_inv)
     a = ops.a
     nr = len(a)
     nc = len(a[0]) if a else 0
@@ -120,6 +130,7 @@ def _hnf_rows(ops: _RowOps) -> None:
             for i in range(r):
                 ops.submul(i, r, a[i][c] // p)
             r += 1
+    return ops
 
 
 def hnf(m) -> tuple[Matrix, Matrix]:
@@ -128,74 +139,60 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     Returns (h, u) with u unimodular, u * m = h, h in echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
-    ops = _RowOps(m)
-    _hnf_rows(ops)
+    ops = _hnf(m, u=True)
     return freeze(ops.a), freeze(ops.u)
 
 
-def _hnf_ext(m) -> tuple[Matrix, Matrix, Matrix]:
-    # As hnf(), plus the inverse of the transform.
-    ops = _RowOps(m)
-    _hnf_rows(ops)
-    return freeze(ops.a), freeze(ops.u), freeze(ops.u_inv)
+def hnf_form(m) -> Matrix:
+    """hnf(m)[0], without tracking the transform."""
+    return freeze(_hnf(m).a)
 
 
 class _SnfState:
-    """Mutable Smith reduction state: a = u * original * v, with both
-    transforms and both inverses tracked."""
+    """Mutable Smith reduction state, a = u * original * v: row operations
+    go through a _RowOps, and the column transform v is tracked (or None)
+    on request.  Nothing tracks the inverse of v."""
 
-    def __init__(self, m):
-        self.rows = _RowOps(m)
-        nc = len(m[0]) if len(m) else 0
-        self.v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-        self.v_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    def __init__(self, m, u: bool = False, u_inv: bool = False,
+                 v: bool = False):
+        self.rows = _RowOps(m, u, u_inv)
+        self.v = _eye(len(m[0]) if len(m) else 0) if v else None
 
     @property
     def a(self):
         return self.rows.a
 
     def cswap(self, i, j):
-        if i == j:
-            return
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
+        if i != j:
+            for row in self.a + (self.v or []):
+                row[i], row[j] = row[j], row[i]
 
     def csubmul(self, j, k, q):
-        # col j -= q * col k;  the inverse transform gains row k += q * row j.
-        if not q:
-            return
-        for row in self.a:
-            row[j] -= q * row[k]
-        for row in self.v:
-            row[j] -= q * row[k]
-        vk, vj = self.v_inv[k], self.v_inv[j]
-        self.v_inv[k] = [x + q * y for x, y in zip(vk, vj)]
+        # col j -= q * col k
+        if q:
+            for row in self.a + (self.v or []):
+                row[j] -= q * row[k]
 
-    def two_by_two(self, i, j, p, p_inv, q, q_inv):
+    def two_by_two(self, i, j, p, p_inv, q):
         # a <- P*a*Q on rows/cols {i, j}, for 2x2 unimodular P, Q.
         rows = self.rows
-        for mat, (r0, r1) in ((rows.a, (i, j)), (rows.u, (i, j))):
-            ri, rj = mat[r0], mat[r1]
-            mat[r0] = [p[0][0] * x + p[0][1] * y for x, y in zip(ri, rj)]
-            mat[r1] = [p[1][0] * x + p[1][1] * y for x, y in zip(ri, rj)]
-        for row in rows.u_inv:
+        for mat in rows.row_mats:
+            ri, rj = mat[i], mat[j]
+            mat[i] = [p[0][0] * x + p[0][1] * y for x, y in zip(ri, rj)]
+            mat[j] = [p[1][0] * x + p[1][1] * y for x, y in zip(ri, rj)]
+        for row in rows.u_inv or ():
             ci, cj = row[i], row[j]
             row[i] = ci * p_inv[0][0] + cj * p_inv[1][0]
             row[j] = ci * p_inv[0][1] + cj * p_inv[1][1]
-        for row in self.a + self.v:
+        for row in self.a + (self.v or []):
             ci, cj = row[i], row[j]
             row[i] = ci * q[0][0] + cj * q[1][0]
             row[j] = ci * q[0][1] + cj * q[1][1]
-        ri, rj = self.v_inv[i], self.v_inv[j]
-        self.v_inv[i] = [q_inv[0][0] * x + q_inv[0][1] * y for x, y in zip(ri, rj)]
-        self.v_inv[j] = [q_inv[1][0] * x + q_inv[1][1] * y for x, y in zip(ri, rj)]
 
 
-def _snf_ext(m) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
-    st = _SnfState(m)
+def _snf(m, u: bool = False, u_inv: bool = False,
+         v: bool = False) -> _SnfState:
+    st = _SnfState(m, u, u_inv, v)
     a = st.a
     nr = len(a)
     nc = len(a[0]) if a else 0
@@ -251,11 +248,8 @@ def _snf_ext(m) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
             p = ((x, y), (-db // g, da // g))
             p_inv = ((da // g, -y), (db // g, x))
             q = ((1, -y * db // g), (1, x * da // g))
-            q_inv = ((x * da // g, y * db // g), (-1, 1))
-            st.two_by_two(k, k + 1, p, p_inv, q, q_inv)
-
-    return (freeze(a), freeze(st.rows.u), freeze(st.v),
-            freeze(st.rows.u_inv), freeze(st.v_inv))
+            st.two_by_two(k, k + 1, p, p_inv, q)
+    return st
 
 
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
@@ -264,8 +258,14 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     Returns (d, u, v) with u, v unimodular, u * m * v = d, and d diagonal
     with non-negative entries satisfying d_1 | d_2 | ... .
     """
-    d, u, v, _, _ = _snf_ext(m)
-    return d, u, v
+    st = _snf(m, u=True, v=True)
+    return freeze(st.a), freeze(st.rows.u), freeze(st.v)
+
+
+def snf_diagonal(m) -> Vector:
+    """The diagonal of snf(m)[0], without tracking either transform."""
+    a = _snf(m).a
+    return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
 
 @dataclass(frozen=True)
@@ -334,11 +334,12 @@ def cokernel(m) -> AbelianGroup:
     """
     m = freeze(m)
     nr = len(m)
-    col_canon, _ = hnf(transpose(m))
+    col_canon = hnf_form(transpose(m))
     m = transpose([row for row in col_canon if any(row)])
     if not m:
         m = tuple(() for _ in range(nr))
-    d, u, _, u_inv, _ = _snf_ext(m)
+    st = _snf(m, u=True, u_inv=True)
+    d, u, u_inv = st.a, st.rows.u, st.rows.u_inv
     nc = len(m[0]) if m else 0
     diag = [d[i][i] if i < nc else 0 for i in range(nr)]
 
@@ -355,9 +356,9 @@ def cokernel(m) -> AbelianGroup:
     if free_rows:
         # Canonicalize the free coordinates; carry the lift along so that
         # projection o lift stays the identity.
-        canon, w, w_inv = _hnf_ext(free_rows)
-        free_rows = list(canon)
-        lift_m = matmul(transpose(free_lift), w_inv)
+        canon = _hnf(free_rows, u_inv=True)
+        free_rows = canon.a
+        lift_m = matmul(transpose(free_lift), canon.u_inv)
         free_lift = list(transpose(lift_m))
 
     projection = freeze(list(tor_rows) + list(free_rows))
@@ -384,7 +385,7 @@ def kernel_basis(m) -> Matrix:
     rows = [u[i] for i in range(len(h)) if not any(h[i])]
     if not rows:
         return tuple(() for _ in range(nc))
-    canon, _ = hnf(rows)
+    canon = hnf_form(rows)
     return transpose([r for r in canon if any(r)])
 
 

@@ -21,7 +21,7 @@ from .intlinalg import (
     AbelianGroup,
     Vector,
     cokernel,
-    hnf,
+    hnf_form,
     identity,
     kernel_basis,
     matmul,
@@ -134,7 +134,7 @@ def window_lattice(p: GroupAlgebraPresentation, box_radius: int,
     inside = tuple(matrix_rows[i] for i in window_pos)
     lattice_cols = matmul(inside, combos) if combos and combos[0] else \
         tuple(() for _ in window_pos)
-    rows = [r for r in hnf(transpose(lattice_cols))[0] if any(r)] \
+    rows = [r for r in hnf_form(transpose(lattice_cols)) if any(r)] \
         if lattice_cols and len(lattice_cols[0]) else []
     return window, tuple(rows)
 

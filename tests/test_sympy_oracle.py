@@ -1,0 +1,83 @@
+"""Cross-checks the exact kernel against sympy's Smith normal form.
+
+sympy shares no code with intlinalg, so agreeing invariant factors on a
+few hundred seeded matrices (zero, rank-deficient, wide and tall) is an
+independent check of cokernel.  The same matrices check that the
+transform-free normal forms agree with the tracked ones.  Skipped when
+sympy is not installed.
+"""
+
+import random
+
+import pytest
+
+from toricstacks.intlinalg import (
+    cokernel,
+    hnf,
+    hnf_form,
+    matmul,
+    snf,
+    snf_diagonal,
+)
+
+sympy = pytest.importorskip("sympy")
+normalforms = pytest.importorskip("sympy.matrices.normalforms")
+
+N_MATRICES = 200
+
+
+def _random_matrix(rng: random.Random, kind: int):
+    nr, nc = rng.randint(0, 7), rng.randint(0, 7)
+    if kind == 1:  # wide
+        nr, nc = rng.randint(1, 3), rng.randint(4, 9)
+    elif kind == 2:  # tall
+        nr, nc = rng.randint(4, 9), rng.randint(1, 3)
+    if kind == 0:
+        return [[0] * nc for _ in range(nr)]
+    bound = rng.choice((1, 2, 5, 30))
+    if kind == 3 and min(nr, nc) >= 2:  # rank at most min - 1
+        r = rng.randint(0, min(nr, nc) - 1)
+        left = [[rng.randint(-bound, bound) for _ in range(r)]
+                for _ in range(nr)]
+        right = [[rng.randint(-bound, bound) for _ in range(nc)]
+                 for _ in range(r)]
+        return [list(row) for row in matmul(left, right)] if r else \
+            [[0] * nc for _ in range(nr)]
+    return [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def _matrices():
+    rng = random.Random(20190420)
+    return [_random_matrix(rng, i % 5) for i in range(N_MATRICES)]
+
+
+def _sympy_structure(m):
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    d = normalforms.smith_normal_form(sympy.Matrix(nr, nc, sum(m, [])),
+                                      domain=sympy.ZZ)
+    factors = sorted(abs(int(d[i, i])) for i in range(min(nr, nc))
+                     if d[i, i])
+    return nr - len(factors), tuple(x for x in factors if x > 1)
+
+
+def test_matrix_mix_covers_the_awkward_shapes():
+    ms = _matrices()
+    assert any(m and not any(map(any, m)) for m in ms)
+    assert any(len(m) and len(m[0]) > 2 * len(m) for m in ms)
+    assert any(len(m) > 2 * len(m[0]) > 0 for m in ms if m)
+    assert any(not m or not m[0] for m in ms)
+
+
+def test_cokernel_structure_matches_sympy():
+    for m in _matrices():
+        assert cokernel(m).structure() == _sympy_structure(m), m
+
+
+def test_transform_free_forms_match_tracked_ones():
+    for m in _matrices():
+        assert hnf_form(m) == hnf(m)[0], m
+        d = snf(m)[0]
+        assert snf_diagonal(m) == tuple(d[i][i] for i in range(
+            min(len(d), len(d[0]) if d else 0))), m
