@@ -4,7 +4,8 @@ Reads fan JSON ({"rank": n, "rays": [[..]], "max_cones": [[indices]]}),
 dispatches to the compute modules, and prints either a text report or the
 JSON shape published in schemas.py.  Exit codes: 0 for a successful
 computation (for the verify-* verbs: a true conclusion), 1 for a false or
-inconclusive verification, 2 for input or usage errors.  Output is
+inconclusive verification, 2 for input or usage errors (every verb checks
+the fan axioms before computing), 3 for an internal error.  Output is
 deterministic: identical inputs produce identical bytes.
 """
 
@@ -47,6 +48,22 @@ def _load_fan(payload: dict, path: str) -> Fan:
                              % path)
     return Fan.from_data(payload["rank"], payload["rays"],
                          payload["max_cones"])
+
+
+def _violation_lines(report) -> list:
+    return ["fan axioms violated:"] + [
+        "  cones %s and %s: %s" % (_vec(v.first), _vec(v.second), v.reason)
+        for v in report.violations]
+
+
+def _load_valid_fan(payload: dict, path: str) -> Fan:
+    """The fan of the payload, rejected with validate's report unless it
+    satisfies the fan axioms."""
+    f = _load_fan(payload, path)
+    report = validate_fan(f)
+    if not report.ok:
+        raise InputError("\n".join(_violation_lines(report)))
+    return f
 
 
 def _pick_cone(f: Fan, index: int):
@@ -129,15 +146,11 @@ def _cmd_validate(ns):
         lines = ["fan is valid: %d rays, %d maximal cones"
                  % (len(f.rays), len(f.maximal_cones))]
         return payload, lines, 0
-    lines = ["fan axioms violated:"]
-    for v in report.violations:
-        lines.append("  cones %s and %s: %s"
-                     % (_vec(v.first), _vec(v.second), v.reason))
-    return payload, lines, 2
+    return payload, _violation_lines(report), 2
 
 
 def _cmd_subdivide(ns):
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     sigma = _pick_cone(f, ns.cone)
     if sigma.is_zero:
         raise InputError("cannot subdivide the zero cone")
@@ -153,7 +166,7 @@ def _cmd_subdivide(ns):
 
 
 def _cmd_cox(ns):
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     cd = cox(f)
     payload = {"group": _group_json(cd.char_group),
                "weights": [list(w) for w in cd.weights],
@@ -182,7 +195,7 @@ def _piece_json(p, max_deg):
 def _cmd_chow_stack(ns):
     if ns.max_deg < 0:
         raise InputError("--max-deg must be nonnegative")
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     ideal = chow_ideals(cox(f))
     p = chow_ring_stack(f)
     pieces = _piece_json(p, ns.max_deg)
@@ -203,7 +216,7 @@ def _cmd_chow_stack(ns):
 
 
 def _cmd_chow_groups(ns):
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     ks = [ns.k] if ns.k is not None else list(range(f.ambient_rank + 1))
     groups = []
     for k in ks:
@@ -219,7 +232,7 @@ def _cmd_chow_groups(ns):
 
 
 def _cmd_ktheory_stack(ns):
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     p = k_ring_stack(f)
     gens_json = [[{"exponent": list(coords), "coeff": coeff}
                   for coords, coeff in gen] for gen in p.ideal_gens]
@@ -239,7 +252,7 @@ def _cmd_ktheory_stack(ns):
 def _cmd_verify_vanishing(ns):
     if ns.max_deg < 1:
         raise InputError("--max-deg must be at least 1")
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     sigma = _pick_cone(f, ns.cone)
     report = verify_vanishing(sigma, ns.max_deg)
     payload = {
@@ -284,7 +297,7 @@ def _cmd_verify_vanishing(ns):
 def _cmd_verify_k_vanishing(ns):
     if ns.box < 1:
         raise InputError("--box must be at least 1")
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(_load_payload(ns.input), ns.input)
     sigma = _pick_cone(f, ns.cone)
     report = verify_k_vanishing(sigma, ns.box)
     payload = {
@@ -328,7 +341,7 @@ def _cmd_strongness(ns):
     if ns.bound < 1:
         raise InputError("--bound must be at least 1")
     payload_in = _load_payload(ns.input)
-    f = _load_fan(payload_in, ns.input)
+    f = _load_valid_fan(payload_in, ns.input)
     if ns.ray is not None:
         divisor_ray = ns.ray
     elif "divisor_ray" in payload_in:
@@ -446,6 +459,12 @@ def run(argv) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        import traceback  # only here: process start does not pay for it
+        traceback.print_exc()
+        return 3
     if ns.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -4,8 +4,17 @@ homogeneous generators) as exact abelian groups.
 No Groebner machinery: the degree-k component is the cokernel of an explicit
 integer matrix (generator multiples expanded over the degree-k monomial
 basis), so ranks, torsion, and induced maps are all Smith-normal-form facts.
-Monomials of a fixed degree are ordered descending-lex in the variable
-order, which makes every normal form reproducible bit for bit.
+
+The linear relations are eliminated once per presentation before any degree
+is expanded.  A Smith basis of the linear lattice is a unimodular change of
+variables after which they read d_i s_i; the variables with d_i = 1 drop
+out, so degree k is expanded over monomials in the len(torsion) + free_rank
+remaining variables rather than in one variable per generator of Z^n (for a
+fan's Chow ring: roughly rays minus rank, instead of one per ray).  Pieces
+are still reported on the original degree-k monomial basis, so callers never
+see the reduced variables.  Monomials of a fixed degree are ordered
+descending-lex in the variable order, which makes every normal form
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intlinalg import AbelianGroup, Matrix, Vector, cokernel, freeze, matvec
+from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
+                        matmul, normal_form_group, smith_basis, transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -148,17 +158,9 @@ class GradedPiece:
         return self.group.project(tuple(vec))
 
 
-@lru_cache(maxsize=None)
-def graded_piece(p: GradedPresentation, k: int) -> GradedPiece:
-    """The degree-k component of the quotient, as an exact abelian group.
-
-    The relation lattice is spanned by g*m over generators g of degree d
-    and monomials m of degree k-d; the group is its cokernel over the
-    degree-k monomial basis.
-    """
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    basis = monomials(p.n_vars, k)
+def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
+    """Generator multiples of degree k as columns over the degree-k
+    monomial basis."""
     columns = []
     for row in p.linear_gens:
         gen = {tuple(1 if j == i else 0 for j in range(p.n_vars)): c
@@ -170,10 +172,33 @@ def graded_piece(p: GradedPresentation, k: int) -> GradedPiece:
         for m in monomials(p.n_vars, k - degree):
             columns.append(_shifted_column(gen, m, p.n_vars, k))
     if columns:
-        matrix = tuple(zip(*columns))
-    else:
-        matrix = tuple(() for _ in basis)
-    group = cokernel(matrix)
+        return tuple(zip(*columns))
+    return tuple(() for _ in monomials(p.n_vars, k))
+
+
+@lru_cache(maxsize=None)
+def graded_piece(p: GradedPresentation, k: int) -> GradedPiece:
+    """The degree-k component of the quotient, as an exact abelian group.
+
+    The linear relations are eliminated once per presentation (_reduction):
+    in the reduced variables the relation lattice is spanned by g*m over
+    the reduced generators g of degree d and monomials m of degree k-d, and
+    its cokernel is taken over the reduced degree-k monomials.  The result
+    is carried back to the original degree-k monomial basis: the
+    projection through Sym^k(phi), the lift through Sym^k(psi), and the
+    free block put back in normal form.
+    """
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    phi, psi = _reduction(p)
+    reduced = cokernel(_relation_matrix(phi.target, k))
+    basis = monomials(p.n_vars, k)
+    projection, lift_cols = (), ()
+    if not reduced.is_trivial:
+        projection = matmul(reduced.projection, _sym_power(phi, k))
+        lift_cols = transpose(matmul(_sym_power(psi, k), reduced.lift))
+    group = normal_form_group(len(basis), reduced.torsion, projection,
+                              lift_cols)
     return GradedPiece(degree=k, n_vars=p.n_vars, monomial_basis=basis,
                        group=group)
 
@@ -245,6 +270,51 @@ def _substitute(rm: RingMap, poly: Poly) -> Poly:
             if not out[m]:
                 del out[m]
     return out
+
+
+@lru_cache(maxsize=None)
+def _reduction(p: GradedPresentation) -> tuple:
+    """The linear relations eliminated by a unimodular change of variables.
+
+    With (torsion, rows, cols) the Smith basis of the linear lattice, the
+    variables s_i = sum_j rows[i][j] t_j turn the linear relations into
+    d_i s_i, and those with d_i = 1 are already dropped: the kept s_i carry
+    only d_i s_i for d_i = torsion[i] (the free ones, past the torsion,
+    none) and the images of the homogeneous generators.  Returns
+    (phi, psi): phi maps p into that reduced presentation by
+    t_j -> sum_i rows[i][j] s_i, and psi maps it back by
+    s_i -> sum_j cols[i][j] t_j; phi o psi is the identity.
+    """
+    torsion, rows, cols = smith_basis(transpose(p.linear_gens)
+                                      if p.linear_gens else
+                                      tuple(() for _ in range(p.n_vars)))
+    n = len(rows)
+    lin = [tuple(d if j == i else 0 for j in range(n))
+           for i, d in enumerate(torsion)]
+    phi_rows = tuple(tuple(row[j] for row in rows) for j in range(p.n_vars))
+    to_free = RingMap(source=p, target=make_presentation(n),
+                      substitution=phi_rows)
+    homs = [(degree, _substitute(to_free, dict(items)))
+            for degree, items in p.homogeneous_gens]
+    reduced = make_presentation(n, lin, [h for h in homs if h[1]])
+    phi = RingMap(source=p, target=reduced, substitution=phi_rows)
+    psi = RingMap(source=reduced, target=p, substitution=cols)
+    return phi, psi
+
+
+def _sym_power(rm: RingMap, k: int) -> Matrix:
+    """Matrix of the substitution on degree-k monomials (target monomials
+    by source monomials)."""
+    index = _monomial_index(rm.target.n_vars, k)
+    cols = []
+    for m in monomials(rm.source.n_vars, k):
+        col = [0] * len(index)
+        for expt, coeff in _substitute(rm, {m: 1}).items():
+            col[index[expt]] = coeff
+        cols.append(col)
+    if not cols:
+        return tuple(() for _ in index)
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)

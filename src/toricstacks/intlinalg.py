@@ -324,6 +324,59 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
+    """Coordinates on Z^rows adapted to the column lattice of m, without
+    the ones that lattice kills outright.
+
+    With u unimodular and u * m in Smith form, returns (torsion, rows, cols):
+    rows are the rows of u whose invariant factor is not 1 (torsion ones
+    first, their factors listed in torsion; then the free ones, factor 0),
+    and cols are the matching columns of u^-1, so rows * cols = 1.  Depends
+    only on the column lattice, not on the presenting matrix: the columns
+    are HNF-canonicalized first.
+    """
+    m = freeze(m)
+    nr = len(m)
+    col_canon = hnf_form(transpose(m))
+    m = transpose([row for row in col_canon if any(row)])
+    if not m:
+        m = tuple(() for _ in range(nr))
+    st = _snf(m, u=True, u_inv=True)
+    nc = len(m[0]) if m else 0
+    diag = [st.a[i][i] if i < nc else 0 for i in range(nr)]
+    # The invariant factors run 1, ..., 1, torsion, 0, ..., 0.
+    keep = [i for i in range(nr) if diag[i] != 1]
+    u_inv_cols = transpose(st.rows.u_inv)
+    return (tuple(diag[i] for i in keep if diag[i]),
+            freeze(st.rows.u[i] for i in keep),
+            tuple(u_inv_cols[i] for i in keep))
+
+
+def normal_form_group(ambient_rank: int, torsion, rows,
+                      lift_cols) -> AbelianGroup:
+    """The AbelianGroup whose projection has the given rows (one per
+    torsion coordinate, then one per free coordinate) and whose lift has
+    the given columns, put in normal form: torsion rows are reduced mod
+    their d_i, and the free rows are HNF-canonicalized with the lift
+    carried along, so that projection o lift stays the identity."""
+    torsion = tuple(torsion)
+    nt = len(torsion)
+    tor_rows = [tuple(x % d for x in row) for row, d in zip(rows, torsion)]
+    free_rows = list(rows[nt:])
+    tor_lift, free_lift = list(lift_cols[:nt]), list(lift_cols[nt:])
+    if free_rows:
+        canon = _hnf(free_rows, u_inv=True)
+        free_rows = canon.a
+        free_lift = list(transpose(matmul(transpose(free_lift),
+                                          canon.u_inv)))
+    lift_cols = tor_lift + free_lift
+    lift = transpose(lift_cols) if lift_cols \
+        else tuple(() for _ in range(ambient_rank))
+    return AbelianGroup(ambient_rank=ambient_rank,
+                        free_rank=len(free_rows), torsion=torsion,
+                        projection=freeze(tor_rows + free_rows), lift=lift)
+
+
 def cokernel(m) -> AbelianGroup:
     """The quotient of Z^rows by the column span of m, in normal form.
 
@@ -333,42 +386,9 @@ def cokernel(m) -> AbelianGroup:
     get identical projections and lifts.
     """
     m = freeze(m)
-    nr = len(m)
-    col_canon = hnf_form(transpose(m))
-    m = transpose([row for row in col_canon if any(row)])
-    if not m:
-        m = tuple(() for _ in range(nr))
-    st = _snf(m, u=True, u_inv=True)
-    d, u, u_inv = st.a, st.rows.u, st.rows.u_inv
-    nc = len(m[0]) if m else 0
-    diag = [d[i][i] if i < nc else 0 for i in range(nr)]
-
-    tor_idx = [i for i in range(nr) if diag[i] >= 2]
-    free_idx = [i for i in range(nr) if diag[i] == 0]
-    torsion = tuple(diag[i] for i in tor_idx)
-
-    u_inv_cols = transpose(u_inv)
-    tor_rows = [tuple(x % diag[i] for x in u[i]) for i in tor_idx]
-    tor_lift = [u_inv_cols[i] for i in tor_idx]
-
-    free_rows = [u[i] for i in free_idx]
-    free_lift = [u_inv_cols[i] for i in free_idx]
-    if free_rows:
-        # Canonicalize the free coordinates; carry the lift along so that
-        # projection o lift stays the identity.
-        canon = _hnf(free_rows, u_inv=True)
-        free_rows = canon.a
-        lift_m = matmul(transpose(free_lift), canon.u_inv)
-        free_lift = list(transpose(lift_m))
-
-    projection = freeze(list(tor_rows) + list(free_rows))
-    lift = transpose(list(tor_lift) + list(free_lift)) if (tor_lift or free_lift) \
-        else tuple(() for _ in range(nr))
-
-    group = AbelianGroup(ambient_rank=nr, free_rank=len(free_idx),
-                         torsion=torsion, projection=projection, lift=lift)
+    group = normal_form_group(len(m), *smith_basis(m))
     # Relations must die in the quotient.
-    for col in transpose(m) if m else ():
+    for col in transpose(m):
         assert not any(group.project(col)), "projection does not kill a relation"
     return group
 

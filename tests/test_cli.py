@@ -165,3 +165,30 @@ def test_usage_errors_exit_2():
     assert run([]) == 2
     assert run(["frobnicate", "x.json"]) == 2
     assert run(["chow-groups"]) == 2
+
+
+@pytest.mark.parametrize("verb", ["subdivide", "cox", "chow-stack",
+                                  "chow-groups", "ktheory-stack",
+                                  "verify-vanishing", "verify-k-vanishing",
+                                  "strongness"])
+def test_compute_verbs_reject_invalid_fan(verb, capsys):
+    assert run(["validate", BAD]) == 2
+    report = out_of(capsys)
+    assert run([verb, BAD, "--ray", "0"] if verb == "strongness"
+               else [verb, BAD]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + report
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(_fan):
+        raise AssertionError("projection does not kill a relation")
+
+    monkeypatch.setattr("toricstacks.cli.cox", broken)
+    assert run(["cox", SQUARE]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: AssertionError: "
+                                   "projection does not kill a relation\n"
+                                   "Traceback (most recent call last):\n")

@@ -1,0 +1,148 @@
+"""Checks graded_piece, which eliminates the linear relations before it
+expands a degree, against a direct expansion over every monomial.
+
+The direct expansion lives only here: every generator multiple of degree
+k, linear ones included, expanded over all degree-k monomials in the
+original variables, then one cokernel.  Each reduced piece must have the
+same structure and the same (canonical) free block of the projection,
+its projection must kill every direct relation column, and its lift must
+be a right inverse of its projection modulo torsion.
+"""
+
+import random
+from itertools import combinations_with_replacement
+
+import pytest
+
+from toricstacks.chow import exceptional_comparison
+from toricstacks.graded import graded_piece, make_presentation
+from toricstacks.intlinalg import cokernel
+
+from corpus import corpus_cones
+
+
+def exponents(n_vars, degree):
+    """Every degree-k exponent tuple in n variables, in no set order."""
+    if degree < 0:
+        return []
+    out = []
+    for combo in combinations_with_replacement(range(n_vars), degree):
+        out.append(tuple(combo.count(i) for i in range(n_vars)))
+    return out
+
+
+def direct_relations(p, k, basis):
+    """Generator multiples of degree k as columns over basis."""
+    index = {m: i for i, m in enumerate(basis)}
+    gens = [(1, {tuple(int(i == j) for j in range(p.n_vars)): c
+                 for i, c in enumerate(row) if c})
+            for row in p.linear_gens]
+    gens += [(d, dict(items)) for d, items in p.homogeneous_gens]
+    columns = []
+    for degree, gen in gens:
+        for shift in exponents(p.n_vars, k - degree):
+            col = [0] * len(basis)
+            for expt, coeff in gen.items():
+                col[index[tuple(a + b for a, b in zip(expt, shift))]] += coeff
+            columns.append(tuple(col))
+    return columns
+
+
+def check_against_direct(p, k):
+    piece = graded_piece(p, k)
+    g = piece.group
+    basis = piece.monomial_basis
+    assert sorted(basis) == sorted(exponents(p.n_vars, k))
+    assert g.ambient_rank == len(basis)
+    columns = direct_relations(p, k, basis)
+    ref = cokernel(tuple(zip(*columns)) if columns
+                   else tuple(() for _ in basis))
+    assert g.structure() == ref.structure()
+    nt = len(g.torsion)
+    assert g.projection[nt:] == ref.projection[nt:]
+    for col in columns:
+        assert not any(g.project(col))
+    for i in range(g.coord_rank):
+        e = tuple(int(i == j) for j in range(g.coord_rank))
+        assert g.project(g.lift_coords(e)) == g.reduce(e)
+    return g
+
+
+EDGE_CASES = {
+    "saturated": make_presentation(3, [[1, 0, -1], [0, 1, -1]]),
+    "non-saturated": make_presentation(2, [[2, 0]]),
+    "gcd torsion": make_presentation(2, [[4, 6]], [(2, {(1, 1): 1})]),
+    "two torsion factors": make_presentation(
+        3, [[2, 0, 0], [0, 6, 0]], [(2, {(1, 0, 1): 1})]),
+    "redundant and zero rows": make_presentation(
+        3, [[1, 1, 0], [2, 2, 0], [0, 0, 0], [1, 1, 0]],
+        [(2, {(1, 0, 1): 1})]),
+    "degree-1 homogeneous": make_presentation(
+        3, [[1, -1, 0]],
+        [(1, {(0, 0, 1): 2}), (1, {(1, 0, 0): 1, (0, 1, 0): 1}),
+         (2, {(1, 1, 0): 1})]),
+    "no linear generators": make_presentation(
+        3, [], [(2, {(1, 1, 0): 1, (0, 0, 2): -3}), (3, {(1, 1, 1): 2})]),
+    "no generators": make_presentation(2),
+    "zero variables": make_presentation(0),
+    "zero variables with generators": make_presentation(
+        0, [[]], [(1, {})]),
+    "one variable": make_presentation(1, [], [(3, {(3,): 4})]),
+    "one variable, unit relation": make_presentation(1, [[1]]),
+    "one variable, torsion": make_presentation(1, [[3]],
+                                               [(2, {(2,): 2})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_cases_match_direct_expansion(name):
+    for k in range(5):
+        check_against_direct(EDGE_CASES[name], k)
+
+
+def test_torsion_survives_elimination():
+    assert check_against_direct(EDGE_CASES["non-saturated"], 1) \
+        .structure() == (1, (2,))
+    assert check_against_direct(EDGE_CASES["non-saturated"], 2) \
+        .structure() == (1, (2, 2))
+    assert check_against_direct(EDGE_CASES["two torsion factors"], 1) \
+        .structure() == (1, (2, 6))
+
+
+def random_presentation(rng):
+    n = rng.randint(0, 4)
+    lin = [[rng.randint(-3, 3) for _ in range(n)]
+           for _ in range(rng.randint(0, 3))]
+    if lin and rng.random() < 0.3:
+        # a multiple of an existing row: redundant, maybe non-saturating
+        lin.append([rng.choice((-2, 2, 3)) * x for x in rng.choice(lin)])
+    homs = []
+    for _ in range(rng.randint(0, 3)):
+        degree = rng.randint(1, 3)
+        support = exponents(n, degree)
+        if not support:
+            continue
+        poly = {}
+        for expt in rng.sample(support, min(len(support),
+                                            rng.randint(1, 3))):
+            poly[expt] = rng.choice((-3, -2, -1, 1, 2, 3))
+        homs.append((degree, poly))
+    return make_presentation(n, lin, homs)
+
+
+def test_random_presentations_match_direct_expansion():
+    rng = random.Random(3)
+    torsion_seen = 0
+    for _ in range(150):
+        p = random_presentation(rng)
+        for k in range(4):
+            torsion_seen += bool(check_against_direct(p, k).torsion)
+    assert torsion_seen  # the sample exercises the torsion block
+
+
+def test_corpus_rings_match_direct_expansion():
+    for cone in corpus_cones():
+        comparison = exceptional_comparison(cone, 0)
+        for p in (comparison.source, comparison.target):
+            for k in range(5):
+                check_against_direct(p, k)
