@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cox import chow_ideals, cox
+from .cox import CoxData, chow_ideals, cox
 from .fan import (
     Cone,
     Fan,
@@ -55,7 +55,12 @@ def chow_ring_stack(f: Fan) -> GradedPresentation:
     """Quotient-ring presentation attached to a fan: one variable per ray,
     the kernel lattice as linear relations, one squarefree monomial per
     primitive collection."""
-    ideal = chow_ideals(cox(f))
+    return _chow_presentation(cox(f))
+
+
+def _chow_presentation(cd: CoxData) -> GradedPresentation:
+    """chow_ring_stack of the fan whose Cox data is cd."""
+    ideal = chow_ideals(cd)
     homs = []
     for coll in ideal.monomial_gens:
         expt = tuple(1 if i in coll else 0 for i in range(ideal.variables))
@@ -151,9 +156,9 @@ def exceptional_comparison(sigma: Cone, max_deg: int = 4) -> Comparison:
         raise ComparisonError("rays %s have no image ray in the quotient"
                               % (missing,))
 
-    source = chow_ring_stack(f2)
-    target = chow_ring_stack(quotient.fan)
     cd = cox(f2)
+    source = _chow_presentation(cd)
+    target = chow_ring_stack(quotient.fan)
     group = cd.char_group
     cols = [tuple(cd.weights[i]) for i in surviving]
     for t, d in enumerate(group.torsion):

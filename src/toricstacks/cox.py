@@ -21,7 +21,7 @@ from .intlinalg import (
     cokernel,
     freeze,
     hnf_form,
-    kernel_basis,
+    rank,
     solve_in_span,
     transpose,
 )
@@ -72,13 +72,6 @@ class IdealPresentation:
     monomial_gens: tuple[tuple[int, ...], ...]
 
 
-def _ray_matrix_rank(rays) -> int:
-    if not rays:
-        return 0
-    kb = kernel_basis(rays)
-    return len(rays[0]) - (len(kb[0]) if kb else 0)
-
-
 def cox(f: Fan) -> CoxData:
     """Cox data of a fan whose rays span the ambient space over Q.
 
@@ -86,11 +79,12 @@ def cox(f: Fan) -> CoxData:
     """
     n = f.ambient_rank
     rays = freeze(f.rays)
-    if _ray_matrix_rank(rays) != n:
+    ray_rank = rank(rays)
+    if ray_rank != n:
         raise TorusFactorError(
             "rays span a rank-%d sublattice of Z^%d; the fan has a torus "
             "factor, which this construction does not support"
-            % (_ray_matrix_rank(rays), n))
+            % (ray_rank, n))
     beta = transpose(rays) if rays else tuple(() for _ in range(n))
     group = cokernel(rays)
     r = len(rays)

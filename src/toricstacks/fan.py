@@ -8,6 +8,12 @@ indexed in first-seen order and every report downstream is keyed to that
 order.  All geometry is exact: supporting hyperplanes are enumerated by
 brute force over ray subsets, which is entirely adequate at the scale this
 library targets (rank <= 6, around a dozen rays).
+
+A cone's geometry is computed once, when it is built: span and perp
+lattices, ray coordinates and facet normals.  All ray coordinates are
+solved against one HNF of the span, and all normal lifts against one HNF
+of its transpose.  Operations that need a cone's facets read them from
+that data; star_subdivision builds no cone per facet.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from .intlinalg import (
     identity,
     kernel_basis,
     matvec,
+    rank,
     snf_diagonal,
-    solve_in_span,
+    solve_many_in_span,
     transpose,
 )
 
@@ -52,16 +59,17 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _rank(rows, width: int) -> int:
-    if not rows:
-        return 0
-    return width - len(transpose(kernel_basis(rows)))
-
-
 class Cone:
     """A strongly convex rational polyhedral cone, stored as its primitive
-    extreme rays (deduplicated, input order).  Span/perp lattice bases, ray
-    coordinates in the span, and inward facet normals are precomputed."""
+    extreme rays (deduplicated, input order).
+
+    Precomputed at construction: span_basis (a basis of the saturated span
+    lattice, as columns), perp_rows (a basis of its annihilator), ray_coords
+    (each ray in span_basis coordinates), facet_sets (the local ray indices
+    of each facet) and facet_normals (each facet's inward normal, lifted to
+    the ambient lattice; on the cone it vanishes exactly on the facet).
+    The ray coordinates come from one HNF of the span, the normal lifts
+    from one HNF of its transpose."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
                  "ray_coords", "facet_sets", "facet_normals", "_faces")
@@ -92,16 +100,13 @@ class Cone:
         perp_rows = transpose(kernel_basis(gens))
         span = kernel_basis(perp_rows) if perp_rows else identity(n)
         d = len(transpose(span))
-        coords = []
-        for g in gens:
-            c = solve_in_span(span, g)
-            assert c is not None, "ray escapes its own saturated span"
-            coords.append(c)
+        coords = list(solve_many_in_span(span, gens))
+        assert None not in coords, "ray escapes its own saturated span"
 
         facet_sets, span_normals, facet_normals = _facet_data(coords, d, span)
         # Strong convexity: the inward normals must span the dual of the
         # span, otherwise a line survives.
-        if _rank(span_normals, d) != d:
+        if rank(span_normals) != d:
             raise GeometryError(
                 "cone is not strongly convex: generators %s contain a line"
                 % (tuple(gens),))
@@ -111,7 +116,7 @@ class Cone:
         keep = []
         for i in range(len(coords)):
             through = [w for s, w in zip(facet_sets, span_normals) if i in s]
-            if _rank(through, d) == d - 1:
+            if rank(through) == d - 1:
                 keep.append(i)
         if len(keep) != len(gens):
             gens = [gens[i] for i in keep]
@@ -209,19 +214,15 @@ def _facet_data(coords, d, span):
         if zero_set in seen:
             continue
         through = [coords[i] for i in zero_set]
-        if _rank(through, d) == d - 1:
+        if rank(through) == d - 1:
             seen[zero_set] = w
     sets = tuple(sorted(seen, key=sorted))
     span_normals = tuple(seen[s] for s in sets)
-    ambient = []
-    span_t = transpose(span)
-    for w in span_normals:
-        # Lift the span functional to the ambient lattice; the span basis is
-        # saturated, so its transpose is surjective and a lift exists.
-        lifted = solve_in_span(span_t, w)
-        assert lifted is not None
-        ambient.append(lifted)
-    return sets, span_normals, tuple(ambient)
+    # Lift the span functionals to the ambient lattice; the span basis is
+    # saturated, so its transpose is surjective and every lift exists.
+    ambient = solve_many_in_span(transpose(span), span_normals)
+    assert None not in ambient
+    return sets, span_normals, ambient
 
 
 def make_cone(ambient_rank: int, generators) -> Cone:
@@ -440,8 +441,14 @@ def validate_fan(f: Fan) -> FanReport:
 
 def star_subdivision(f: Fan, c: Cone) -> Fan:
     """Refine f at the cone c: maximal cones not containing c survive; every
-    maximal cone containing c is replaced by the joins of the star vector
-    with the facets not containing it."""
+    maximal cone sigma containing c is replaced by the joins of the star
+    vector v with the facets of sigma not containing it.
+
+    The facets are read off sigma's facet data, with no cone built per
+    facet: v lies in relint c, hence in sigma, so v lies in a facet exactly
+    when that facet's inward normal vanishes on v.  A one-dimensional sigma
+    has the origin as its only facet (facet set empty), which gives the
+    single new cone [v]."""
     if not f.has_cone(c):
         raise GeometryError("subdivision cone is not a cone of the fan")
     if c.is_zero:
@@ -453,10 +460,12 @@ def star_subdivision(f: Fan, c: Cone) -> Fan:
         if not sigma.contains_cone(c):
             new_max.append(sigma)
             continue
-        for mu in facets(sigma):
-            if mu.contains(v):
+        assert sigma.contains(v), "star vector escapes a cone containing c"
+        for fs, w in zip(sigma.facet_sets, sigma.facet_normals):
+            if _dot(w, v) == 0:
                 continue
-            new_max.append(Cone(f.ambient_rank, list(mu.rays) + [v]))
+            new_max.append(Cone(f.ambient_rank,
+                                [sigma.rays[i] for i in sorted(fs)] + [v]))
     return Fan(f.ambient_rank, new_max, ray_hint=f.rays)
 
 
@@ -628,11 +637,9 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
             continue
         # Generator of span(sigma)/span(tau): both span lattices are
         # saturated, so the quotient is Z and a preferred lift exists.
-        coord_cols = []
-        for col in transpose(tau.span_basis):
-            c = solve_in_span(sigma.span_basis, col)
-            assert c is not None
-            coord_cols.append(c)
+        coord_cols = solve_many_in_span(sigma.span_basis,
+                                        transpose(tau.span_basis))
+        assert None not in coord_cols
         rel = transpose(coord_cols) if coord_cols \
             else tuple(() for _ in range(sigma.dim))
         quot = cokernel(rel)

@@ -255,10 +255,18 @@ def ring_map(source: GradedPresentation, target: GradedPresentation,
     return RingMap(source=source, target=target, substitution=sub)
 
 
+@lru_cache(maxsize=None)
+def _linear_forms(rm: RingMap) -> tuple:
+    """The image of each source variable, as a Poly over the target
+    variables; built once per ring map and shared, so read only."""
+    n = rm.target.n_vars
+    return tuple({tuple(1 if j == i else 0 for j in range(n)): c
+                  for i, c in enumerate(row) if c}
+                 for row in rm.substitution)
+
+
 def _substitute(rm: RingMap, poly: Poly) -> Poly:
-    forms = [{tuple(1 if j == i else 0 for j in range(rm.target.n_vars)): c
-              for i, c in enumerate(row) if c}
-             for row in rm.substitution]
+    forms = _linear_forms(rm)
     out: Poly = {}
     for expt, coeff in poly.items():
         term = {tuple([0] * rm.target.n_vars): coeff}

@@ -8,7 +8,7 @@ pivots, entries above a pivot reduced into [0, pivot)), which lets callers
 compare lattices by comparing matrices.
 
 Each elimination tracks only the unimodular transforms its caller reads
-(hnf_form and snf_diagonal track none).  Tracking never changes the
+(hnf_form, snf_diagonal and rank track none).  Tracking never changes the
 operations applied to the working matrix, so results do not depend on it.
 """
 
@@ -409,6 +409,12 @@ def kernel_basis(m) -> Matrix:
     return transpose([r for r in canon if any(r)])
 
 
+def rank(m) -> int:
+    """Rank of m: the number of nonzero rows of its HNF, with no transform
+    tracked."""
+    return sum(1 for row in _hnf(m).a if any(row))
+
+
 def solve_in_span(m, b) -> Vector | None:
     """An integer x with m * x = b, if one exists, else None.
 
@@ -416,25 +422,38 @@ def solve_in_span(m, b) -> Vector | None:
     zero) and exact; in particular it is unique whenever the columns of m are
     independent.
     """
+    return solve_many_in_span(m, (b,))[0]
+
+
+def solve_many_in_span(m, bs) -> tuple[Vector | None, ...]:
+    """solve_in_span(m, b) for each b in bs, from one HNF of m."""
     m = freeze(m)
-    if len(b) != len(m):
-        raise ValueError("vector length %d, matrix has %d rows"
-                         % (len(b), len(m)))
+    bs = [tuple(int(x) for x in b) for b in bs]
+    for b in bs:
+        if len(b) != len(m):
+            raise ValueError("vector length %d, matrix has %d rows"
+                             % (len(b), len(m)))
     nc = len(m[0]) if m else 0
     if nc == 0:
-        return () if not any(b) else None
-    h, u = hnf(transpose(m))
-    res = [int(x) for x in b]
-    z = [0] * len(h)
-    for i, row in enumerate(h):
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            break
-        q, r = divmod(res[p], row[p])
-        if r:
+        return tuple(() if not any(b) else None for b in bs)
+    ops = _hnf(transpose(m), u=True)
+    h, u = ops.a, ops.u
+    # The nonzero rows of an HNF come first; zip(h, pivots) stops there.
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
+
+    def solve(b):
+        res = list(b)
+        z = []
+        for row, p in zip(h, pivots):
+            q, r = divmod(res[p], row[p])
+            if r:
+                return None
+            z.append(q)
+            if q:
+                res = [x - q * y for x, y in zip(res, row)]
+        if any(res):
             return None
-        z[i] = q
-        res = [x - q * y for x, y in zip(res, row)]
-    if any(res):
-        return None
-    return tuple(sum(z[i] * u[i][j] for i in range(len(u))) for j in range(nc))
+        return tuple(sum(q * row[j] for q, row in zip(z, u))
+                     for j in range(nc))
+
+    return tuple(solve(b) for b in bs)
