@@ -5,19 +5,26 @@ quotients, and facet relation data for orbit closures.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
-order.  All geometry is exact: supporting hyperplanes are enumerated by
-brute force over ray subsets, which is entirely adequate at the scale this
-library targets (rank <= 6, around a dozen rays).
+order.  All geometry is exact.  Supporting hyperplanes are enumerated over
+the (d-1)-subsets of rays (of tight constraints, for intersect_cones),
+which is entirely adequate at the scale this library targets (rank <= 6,
+around a dozen rays).  Each subset's hyperplane normal is the primitive
+vector of its signed maximal minors (intlinalg.kernel_generator), one
+small fraction-free determinant per minor and no HNF.
 
 A cone's geometry is computed once, when it is built: span and perp
 lattices, ray coordinates and facet normals.  All ray coordinates are
 solved against one HNF of the span, and all normal lifts against one HNF
-of its transpose.  Operations that need a cone's facets read them from
-that data; star_subdivision builds no cone per facet.
+of its transpose; a full-dimensional cone needs neither, since its span is
+the identity.  A simplicial cone skips the strong-convexity and
+extremality rank checks, which d independent rays always pass.
+Operations that need a cone's facets read them from that data;
+star_subdivision builds no cone per facet.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -28,6 +35,7 @@ from .intlinalg import (
     cokernel,
     identity,
     kernel_basis,
+    kernel_generator,
     matvec,
     rank,
     snf_diagonal,
@@ -69,7 +77,8 @@ class Cone:
     of each facet) and facet_normals (each facet's inward normal, lifted to
     the ambient lattice; on the cone it vanishes exactly on the facet).
     The ray coordinates come from one HNF of the span, the normal lifts
-    from one HNF of its transpose."""
+    from one HNF of its transpose; both are the identity map when the cone
+    is full-dimensional."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
                  "ray_coords", "facet_sets", "facet_normals", "_faces")
@@ -97,33 +106,51 @@ class Cone:
             return
 
         # Saturated span lattice: perp of the rays, then perp of the perp.
+        # A full-dimensional cone has the identity as its span, so its rays
+        # are their own coordinates and its normals their own lifts.
         perp_rows = transpose(kernel_basis(gens))
-        span = kernel_basis(perp_rows) if perp_rows else identity(n)
-        d = len(transpose(span))
-        coords = list(solve_many_in_span(span, gens))
-        assert None not in coords, "ray escapes its own saturated span"
+        if perp_rows:
+            span = kernel_basis(perp_rows)
+            coords = list(solve_many_in_span(span, gens))
+            assert None not in coords, "ray escapes its own saturated span"
+        else:
+            span, coords = identity(n), gens
+        d = len(span[0])
 
-        facet_sets, span_normals, facet_normals = _facet_data(coords, d, span)
-        # Strong convexity: the inward normals must span the dual of the
-        # span, otherwise a line survives.
-        if rank(span_normals) != d:
-            raise GeometryError(
-                "cone is not strongly convex: generators %s contain a line"
-                % (tuple(gens),))
+        facet_sets, span_normals = _facet_data(coords, d)
+        if perp_rows:
+            # The span basis is saturated, so its transpose is surjective
+            # and every span functional lifts to the ambient lattice.
+            facet_normals = solve_many_in_span(transpose(span), span_normals)
+            assert None not in facet_normals
+        else:
+            facet_normals = span_normals
 
-        # A generator is extreme iff the facets through it cut out a ray:
-        # the normals vanishing there must have rank d-1.
-        keep = []
-        for i in range(len(coords)):
-            through = [w for s, w in zip(facet_sets, span_normals) if i in s]
-            if rank(through) == d - 1:
-                keep.append(i)
-        if len(keep) != len(gens):
-            gens = [gens[i] for i in keep]
-            coords = [coords[i] for i in keep]
-            relabel = {old: new for new, old in enumerate(keep)}
-            facet_sets = tuple(frozenset(relabel[i] for i in s if i in relabel)
-                               for s in facet_sets)
+        # d independent rays are strongly convex and all extreme; more rays
+        # need both checks.
+        if len(gens) != d:
+            # Strong convexity: the inward normals must span the dual of
+            # the span, otherwise a line survives.
+            if rank(span_normals) != d:
+                raise GeometryError(
+                    "cone is not strongly convex: generators %s contain a "
+                    "line" % (tuple(gens),))
+
+            # A generator is extreme iff the facets through it cut out a
+            # ray: the normals vanishing there must have rank d-1.
+            keep = []
+            for i in range(len(coords)):
+                through = [w for s, w in zip(facet_sets, span_normals)
+                           if i in s]
+                if rank(through) == d - 1:
+                    keep.append(i)
+            if len(keep) != len(gens):
+                gens = [gens[i] for i in keep]
+                coords = [coords[i] for i in keep]
+                relabel = {old: new for new, old in enumerate(keep)}
+                facet_sets = tuple(
+                    frozenset(relabel[i] for i in s if i in relabel)
+                    for s in facet_sets)
 
         self.rays = tuple(gens)
         self.dim = d
@@ -191,38 +218,32 @@ class Cone:
                          for s in self.face_ray_sets())
 
 
-def _facet_data(coords, d, span):
+def _facet_data(coords, d):
     """Inward facet normals of a full-dimensional cone given by ray
-    coordinates in a rank-d lattice.  Brute force over (d-1)-subsets.
-    Returns the annihilated ray sets, the normals in span coordinates, and
-    their ambient lifts."""
-    k = len(coords)
+    coordinates in a rank-d lattice, as (facet ray sets, normals in span
+    coordinates), sorted by ray set.
+
+    Every facet is cut out by d-1 independent rays, so the candidates are
+    the (d-1)-subsets whose kernel generator (signed maximal minors over
+    their content) exists; a candidate is kept when all rays lie on one
+    side of it, with the sign flipped to point inward.  Its zero set is
+    then a facet: it holds the d-1 independent rays and lies in the
+    candidate's perp, so its rank is d-1."""
     seen: dict[frozenset, Vector] = {}
-    for sub in combinations(range(k), d - 1):
-        rows = [coords[i] for i in sub] or [tuple([0] * d)]
-        ker = transpose(kernel_basis(rows))
-        if len(ker) != 1:
+    for sub in combinations(range(len(coords)), d - 1):
+        w = kernel_generator([coords[i] for i in sub])
+        if w is None:
             continue
-        w = ker[0]
         pairings = [_dot(w, c) for c in coords]
         if all(p <= 0 for p in pairings):
             w = tuple(-x for x in w)
             pairings = [-p for p in pairings]
         elif not all(p >= 0 for p in pairings):
             continue
-        zero_set = frozenset(i for i, p in enumerate(pairings) if p == 0)
-        if zero_set in seen:
-            continue
-        through = [coords[i] for i in zero_set]
-        if rank(through) == d - 1:
-            seen[zero_set] = w
+        seen.setdefault(
+            frozenset(i for i, p in enumerate(pairings) if p == 0), w)
     sets = tuple(sorted(seen, key=sorted))
-    span_normals = tuple(seen[s] for s in sets)
-    # Lift the span functionals to the ambient lattice; the span basis is
-    # saturated, so its transpose is surjective and every lift exists.
-    ambient = solve_many_in_span(transpose(span), span_normals)
-    assert None not in ambient
-    return sets, span_normals, ambient
+    return sets, tuple(seen[s] for s in sets)
 
 
 def make_cone(ambient_rank: int, generators) -> Cone:
@@ -263,6 +284,21 @@ def star_vector(c: Cone) -> Vector:
     if c.is_zero:
         raise GeometryError("the zero cone has no star vector")
     return primitivize(tuple(sum(col) for col in zip(*c.rays)))
+
+
+def _integer(x, what: str) -> int:
+    # JSON true/false decode to bool, a subclass of int: refuse it as well.
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise GeometryError("%s is not an integer: %s"
+                            % (what, json.dumps(x, default=repr)))
+    return x
+
+
+def _array(x, what: str):
+    if not isinstance(x, (list, tuple)):
+        raise GeometryError("%s is not an array: %s"
+                            % (what, json.dumps(x, default=repr)))
+    return x
 
 
 class Fan:
@@ -309,10 +345,16 @@ class Fan:
     @classmethod
     def from_data(cls, rank: int, rays, max_cones) -> "Fan":
         """Build from the interchange form: a ray list plus 0-based index
-        lists.  Rays must be primitive, distinct, each used by some cone,
-        and exactly the extreme rays of their cones."""
-        rank = int(rank)
-        rays = [tuple(int(x) for x in r) for r in rays]
+        lists.  The rank, every ray entry and every cone index must be an
+        int (a bool or a float is refused, not truncated).  Rays must be
+        primitive, distinct, each used by some cone, and exactly the
+        extreme rays of their cones."""
+        rank = _integer(rank, "rank")
+        if rank < 0:
+            raise GeometryError("rank is negative: %d" % rank)
+        rays = [tuple(_integer(x, "ray %d entry %d" % (i, j))
+                      for j, x in enumerate(_array(r, "ray %d" % i)))
+                for i, r in enumerate(_array(rays, "rays"))]
         for i, r in enumerate(rays):
             if len(r) != rank:
                 raise GeometryError("ray %d has length %d, rank is %d"
@@ -326,8 +368,9 @@ class Fan:
             raise GeometryError("duplicate rays")
         used = set()
         cones = []
-        for ci, idxs in enumerate(max_cones):
-            idxs = [int(i) for i in idxs]
+        for ci, idxs in enumerate(_array(max_cones, "max_cones")):
+            idxs = [_integer(x, "cone %d entry %d" % (ci, j))
+                    for j, x in enumerate(_array(idxs, "cone %d" % ci))]
             for i in idxs:
                 if not 0 <= i < len(rays):
                     raise GeometryError(
@@ -393,8 +436,11 @@ class FanReport:
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     """Exact intersection of two strongly convex cones (again strongly
     convex).  Equalities are the stacked perps, inequalities the stacked
-    inward facet normals; extreme rays are enumerated by brute force over
-    tight-constraint subsets."""
+    inward facet normals, written in a basis of the equalities' kernel
+    (rank e).  Extreme rays are enumerated over (e-1)-subsets of tight
+    inequalities: each subset of rank e-1 meets in a line whose primitive
+    generator is its kernel_generator, and each of its two directions that
+    satisfies every inequality is a ray."""
     n = a.ambient_rank
     eqs = list(a.perp_rows) + list(b.perp_rows)
     span = kernel_basis(eqs) if eqs else identity(n)
@@ -406,11 +452,10 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
              for w in a.facet_normals + b.facet_normals]
     rays = []
     for sub in combinations(range(len(ineqs)), e - 1):
-        rows = [ineqs[i] for i in sub] or [tuple([0] * e)]
-        ker = transpose(kernel_basis(rows))
-        if len(ker) != 1:
+        w = kernel_generator([ineqs[i] for i in sub])
+        if w is None:
             continue
-        for y in (ker[0], tuple(-x for x in ker[0])):
+        for y in (w, tuple(-x for x in w)):
             if all(_dot(row, y) >= 0 for row in ineqs):
                 v = primitivize(matvec(span, y))
                 if v not in rays:

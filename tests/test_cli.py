@@ -161,6 +161,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"rank": 2, "rays": [[1, 0], [True, 1]], "max_cones": [[0, 1]]},
+     "ray 1 entry 0 is not an integer: true"),
+    ({"rank": 2, "rays": [[1, 0], [1.5, 1]], "max_cones": [[0, 1]]},
+     "ray 1 entry 0 is not an integer: 1.5"),
+    ({"rank": 2, "rays": [[1, 0], ["a", 1]], "max_cones": [[0, 1]]},
+     'ray 1 entry 0 is not an integer: "a"'),
+    ({"rank": True, "rays": [[1]], "max_cones": [[0]]},
+     "rank is not an integer: true"),
+    ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1.0]]},
+     "cone 0 entry 1 is not an integer: 1.0"),
+])
+@pytest.mark.parametrize("verb", ["validate", "cox"])
+def test_non_integer_fan_entries_exit_2(payload, message, verb, tmp_path,
+                                        capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(payload))
+    assert run([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_usage_errors_exit_2():
     assert run([]) == 2
     assert run(["frobnicate", "x.json"]) == 2

@@ -159,6 +159,26 @@ def test_fan_from_data_rejects_bad_input():
         Fan.from_data(2, [[1, 0], [0, 1]], [[0]])
 
 
+@pytest.mark.parametrize("rank, rays, cones, message", [
+    (2, [[1, 0], [True, 1]], [[0, 1]],
+     "ray 1 entry 0 is not an integer: true"),
+    (2, [[1, 0], [1.5, 1]], [[0, 1]],
+     "ray 1 entry 0 is not an integer: 1.5"),
+    (2, [[1, 0], ["a", 1]], [[0, 1]],
+     'ray 1 entry 0 is not an integer: "a"'),
+    (True, [[1]], [[0]], "rank is not an integer: true"),
+    (2, [[1, 0], [0, 1]], [[0, 1.0]],
+     "cone 0 entry 1 is not an integer: 1.0"),
+    (2, [[1, 0], 7], [[0]], "ray 1 is not an array: 7"),
+    (2, [[1, 0]], [0], "cone 0 is not an array: 0"),
+    (-1, [], [[]], "rank is negative: -1"),
+])
+def test_fan_from_data_rejects_non_integers(rank, rays, cones, message):
+    with pytest.raises(GeometryError) as err:
+        Fan.from_data(rank, rays, cones)
+    assert str(err.value) == message
+
+
 def test_validate_fan():
     assert validate_fan(square_fan()).ok
     assert validate_fan(quadrant_fan()).ok
