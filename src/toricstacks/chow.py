@@ -6,6 +6,8 @@ from divisor-of-character relations (chow_groups), and the end-to-end
 comparison that star-subdivides a full-dimensional cone, projects onto the
 exceptional stratum, and certifies degreewise that the induced ring map is
 an isomorphism of abelian groups with torsion-free pieces (verify_vanishing).
+The subdivision and the ray matching with the stratum (exceptional_stratum)
+are shared with the K-theory verifier in ktheory.
 
 The verification covers the two computable legs the reduction needs: the
 degreewise ring comparison and the torsion report.  The zero-dimensional
@@ -17,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cox import CoxData, chow_ideals, cox
+from .cox import CoxData, cox
 from .fan import (
     Cone,
     Fan,
+    StarQuotient,
     orbit_relation_data,
     preimage_orbit_closure,
     star_quotient_fan,
@@ -36,7 +39,7 @@ from .graded import (
     make_presentation,
     ring_map,
 )
-from .intlinalg import AbelianGroup, Vector, cokernel, solve_in_span
+from .intlinalg import AbelianGroup, Vector, cokernel
 
 POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
 
@@ -44,10 +47,16 @@ POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
 class ComparisonError(ValueError):
     """The exceptional identification could not be built over Z.
 
-    Raised when a projected ray has no surviving counterpart, the class of
-    the subdivision ray has no integral expression in the surviving
-    classes, or the substitution fails its well-definedness certificate.
-    The condition is surfaced verbatim; nothing is rescaled rationally.
+    Both vanishing verifiers raise it, with the reason verbatim:
+    - a projected ray is not extreme in the quotient fan (dropped);
+    - a surviving ray has no image ray in the quotient fan (missing);
+    - Chow: the class of the subdivision ray has no integral expression
+      in the surviving ray classes;
+    - Chow: the substitution fails its well-definedness certificate;
+    - K: the stratum's exponent lattice does not map to zero in X(G);
+    - K: the two character groups have different structures;
+    - K: the stratum's ray classes do not generate X(G).
+    Nothing is rescaled rationally.
     """
 
 
@@ -60,12 +69,12 @@ def chow_ring_stack(f: Fan) -> GradedPresentation:
 
 def _chow_presentation(cd: CoxData) -> GradedPresentation:
     """chow_ring_stack of the fan whose Cox data is cd."""
-    ideal = chow_ideals(cd)
+    n = len(cd.fan.rays)
     homs = []
-    for coll in ideal.monomial_gens:
-        expt = tuple(1 if i in coll else 0 for i in range(ideal.variables))
+    for coll in cd.primitive_collections:
+        expt = tuple(1 if i in coll else 0 for i in range(n))
         homs.append((len(coll), {expt: 1}))
-    return make_presentation(ideal.variables, ideal.linear_gens, homs)
+    return make_presentation(n, cd.kernel, homs)
 
 
 def chow_relation_data(f: Fan, k: int):
@@ -107,21 +116,6 @@ def chow_groups(f: Fan, k: int) -> AbelianGroup:
     return cokernel(matrix)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """Everything the exceptional comparison of one cone produced."""
-
-    cone: Cone
-    subdivision: Fan
-    exceptional: Fan
-    star_ray: Vector
-    source: GradedPresentation
-    target: GradedPresentation
-    map: RingMap
-    extra_row: Vector  # image form of the subdivision-ray variable
-    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg
-
-
 def _require_full_dim(sigma: Cone) -> None:
     if sigma.dim != sigma.ambient_rank:
         raise ValueError("cone has dimension %d in rank %d; the comparison "
@@ -129,53 +123,90 @@ def _require_full_dim(sigma: Cone) -> None:
                          % (sigma.dim, sigma.ambient_rank))
 
 
-def exceptional_comparison(sigma: Cone, max_deg: int = 4) -> Comparison:
-    """Compare the subdivided cone's ring with the exceptional stratum's.
+@dataclass(frozen=True)
+class ExceptionalStratum:
+    """A full-dimensional cone's star subdivision, matched ray by ray with
+    the fan of its exceptional stratum.
 
-    Builds the star subdivision and the quotient fan of the new ray, maps
-    each surviving variable to its projected counterpart, and sends the
-    new ray's variable to the integral expression of its class in the
-    surviving classes (solved in the character group, torsion included).
-    The substitution is certified well-defined before any verdicts are
-    computed; see ComparisonError for the failure modes.
+    quotient is the star quotient fan of the star ray; dst sends each
+    surviving subdivision ray (every ray but the star ray, listed in
+    surviving) to its image ray in quotient.fan.  failure says why the
+    matching does not exist (a dropped or a missing ray), or is None.
     """
+
+    subdivision: Fan
+    star_ray: Vector
+    star_index: int
+    quotient: StarQuotient
+    surviving: tuple[int, ...]
+    dst: dict
+    failure: str | None
+
+
+def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
+    """The reduction both vanishing verifiers start from: star-subdivide
+    the cone, project the star onto the exceptional stratum, and match the
+    surviving rays with the stratum's rays."""
     _require_full_dim(sigma)
-    f1 = Fan(sigma.ambient_rank, [sigma])
-    f2 = star_subdivision(f1, sigma)
+    f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
     v = star_vector(sigma)
     v_idx = f2.rays.index(v)
     quotient = star_quotient_fan(f2, v)
-    if quotient.dropped:
-        raise ComparisonError(
-            "projected rays %s are not extreme in the quotient; no "
-            "variable correspondence exists" % (sorted(quotient.dropped),))
     dst = {src: d for src, d, _mult in quotient.pairs}
-    surviving = [i for i in range(len(f2.rays)) if i != v_idx]
+    surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
     missing = [i for i in surviving if i not in dst]
-    if missing:
-        raise ComparisonError("rays %s have no image ray in the quotient"
-                              % (missing,))
+    failure = None
+    if quotient.dropped:
+        failure = ("projected rays %s are not extreme in the quotient; no "
+                   "variable correspondence exists"
+                   % (sorted(quotient.dropped),))
+    elif missing:
+        failure = "rays %s have no image ray in the quotient" % (missing,)
+    return ExceptionalStratum(subdivision=f2, star_ray=v, star_index=v_idx,
+                              quotient=quotient, surviving=surviving,
+                              dst=dst, failure=failure)
 
+
+@dataclass(frozen=True)
+class Comparison:
+    """Everything the exceptional comparison of one cone produced."""
+
+    stratum: ExceptionalStratum
+    source: GradedPresentation
+    target: GradedPresentation
+    map: RingMap
+    extra_row: Vector  # image form of the subdivision-ray variable
+    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg
+
+
+def exceptional_comparison(stratum: ExceptionalStratum,
+                           max_deg: int = 4) -> Comparison:
+    """Compare the subdivided cone's ring with the exceptional stratum's.
+
+    Each surviving variable goes to its matched stratum variable, and the
+    star ray's variable to the integral expression of its class in the
+    surviving classes (solved in the character group, torsion included).
+    The substitution is certified well-defined before the degreewise
+    verdicts for 0..max_deg are computed.  Raises ComparisonError when the
+    stratum's rays did not match or either step fails.
+    """
+    if stratum.failure:
+        raise ComparisonError(stratum.failure)
+    f2, v_idx, dst = stratum.subdivision, stratum.star_index, stratum.dst
     cd = cox(f2)
     source = _chow_presentation(cd)
-    target = chow_ring_stack(quotient.fan)
-    group = cd.char_group
-    cols = [tuple(cd.weights[i]) for i in surviving]
-    for t, d in enumerate(group.torsion):
-        cols.append(tuple(d if j == t else 0
-                          for j in range(group.coord_rank)))
-    matrix = tuple(zip(*cols)) if cols else \
-        tuple(() for _ in range(group.coord_rank))
-    sol = solve_in_span(matrix, cd.weights[v_idx])
+    target = chow_ring_stack(stratum.quotient.fan)
+    sol = cd.char_group.express([cd.weights[i] for i in stratum.surviving],
+                                cd.weights[v_idx])
     if sol is None:
         raise ComparisonError(
             "the class of the subdivision ray has no integral expression "
             "in the surviving ray classes")
 
-    n_target = len(quotient.fan.rays)
+    n_target = len(stratum.quotient.fan.rays)
     extra = [0] * n_target
-    for pos, i in enumerate(surviving):
-        extra[dst[i]] += sol[pos]
+    for i, x in zip(stratum.surviving, sol):
+        extra[dst[i]] += x
     substitution = []
     for i in range(len(f2.rays)):
         if i == v_idx:
@@ -189,9 +220,8 @@ def exceptional_comparison(sigma: Cone, max_deg: int = 4) -> Comparison:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))
     verdicts = is_iso_up_to(rm, max_deg)
-    return Comparison(cone=sigma, subdivision=f2, exceptional=quotient.fan,
-                      star_ray=v, source=source, target=target, map=rm,
-                      extra_row=tuple(extra),
+    return Comparison(stratum=stratum, source=source, target=target,
+                      map=rm, extra_row=tuple(extra),
                       verdicts=tuple(sorted(verdicts.items())))
 
 
@@ -221,27 +251,17 @@ class VanishingReport:
 
 def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
     """Run the exceptional comparison and the torsion report for a cone."""
-    _require_full_dim(sigma)
-    failure = None
-    comparison = None
+    stratum = exceptional_stratum(sigma)
     try:
-        comparison = exceptional_comparison(sigma, max_deg)
+        comparison = exceptional_comparison(stratum, max_deg)
     except ComparisonError as exc:
-        failure = str(exc)
-
-    if comparison is not None:
-        f2 = comparison.subdivision
-        star_ray = comparison.star_ray
-        source = comparison.source
-        verdicts = comparison.verdicts
-        extra_row = comparison.extra_row
+        comparison, failure = None, str(exc)
+        source = chow_ring_stack(stratum.subdivision)
+        verdicts, extra_row = (), None
     else:
-        f1 = Fan(sigma.ambient_rank, [sigma])
-        f2 = star_subdivision(f1, sigma)
-        star_ray = star_vector(sigma)
-        source = chow_ring_stack(f2)
-        verdicts = ()
-        extra_row = None
+        failure = None
+        source = comparison.source
+        verdicts, extra_row = comparison.verdicts, comparison.extra_row
 
     pieces = []
     for k in range(max_deg + 1):
@@ -253,7 +273,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
     conclusion = identified \
         and all(verdict_map.get(k, False) for k in range(1, max_deg + 1)) \
         and all(not torsion for deg, _rank, torsion in pieces if deg >= 1)
-    return VanishingReport(cone_rays=sigma.rays, star_ray=star_ray,
+    return VanishingReport(cone_rays=sigma.rays, star_ray=stratum.star_ray,
                            max_deg=max_deg, identified=identified,
                            failure=failure, extra_row=extra_row,
                            verdicts=verdicts, pieces=tuple(pieces),

@@ -16,10 +16,10 @@ import json
 import sys
 from math import lcm
 
-from .chow import chow_groups, chow_ring_stack, verify_vanishing
-from .cox import TorusFactorError, chow_ideals, cox, strong_divisor_check
-from .fan import Fan, GeometryError, star_subdivision, star_vector, \
-    validate_fan
+from .chow import _chow_presentation, chow_groups, verify_vanishing
+from .cox import TorusFactorError, cox, strong_divisor_check
+from .fan import Fan, GeometryError, _integer, _integer_rows, \
+    star_subdivision, star_vector, validate_fan
 from .graded import graded_piece
 from .ktheory import k_ring_stack, verify_k_vanishing
 
@@ -196,19 +196,19 @@ def _cmd_chow_stack(ns):
     if ns.max_deg < 0:
         raise InputError("--max-deg must be nonnegative")
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    ideal = chow_ideals(cox(f))
-    p = chow_ring_stack(f)
+    cd = cox(f)
+    p = _chow_presentation(cd)
+    n = len(f.rays)
     pieces = _piece_json(p, ns.max_deg)
-    payload = {"variables": ideal.variables,
-               "linear_relations": [list(r) for r in ideal.linear_gens],
+    payload = {"variables": n,
+               "linear_relations": [list(r) for r in cd.kernel],
                "monomial_relations": [sorted(c)
-                                      for c in ideal.monomial_gens],
+                                      for c in cd.primitive_collections],
                "pieces": pieces}
-    lines = ["variables: %s"
-             % ", ".join("s%d" % (i + 1) for i in range(ideal.variables)),
+    lines = ["variables: %s" % ", ".join("s%d" % (i + 1) for i in range(n)),
              "linear relations:"]
-    lines += ["  %s" % _form(r) for r in ideal.linear_gens] or ["  none"]
-    mono = ", ".join(_monomial(c) for c in ideal.monomial_gens)
+    lines += ["  %s" % _form(r) for r in cd.kernel] or ["  none"]
+    mono = ", ".join(_monomial(c) for c in cd.primitive_collections)
     lines.append("monomial relations: %s" % (mono or "none"))
     lines.append("graded pieces:")
     lines += ["  A^%d = %s" % (pc["degree"], pc["text"]) for pc in pieces]
@@ -345,7 +345,7 @@ def _cmd_strongness(ns):
     if ns.ray is not None:
         divisor_ray = ns.ray
     elif "divisor_ray" in payload_in:
-        divisor_ray = int(payload_in["divisor_ray"])
+        divisor_ray = _integer(payload_in["divisor_ray"], "divisor_ray")
     else:
         raise InputError("no divisor ray: pass --ray or put a divisor_ray "
                          "key in the input")
@@ -353,7 +353,8 @@ def _cmd_strongness(ns):
         raise InputError("divisor ray %d out of range; the fan has %d rays"
                          % (divisor_ray, len(f.rays)))
     if "weights" in payload_in:
-        weights = payload_in["weights"]
+        weights = _integer_rows(payload_in["weights"], "weights",
+                                "weights row")
         if any(len(row) != len(f.rays) for row in weights):
             raise InputError("weights rows must have one entry per ray")
     else:

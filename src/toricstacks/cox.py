@@ -1,19 +1,22 @@
 """Cox quotient data of a fan: the ray map, its character group, the action
-weights, and the two ideal presentations read off from them.
+weights, the kernel lattice and the primitive collections.
 
 Everything here is a function of one matrix, the primitive ray generators
 written as rows.  The character group X(G) is its cokernel, the weight of a
 ray is the class of the matching unit vector, and the kernel lattice is the
-row lattice of the transpose.  Both ideal presentations (intersection-theory
-flavoured and multiplicative) carry literally the same integer data; only
-the reading of that data differs, so they share one constructor.
+row lattice of the transpose.  Both rings built from a fan read the same
+CoxData: chow.chow_ring_stack takes the kernel rows as linear forms and the
+primitive collections as squarefree monomials; ktheory.k_ring_stack works
+in X(G), where the kernel rows vanish, and turns each collection into a
+relation 1 - e^{-(sum of its weights)}.  strong_divisor_check answers the
+per-chart strongness question from the same weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fan import Fan, primitive_collections
+from .fan import Fan, _integer, _integer_rows, primitive_collections
 from .intlinalg import (
     AbelianGroup,
     Matrix,
@@ -22,7 +25,6 @@ from .intlinalg import (
     freeze,
     hnf_form,
     rank,
-    solve_in_span,
     transpose,
 )
 
@@ -55,23 +57,6 @@ class CoxData:
     primitive_collections: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
-    """Generators of the two defining ideals, as pure integer data.
-
-    linear_gens rows are exponent vectors: read additively they are linear
-    forms sum(v[i] * t_i), read multiplicatively they are the relations
-    e^v = 1.  monomial_gens are the primitive collections; collection C
-    stands for the squarefree monomial prod(t_i for i in C) additively and
-    for the class supported on the coordinate subspace {x_i = 0, i in C}
-    multiplicatively.
-    """
-
-    variables: int
-    linear_gens: Matrix
-    monomial_gens: tuple[tuple[int, ...], ...]
-
-
 def cox(f: Fan) -> CoxData:
     """Cox data of a fan whose rays span the ambient space over Q.
 
@@ -100,27 +85,6 @@ def cox(f: Fan) -> CoxData:
                    primitive_collections=primitive_collections(f))
 
 
-def _ideal(cd: CoxData) -> IdealPresentation:
-    return IdealPresentation(variables=len(cd.fan.rays),
-                             linear_gens=cd.kernel,
-                             monomial_gens=cd.primitive_collections)
-
-
-def chow_ideals(cd: CoxData) -> IdealPresentation:
-    """Ideal data read additively: linear_gens as degree-1 forms in the
-    ray variables, monomial_gens as squarefree monomials."""
-    return _ideal(cd)
-
-
-def k_ideals(cd: CoxData) -> IdealPresentation:
-    """Ideal data read multiplicatively: linear_gens rows v as relations
-    e^v = 1, monomial_gens as classes of the coordinate subspaces.
-
-    The integer payload is identical to chow_ideals by construction.
-    """
-    return _ideal(cd)
-
-
 @dataclass(frozen=True)
 class ChartReport:
     """Strongness verdict for one maximal-cone chart.
@@ -128,8 +92,9 @@ class ChartReport:
     invertible lists the rays not in the cone (their coordinates are units
     on the chart).  in_span says whether the weight of the tested ray lies
     in the subgroup generated by the invertible weights; min_power is the
-    least k >= 1 for which k times that weight does, or None when the
-    search bound was exhausted (unknown, not a failure).
+    least k >= 1 for which k times that weight does, i.e. the order of the
+    weight's class modulo that subgroup, or None when that order is
+    infinite or exceeds the bound.
     """
 
     max_cone: tuple[int, ...]
@@ -142,15 +107,18 @@ def strong_divisor_check(weights, f: Fan, m: int,
                          bound: int = 20) -> tuple[ChartReport, ...]:
     """Per-chart membership of a ray's weight in the invertible span.
 
-    weights is a matrix with one column per ray of f (any coefficient
-    group presented by free coordinates will do; rows are coordinates).
-    m is a 0-based ray index.  For each maximal cone the chart inverts the
-    coordinates of the rays outside it; the divisor x_m is cut out by an
-    invariant function on that chart iff some power of w_m lies in the
-    span of those columns, and the least such power is searched for in
-    1..bound.
+    weights is a matrix of ints with one column per ray of f (any
+    coefficient group presented by free coordinates will do; rows are
+    coordinates); a bool, a float or a non-array row raises GeometryError
+    naming the entry.  m is a 0-based ray index.  For each maximal cone
+    the chart inverts the coordinates of the rays outside it; the divisor
+    x_m is cut out by an invariant function on that chart iff some power
+    of w_m lies in the span of those columns.  The least such power is the
+    order of w_m in the cokernel of those columns, reported when it is at
+    most bound.
     """
-    weights = freeze(weights)
+    weights = _integer_rows(weights, "weights", "weights row")
+    m = _integer(m, "ray index")
     r = len(f.rays)
     for row in weights:
         if len(row) != r:
@@ -164,13 +132,10 @@ def strong_divisor_check(weights, f: Fan, m: int,
     reports = []
     for cone_set in f.maximal_cones:
         invertible = tuple(sorted(set(range(r)) - cone_set))
-        cols = tuple(tuple(row[j] for j in invertible) for row in weights)
-        min_power = None
-        for k in range(1, bound + 1):
-            target = tuple(k * x for x in w_m)
-            if solve_in_span(cols, target) is not None:
-                min_power = k
-                break
+        quotient = cokernel(tuple(tuple(row[j] for j in invertible)
+                                  for row in weights))
+        order = quotient.order(quotient.project(w_m))
+        min_power = order if order is not None and order <= bound else None
         reports.append(ChartReport(max_cone=tuple(sorted(cone_set)),
                                    invertible=invertible,
                                    in_span=min_power == 1,

@@ -301,6 +301,14 @@ def _array(x, what: str):
     return x
 
 
+def _integer_rows(x, what: str, row: str) -> list[Vector]:
+    """x as a list of int tuples, checked by _array and _integer; errors
+    name the whole by what and row i as "<row> i"."""
+    return [tuple(_integer(v, "%s %d entry %d" % (row, i, j))
+                  for j, v in enumerate(_array(r, "%s %d" % (row, i))))
+            for i, r in enumerate(_array(x, what))]
+
+
 class Fan:
     """A fan: rays in first-seen order plus all cones as frozensets of ray
     indices, closed under faces.  Construction does not check the
@@ -352,9 +360,7 @@ class Fan:
         rank = _integer(rank, "rank")
         if rank < 0:
             raise GeometryError("rank is negative: %d" % rank)
-        rays = [tuple(_integer(x, "ray %d entry %d" % (i, j))
-                      for j, x in enumerate(_array(r, "ray %d" % i)))
-                for i, r in enumerate(_array(rays, "rays"))]
+        rays = _integer_rows(rays, "rays", "ray")
         for i, r in enumerate(rays):
             if len(r) != rank:
                 raise GeometryError("ray %d has length %d, rank is %d"
@@ -410,14 +416,6 @@ class Fan:
         except ValueError:
             return False
         return s in self.cones
-
-    def index_set_of(self, c: Cone) -> frozenset:
-        if not self.has_cone(c):
-            raise GeometryError("cone %r is not a cone of the fan" % (c,))
-        return frozenset(self.rays.index(r) for r in c.rays)
-
-    def support_dim(self) -> int:
-        return max((self.cone(s).dim for s in self.maximal_cones), default=0)
 
 
 @dataclass(frozen=True)

@@ -368,21 +368,6 @@ def induced_map(rm: RingMap, k: int) -> Matrix:
     return tuple(zip(*cols))
 
 
-def _surjective_onto(group: AbelianGroup, matrix: Matrix) -> bool:
-    """Do the columns of a coordinate matrix generate the whole group?"""
-    torsion_cols = []
-    for i, d in enumerate(group.torsion):
-        torsion_cols.append(tuple(d if j == i else 0
-                                  for j in range(group.coord_rank)))
-    cols = [tuple(col) for col in zip(*matrix)] if matrix and matrix[0] \
-        else []
-    stacked = cols + torsion_cols
-    if not stacked:
-        return group.is_trivial
-    matrix = tuple(zip(*stacked))
-    return cokernel(matrix).is_trivial
-
-
 def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:
     """Per-degree verdicts (degree -> bool) for 0..max_deg: the induced map
     is an isomorphism of abelian groups.
@@ -399,5 +384,5 @@ def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:
             verdicts[k] = False
             continue
         matrix = induced_map(rm, k)
-        verdicts[k] = _surjective_onto(tgt, matrix)
+        verdicts[k] = tgt.generated_by(zip(*matrix))
     return verdicts

@@ -15,7 +15,7 @@ operations applied to the working matrix, so results do not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -322,6 +322,36 @@ class AbelianGroup:
     def describe(self) -> str:
         parts = ["Z/%d" % d for d in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
+
+    def _lifted_span(self, cols) -> Matrix:
+        """Coordinate matrix of cols followed by one column d_i * e_i per
+        torsion coordinate: its integer column span is the preimage in
+        coordinate space of the subgroup the cols generate."""
+        n = self.coord_rank
+        cols = [tuple(c) for c in cols] + [
+            tuple(d if j == i else 0 for j in range(n))
+            for i, d in enumerate(self.torsion)]
+        return tuple(zip(*cols)) if cols else tuple(() for _ in range(n))
+
+    def generated_by(self, cols) -> bool:
+        """Do the elements with coordinates cols generate the group?"""
+        return self.is_trivial or cokernel(self._lifted_span(cols)).is_trivial
+
+    def express(self, cols, target) -> Vector | None:
+        """Integer coefficients x with sum(x_j * cols[j]) equal to target in
+        the group, or None when target is outside the subgroup the cols
+        generate.  Deterministic, like solve_in_span."""
+        if not self.coord_rank:  # a matrix with no rows has no width
+            return (0,) * len(cols)
+        sol = solve_in_span(self._lifted_span(cols), target)
+        return None if sol is None else sol[:len(cols)]
+
+    def order(self, coords) -> int | None:
+        """Order of the element with these coordinates; None if infinite."""
+        coords = self.reduce(coords)
+        if any(coords[len(self.torsion):]):
+            return None
+        return lcm(*(d // gcd(c, d) for c, d in zip(coords, self.torsion)))
 
 
 def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cox import cox, k_ideals
-from .fan import Cone, Fan, star_quotient_fan, star_subdivision, star_vector
+from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
+from .cox import cox
+from .fan import Cone, Fan
 from .intlinalg import (
     AbelianGroup,
     Vector,
@@ -58,7 +59,7 @@ def k_ring_stack(f: Fan) -> GroupAlgebraPresentation:
         assert not any(group.project(row)), \
             "exponent-lattice relation does not vanish in X(G)"
     gens = []
-    for coll in k_ideals(cd).monomial_gens:
+    for coll in cd.primitive_collections:
         total = zero
         for i in sorted(coll):
             total = _group_add(group, total, cd.weights[i])
@@ -212,34 +213,17 @@ def boxed_quotient(p: GroupAlgebraPresentation, box_radius: int) \
                          window_group=wgroup, stabilized=stabilized)
 
 
-class KComparisonError(ValueError):
-    """The character-group identification between the subdivided fan and
-    its exceptional stratum could not be built over Z.
-
-    Raised when a projected ray is dropped or unmatched, when the
-    stratum's exponent lattice survives in X(G), or when the ray classes
-    fail to generate the group."""
-
-
-def _transport(src_group: AbelianGroup, tgt_group: AbelianGroup,
-               images: tuple, coords: Vector) -> Vector:
-    """Image of a target group element under the identification that sends
-    the j-th target ray class to images[j]."""
-    amb = tgt_group.lift_coords(coords)
-    total = src_group.reduce((0,) * src_group.coord_rank)
-    for j, a in enumerate(amb):
-        if a:
-            scaled = tuple(a * x for x in images[j])
-            total = _group_add(src_group, total, src_group.reduce(scaled))
-    return total
+def _combine(group: AbelianGroup, images: tuple, amb: Vector) -> Vector:
+    """The group element sum(amb[j] * images[j])."""
+    return group.reduce(tuple(sum(a * w[t] for a, w in zip(amb, images))
+                              for t in range(group.coord_rank)))
 
 
 @dataclass(frozen=True)
 class KComparison:
     """Everything the boxed comparison of one cone produced."""
 
-    cone: Cone
-    star_ray: Vector
+    stratum: ExceptionalStratum
     box_radius: int
     source: GroupAlgebraPresentation
     target: GroupAlgebraPresentation
@@ -252,74 +236,48 @@ class KComparison:
     iso_on_window: bool
 
 
-def k_exceptional_comparison(sigma: Cone, box_radius: int = 3) -> KComparison:
+def k_exceptional_comparison(stratum: ExceptionalStratum,
+                             box_radius: int = 3) -> KComparison:
     """Compare the subdivided cone's boxed quotient with the exceptional
     stratum's, identified over the subdivided character group.
 
-    The identification sends each quotient ray class to the class of its
-    source ray; it must be well defined (the quotient's exponent lattice
-    maps to zero) and an isomorphism before the quotients are compared.
-    matched means the two certified window lattices coincide, which pins
-    rank, torsion, and all generator-class images at once.  A
-    non-stabilized window makes the verdict inconclusive, never a failure.
+    The identification sends each stratum ray class to the class of its
+    matched subdivision ray.  It must be well defined (the stratum's
+    exponent lattice maps to zero) and an isomorphism (equal group
+    structures, and the images generate X(G)) before the quotients are
+    compared; otherwise ComparisonError says which part failed.  matched
+    means the two certified window lattices coincide, which pins rank,
+    torsion, and all generator-class images at once.  A non-stabilized
+    window makes the verdict inconclusive, never a failure.
     """
-    if sigma.dim != sigma.ambient_rank:
-        raise ValueError("cone has dimension %d in rank %d; the comparison "
-                         "needs a full-dimensional cone"
-                         % (sigma.dim, sigma.ambient_rank))
-    f1 = Fan(sigma.ambient_rank, [sigma])
-    f2 = star_subdivision(f1, sigma)
-    v = star_vector(sigma)
-    v_idx = f2.rays.index(v)
-    quotient = star_quotient_fan(f2, v)
-
-    if quotient.dropped:
-        raise KComparisonError("projected rays %s are not extreme in the "
-                               "quotient" % (sorted(quotient.dropped),))
-    dst = {src: d for src, d, _mult in quotient.pairs}
-    surviving = [i for i in range(len(f2.rays)) if i != v_idx]
-    missing = [i for i in surviving if i not in dst]
-    if missing:
-        raise KComparisonError("rays %s have no image ray in the quotient"
-                               % (missing,))
-    src_of = {d: s for s, d, _mult in quotient.pairs}
-
-    p_src = k_ring_stack(f2)
-    p_tgt = k_ring_stack(quotient.fan)
+    if stratum.failure:
+        raise ComparisonError(stratum.failure)
+    quotient = stratum.quotient.fan
+    src_of = {d: s for s, d in stratum.dst.items()}
+    p_src = k_ring_stack(stratum.subdivision)
+    p_tgt = k_ring_stack(quotient)
     src_group, tgt_group = p_src.group, p_tgt.group
 
-    # Identification: j-th quotient ray class -> class of its source ray.
+    # Identification: j-th stratum ray class -> class of its source ray.
     images = tuple(p_src.generator_images[src_of[j]]
-                   for j in range(len(quotient.fan.rays)))
-    for row in cox(quotient.fan).kernel:
-        total = src_group.reduce((0,) * src_group.coord_rank)
-        for j, a in enumerate(row):
-            if a:
-                total = _group_add(src_group, total,
-                                   src_group.reduce(tuple(a * x
-                                                          for x in images[j])))
-        if any(total):
-            raise KComparisonError(
-                "the stratum's exponent lattice does not map to zero; the "
-                "character groups are not identified over Z")
+                   for j in range(len(quotient.rays)))
+    if any(any(_combine(src_group, images, row))
+           for row in cox(quotient).kernel):
+        raise ComparisonError(
+            "the stratum's exponent lattice does not map to zero; the "
+            "character groups are not identified over Z")
     if src_group.structure() != tgt_group.structure():
-        raise KComparisonError("character groups differ: %s vs %s"
-                               % (src_group.describe(), tgt_group.describe()))
-    cols = [tuple(w) for w in images]
-    for t, d in enumerate(src_group.torsion):
-        cols.append(tuple(d if j == t else 0
-                          for j in range(src_group.coord_rank)))
-    gen_matrix = tuple(zip(*cols)) if cols else \
-        tuple(() for _ in range(src_group.coord_rank))
-    if not cokernel(gen_matrix).is_trivial:
-        raise KComparisonError("stratum ray classes do not generate the "
-                               "character group")
+        raise ComparisonError("character groups differ: %s vs %s"
+                              % (src_group.describe(), tgt_group.describe()))
+    if not src_group.generated_by(images):
+        raise ComparisonError("stratum ray classes do not generate the "
+                              "character group")
 
     transported_gens = []
     for gen in p_tgt.ideal_gens:
         term: dict = {}
         for coords, coeff in gen:
-            c = _transport(src_group, tgt_group, images, coords)
+            c = _combine(src_group, images, tgt_group.lift_coords(coords))
             term[c] = term.get(c, 0) + coeff
         transported_gens.append(tuple(sorted((c, vv)
                                              for c, vv in term.items() if vv)))
@@ -331,7 +289,7 @@ def k_exceptional_comparison(sigma: Cone, box_radius: int = 3) -> KComparison:
     bq_tgt = boxed_quotient(p_tgt_ident, box_radius)
     stabilized = bq_src.stabilized and bq_tgt.stabilized
     matched = bq_src.window_lattice == bq_tgt.window_lattice
-    return KComparison(cone=sigma, star_ray=v, box_radius=box_radius,
+    return KComparison(stratum=stratum, box_radius=box_radius,
                        source=p_src, target=p_tgt,
                        boxed_source=bq_src, boxed_target=bq_tgt,
                        window_rank=bq_src.window_group.free_rank,
@@ -363,27 +321,19 @@ class KVanishingReport:
 
 def verify_k_vanishing(sigma: Cone, box_radius: int = 3) -> KVanishingReport:
     """Run the boxed comparison and the torsion check for a cone."""
-    if sigma.dim != sigma.ambient_rank:
-        raise ValueError("cone has dimension %d in rank %d; the verification "
-                         "needs a full-dimensional cone"
-                         % (sigma.dim, sigma.ambient_rank))
-    failure = None
-    comp = None
+    stratum = exceptional_stratum(sigma)
     try:
-        comp = k_exceptional_comparison(sigma, box_radius)
-    except KComparisonError as exc:
-        failure = str(exc)
-
-    star_ray = star_vector(sigma)
-    if comp is None:
-        return KVanishingReport(cone_rays=sigma.rays, star_ray=star_ray,
+        comp = k_exceptional_comparison(stratum, box_radius)
+    except ComparisonError as exc:
+        return KVanishingReport(cone_rays=sigma.rays,
+                                star_ray=stratum.star_ray,
                                 box_radius=box_radius, identified=False,
-                                failure=failure, window_rank=None,
+                                failure=str(exc), window_rank=None,
                                 torsion=None, stabilized=False, matched=None,
                                 conclusion=False)
     matched = comp.matched if comp.stabilized else None
     conclusion = comp.iso_on_window and comp.torsion == ()
-    return KVanishingReport(cone_rays=sigma.rays, star_ray=comp.star_ray,
+    return KVanishingReport(cone_rays=sigma.rays, star_ray=stratum.star_ray,
                             box_radius=box_radius, identified=True,
                             failure=None, window_rank=comp.window_rank,
                             torsion=comp.torsion, stabilized=comp.stabilized,

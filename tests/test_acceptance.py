@@ -17,6 +17,7 @@ from toricstacks.chow import (
     chow_groups,
     chow_ring_stack,
     exceptional_comparison,
+    exceptional_stratum,
     preimage_check,
     verify_vanishing,
 )
@@ -104,7 +105,7 @@ def test_criterion_3_graded_ranks(acceptance):
 
 
 def test_criterion_4_exceptional_comparison(acceptance):
-    comp = exceptional_comparison(square_cone(), 4)
+    comp = exceptional_comparison(exceptional_stratum(square_cone()), 4)
     rep = verify_vanishing(square_cone(), 4)
     ok = (comp.extra_row == (-2, -2, 0, 0)
           and comp.verdicts == tuple((k, True) for k in range(5))

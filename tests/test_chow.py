@@ -7,6 +7,7 @@ from toricstacks.chow import (
     chow_relation_data,
     chow_ring_stack,
     exceptional_comparison,
+    exceptional_stratum,
     preimage_check,
     verify_vanishing,
 )
@@ -138,7 +139,7 @@ def test_chow_groups_basis_invariance():
 
 
 def test_exceptional_comparison_square():
-    comp = exceptional_comparison(square_cone(), 4)
+    comp = exceptional_comparison(exceptional_stratum(square_cone()), 4)
     assert comp.extra_row == (-2, -2, 0, 0)
     assert comp.verdicts == tuple((k, True) for k in range(5))
     m = induced_map(comp.map, 1)
@@ -151,12 +152,11 @@ def test_substitution_unique_mod_kernel():
     from toricstacks.cox import cox
     from toricstacks.graded import certify_well_defined
 
-    comp = exceptional_comparison(square_cone(), 3)
-    kernel_row = cox(comp.exceptional).kernel[0]
+    comp = exceptional_comparison(exceptional_stratum(square_cone()), 3)
+    kernel_row = cox(comp.stratum.quotient.fan).kernel[0]
     shifted = tuple(a + b for a, b in zip(comp.extra_row, kernel_row))
     sub = [list(row) for row in comp.map.substitution]
-    v_idx = comp.subdivision.rays.index(comp.star_ray)
-    sub[v_idx] = list(shifted)
+    sub[comp.stratum.star_index] = list(shifted)
     alt = ring_map(comp.source, comp.target, sub)
     assert certify_well_defined(alt).ok
     for k in range(4):
@@ -206,6 +206,6 @@ def test_full_dimensional_required():
     with pytest.raises(ValueError):
         verify_vanishing(flat, 4)
     with pytest.raises(ValueError):
-        exceptional_comparison(flat, 4)
+        exceptional_stratum(flat)
     with pytest.raises(ValueError):
         preimage_check(flat)

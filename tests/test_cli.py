@@ -184,6 +184,28 @@ def test_non_integer_fan_entries_exit_2(payload, message, verb, tmp_path,
     assert captured.err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("weights", 5, "weights is not an array: 5"),
+    ("weights", [1, 2, 3, 4, 5], "weights row 0 is not an array: 1"),
+    ("weights", [[3, -2, 1, -2, 0], [2, -3, 0, -3, 1.5]],
+     "weights row 1 entry 4 is not an integer: 1.5"),
+    ("weights", [[3, -2, 1, -2, 0], [2, -3, 0, -3, True]],
+     "weights row 1 entry 4 is not an integer: true"),
+    ("divisor_ray", 4.7, "divisor_ray is not an integer: 4.7"),
+    ("divisor_ray", True, "divisor_ray is not an integer: true"),
+])
+def test_strongness_non_integer_input_exit_2(field, value, message, tmp_path,
+                                             capsys):
+    payload = json.loads(Path(STRONG).read_text())
+    payload[field] = value
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(payload))
+    assert run(["strongness", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_usage_errors_exit_2():
     assert run([]) == 2
     assert run(["frobnicate", "x.json"]) == 2

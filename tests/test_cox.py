@@ -1,16 +1,16 @@
 import math
+import random
 
 import pytest
 
 from toricstacks.cox import (
     TorusFactorError,
-    chow_ideals,
     cox,
-    k_ideals,
     strong_divisor_check,
 )
-from toricstacks.fan import Fan, star_subdivision
-from toricstacks.intlinalg import hnf, snf, transpose
+from toricstacks.fan import Fan, GeometryError, star_subdivision
+from toricstacks.intlinalg import hnf, rank, snf, solve_in_span, \
+    transpose
 
 SQUARE_RAYS = [[1, 0, 1], [0, -1, 1], [-1, 0, 1], [0, 1, 1]]
 
@@ -83,17 +83,6 @@ def test_smooth_basis_fan():
     assert cd.kernel == ((1, 0), (0, 1))
     assert cd.primitive_collections == []
     assert cd.weights == ((), ())
-
-
-def test_ideals_single_source():
-    for f in (square_fan(), subdivided_square_fan(), p1_fan(), p2_fan()):
-        cd = cox(f)
-        a = chow_ideals(cd)
-        b = k_ideals(cd)
-        assert a == b
-        assert a.variables == len(f.rays)
-        assert a.linear_gens == cd.kernel
-        assert tuple(a.monomial_gens) == tuple(cd.primitive_collections)
 
 
 def test_rank_and_torsion_invariants():
@@ -202,3 +191,60 @@ def test_strong_divisor_check_unknown_and_errors():
         strong_divisor_check([[1, 0]], f, 2)
     with pytest.raises(ValueError):
         strong_divisor_check([[1, 0]], f, 0, bound=0)
+
+
+def search_min_power(weights, f, m, bound):
+    """Reference strongness minima by search: per chart, the least k in
+    1..bound with k * w_m in the invertible span, else None."""
+    r = len(f.rays)
+    w_m = [row[m] for row in weights]
+    out = []
+    for cone_set in f.maximal_cones:
+        invertible = sorted(set(range(r)) - cone_set)
+        cols = [[row[j] for j in invertible] for row in weights]
+        out.append(next((k for k in range(1, bound + 1)
+                         if solve_in_span(cols, [k * x for x in w_m])
+                         is not None), None))
+    return out
+
+
+def test_strong_divisor_check_matches_search():
+    rng = random.Random(17)
+    fans = (strongness_fan(), subdivided_square_fan(), p2_fan())
+    seen = set()
+    for _ in range(300):
+        f = rng.choice(fans)
+        r = len(f.rays)
+        weights = [[rng.randint(-6, 6) for _ in range(r)]
+                   for _ in range(rng.randint(1, 3))]
+        m = rng.randrange(r)
+        bound = rng.randint(1, 12)
+        reps = strong_divisor_check(weights, f, m, bound=bound)
+        expected = search_min_power(weights, f, m, bound)
+        assert [rep.min_power for rep in reps] == expected
+        assert [rep.in_span for rep in reps] == [k == 1 for k in expected]
+        # A None is either an infinite order (w_m outside the rational
+        # span) or a finite order above the bound; the sample has both.
+        w_m = [row[m] for row in weights]
+        for k, cone_set in zip(expected, f.maximal_cones):
+            cols = [[row[j] for j in range(r) if j not in cone_set]
+                    for row in weights]
+            free = rank([c + [w] for c, w in zip(cols, w_m)]) > rank(cols)
+            seen.add("found" if k else "never" if free else "exhausted")
+    assert seen == {"found", "exhausted", "never"}
+
+
+@pytest.mark.parametrize("weights, m, message", [
+    (5, 4, "weights is not an array: 5"),
+    ([1, 2, 3, 4, 5], 4, "weights row 0 is not an array: 1"),
+    ([[3, -2, 1, -2, 0], [2, -3, 0, -3, 1.5]], 4,
+     "weights row 1 entry 4 is not an integer: 1.5"),
+    ([[3, -2, 1, -2, 0], [True, -3, 0, -3, 1]], 4,
+     "weights row 1 entry 0 is not an integer: true"),
+    (STRONG_WEIGHTS, 4.7, "ray index is not an integer: 4.7"),
+    (STRONG_WEIGHTS, True, "ray index is not an integer: true"),
+])
+def test_strong_divisor_check_rejects_non_integers(weights, m, message):
+    with pytest.raises(GeometryError) as info:
+        strong_divisor_check(weights, strongness_fan(), m)
+    assert str(info.value) == message

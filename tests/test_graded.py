@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from toricstacks.cox import chow_ideals, cox
+from toricstacks.cox import cox
 from toricstacks.fan import Fan, star_subdivision
 from toricstacks.graded import (
     certify_well_defined,
@@ -18,11 +18,11 @@ from toricstacks.graded import (
 
 
 def presentation_of(f):
-    ideal = chow_ideals(cox(f))
-    homs = [(len(c),
-             {tuple(1 if i in c else 0 for i in range(ideal.variables)): 1})
-            for c in ideal.monomial_gens]
-    return make_presentation(ideal.variables, ideal.linear_gens, homs)
+    cd = cox(f)
+    n = len(f.rays)
+    homs = [(len(c), {tuple(1 if i in c else 0 for i in range(n)): 1})
+            for c in cd.primitive_collections]
+    return make_presentation(n, cd.kernel, homs)
 
 
 def square_fan():

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from toricstacks.chow import exceptional_comparison
+from toricstacks.chow import exceptional_comparison, exceptional_stratum
 from toricstacks.graded import graded_piece, make_presentation
 from toricstacks.intlinalg import cokernel
 
@@ -142,7 +142,7 @@ def test_random_presentations_match_direct_expansion():
 
 def test_corpus_rings_match_direct_expansion():
     for cone in corpus_cones():
-        comparison = exceptional_comparison(cone, 0)
+        comparison = exceptional_comparison(exceptional_stratum(cone), 0)
         for p in (comparison.source, comparison.target):
             for k in range(5):
                 check_against_direct(p, k)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -266,3 +267,80 @@ def test_group_reduce_and_describe():
     assert g.reduce((7, -3)) == (3, -3)
     assert g.describe() == "Z/4 + Z"
     assert cokernel(identity(2)).describe() == "0"
+
+
+def _subgroup(group, cols):
+    """Every element of the subgroup that cols generate in a finite group,
+    by closure under adding a generator: an oracle with no linear
+    algebra."""
+    zero = group.reduce((0,) * group.coord_rank)
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for c in cols:
+            y = group.reduce(tuple(a + b for a, b in zip(x, c)))
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def test_group_generation_edge_cases():
+    trivial = cokernel(identity(2))
+    free = cokernel(((0,),))  # Z
+    z6 = cokernel(((6,),))
+    # No columns generate only the trivial group.
+    assert trivial.generated_by([])
+    assert not free.generated_by([])
+    assert not z6.generated_by([])
+    assert free.express([], (0,)) == () and free.express([], (1,)) is None
+    assert z6.express([], (0,)) == () and z6.express([], (3,)) is None
+    # The trivial group has no coordinates; any coefficients will do.
+    assert trivial.coord_rank == 0
+    assert trivial.generated_by([(), ()])
+    assert trivial.express([(), ()], ()) == (0, 0)
+    assert trivial.order(()) == 1
+    # Pure torsion: 2 and 3 generate Z/6, 2 alone does not.
+    assert z6.generated_by([(2,), (3,)])
+    assert not z6.generated_by([(2,)])
+    (x,) = z6.express([(2,)], (4,))
+    assert (2 * x - 4) % 6 == 0
+    assert z6.express([(2,)], (3,)) is None
+    assert [z6.order((c,)) for c in range(6)] == [1, 6, 3, 2, 3, 6]
+    # Free part: infinite order unless zero.
+    assert free.order((0,)) == 1 and free.order((-2,)) is None
+    assert free.generated_by([(-1,)]) and not free.generated_by([(2,)])
+    assert free.express([(2,), (3,)], (1,)) is not None
+
+
+def test_group_generation_random_torsion_groups():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        group = cokernel([[rng.randint(-6, 6) if i != j else
+                           rng.choice((2, 3, 4, 6, 9)) for j in range(n)]
+                          for i in range(n)])
+        if group.free_rank or group.is_trivial \
+                or math.prod(group.torsion) > 60:
+            continue
+        cols = [group.reduce(tuple(rng.randint(0, 8)
+                                   for _ in range(group.coord_rank)))
+                for _ in range(rng.randint(0, 3))]
+        span = _subgroup(group, cols)
+        whole = _subgroup(group, [tuple(int(i == j) for j in
+                                        range(group.coord_rank))
+                                  for i in range(group.coord_rank)])
+        assert group.generated_by(cols) == (span == whole)
+        outcomes.add(("generated", span == whole))
+        for target in whole:
+            x = group.express(cols, target)
+            assert (x is not None) == (target in span)
+            outcomes.add(("expressed", x is not None))
+            if x is not None:
+                total = [sum(a * c[t] for a, c in zip(x, cols))
+                         for t in range(group.coord_rank)]
+                assert group.reduce(total) == target
+            order = group.order(target)
+            assert len(_subgroup(group, [target])) == order
+    assert len(outcomes) == 4  # both answers of both questions occur

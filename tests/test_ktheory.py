@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
 from toricstacks.chow import chow_groups
+from toricstacks.chow import (
+    ComparisonError,
+    exceptional_comparison,
+    exceptional_stratum,
+)
 from toricstacks.fan import Fan, make_cone, star_subdivision
 from toricstacks.intlinalg import cokernel, hnf, identity, solve_in_span, \
     transpose
 from toricstacks.ktheory import (
     GroupAlgebraPresentation,
-    KComparisonError,
     boxed_quotient,
     k_exceptional_comparison,
     k_ring_stack,
@@ -148,7 +154,7 @@ def test_window_lattice_grows_compatibly():
 
 
 def test_comparison_square():
-    comp = k_exceptional_comparison(square_cone(), 3)
+    comp = k_exceptional_comparison(exceptional_stratum(square_cone()), 3)
     assert comp.window_rank == 4
     assert comp.torsion == ()
     assert comp.stabilized
@@ -161,21 +167,23 @@ def test_comparison_square():
 
 
 def test_comparison_blowup_and_ray():
-    comp = k_exceptional_comparison(make_cone(2, [[1, 0], [0, 1]]), 3)
+    comp = k_exceptional_comparison(
+        exceptional_stratum(make_cone(2, [[1, 0], [0, 1]])), 3)
     assert comp.window_rank == 2
     assert comp.torsion == ()
     assert comp.iso_on_window
     assert comp.boxed_target.window_group.structure() == (2, ())
 
-    ray = k_exceptional_comparison(make_cone(1, [[1]]), 3)
+    ray = k_exceptional_comparison(exceptional_stratum(make_cone(1, [[1]])),
+                                   3)
     assert ray.window_rank == 1
     assert ray.iso_on_window
 
 
 def test_comparison_bad_cone_not_identified():
     bad = make_cone(2, [[1, 0], [1, 4]])
-    with pytest.raises(KComparisonError):
-        k_exceptional_comparison(bad, 3)
+    with pytest.raises(ComparisonError):
+        k_exceptional_comparison(exceptional_stratum(bad), 3)
     report = verify_k_vanishing(bad, 3)
     assert not report.identified
     assert report.failure is not None
@@ -222,6 +230,25 @@ def test_k_rank_cross_check_for_verified_cone():
 def test_full_dimensional_required():
     flat = make_cone(2, [[1, 0]])
     with pytest.raises(ValueError):
-        k_exceptional_comparison(flat, 3)
+        exceptional_stratum(flat)
     with pytest.raises(ValueError):
         verify_k_vanishing(flat, 3)
+
+
+def test_recorded_matching_failure_stops_both_comparisons():
+    stratum = exceptional_stratum(square_cone())
+    assert stratum.failure is None
+    assert stratum.star_ray == (0, 0, 1)
+    assert stratum.surviving == tuple(i for i in range(5)
+                                      if i != stratum.star_index)
+    assert sorted(stratum.dst) == list(stratum.surviving)
+    assert sorted(stratum.dst.values()) == list(range(4))
+    # No random cone reaches the matching failures, so inject one: both
+    # comparisons must raise it verbatim before building any ring.
+    reason = "rays [0] have no image ray in the quotient"
+    broken = replace(stratum, failure=reason)
+    for compare, arg in ((exceptional_comparison, 4),
+                         (k_exceptional_comparison, 3)):
+        with pytest.raises(ComparisonError) as info:
+            compare(broken, arg)
+        assert str(info.value) == reason
