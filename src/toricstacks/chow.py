@@ -4,13 +4,15 @@ Three layers: graded presentations of the quotient rings attached to a fan
 (chow_ring_stack), cycle-class groups of the underlying variety assembled
 from divisor-of-character relations (chow_groups), and the end-to-end
 comparison that star-subdivides a full-dimensional cone, projects onto the
-exceptional stratum, and certifies degreewise that the induced ring map is
-an isomorphism of abelian groups with torsion-free pieces (verify_vanishing).
-The subdivision and the ray matching with the stratum (exceptional_stratum)
-are shared with the K-theory verifier in ktheory.
+exceptional stratum, and decides whether the induced ring map is an
+isomorphism with torsion-free pieces (verify_vanishing).  The comparison is
+an all-degree certificate when the map has a certified inverse, and a
+per-degree check up to max_deg otherwise.  The subdivision and the ray
+matching with the stratum (exceptional_stratum) are shared with the
+K-theory verifier in ktheory.
 
 The verification covers the two computable legs the reduction needs: the
-degreewise ring comparison and the torsion report.  The zero-dimensional
+ring comparison and the per-degree torsion report.  The zero-dimensional
 stratum contributes Z in degree 0; that fact is recorded as an assumption
 in every report, not recomputed.
 """
@@ -34,8 +36,9 @@ from .graded import (
     GradedPresentation,
     RingMap,
     certify_well_defined,
-    graded_piece,
+    in_relations,
     is_iso_up_to,
+    graded_piece,
     make_presentation,
     ring_map,
 )
@@ -176,7 +179,41 @@ class Comparison:
     target: GradedPresentation
     map: RingMap
     extra_row: Vector  # image form of the subdivision-ray variable
-    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg
+    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg, proved or checked
+
+
+def _unit(i: int, n: int) -> Vector:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _inverse_certified(rm: RingMap, star_index: int, dst: dict) -> bool:
+    """Is the certified substitution phi = rm a graded ring isomorphism?
+
+    phi sends t_i to s_dst(i) for every surviving ray i and the star ray's
+    t_v to sum_j extra_j s_j (its row star_index).  When dst is a
+    bijection onto the stratum's rays, with inverse src, the substitution
+    psi: s_j -> t_src(j) is a candidate inverse.  If psi passes the same
+    certificate as phi, both are well-defined ring maps of the quotients.
+    phi o psi fixes every s_j outright; psi o phi fixes every surviving
+    t_i, and fixes t_v exactly when t_v - sum_j extra_j t_src(j) lies in
+    the source's degree-1 relations.  Ring maps that fix the generators
+    are the identity, so then phi and psi are mutually inverse and phi is
+    an isomorphism in every degree at once.  No property of the fan is
+    assumed.
+    """
+    n_source, n_target = rm.source.n_vars, rm.target.n_vars
+    src = {d: s for s, d in dst.items()}
+    if len(src) != len(dst) or sorted(src) != list(range(n_target)):
+        return False
+    inverse = ring_map(rm.target, rm.source,
+                       [_unit(src[j], n_source) for j in range(n_target)])
+    if not certify_well_defined(inverse).ok:
+        return False
+    round_trip = {_unit(star_index, n_source): 1}
+    for j, x in enumerate(rm.substitution[star_index]):
+        if x:
+            round_trip[_unit(src[j], n_source)] = -x
+    return in_relations(rm.source, 1, round_trip)
 
 
 def exceptional_comparison(stratum: ExceptionalStratum,
@@ -186,9 +223,14 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     Each surviving variable goes to its matched stratum variable, and the
     star ray's variable to the integral expression of its class in the
     surviving classes (solved in the character group, torsion included).
-    The substitution is certified well-defined before the degreewise
-    verdicts for 0..max_deg are computed.  Raises ComparisonError when the
-    stratum's rays did not match or either step fails.
+    The substitution is certified well-defined first.  Then the inverse
+    substitution is certified and the round trip checked
+    (_inverse_certified); when both hold, the map is a graded ring
+    isomorphism and verdicts is (k, True) for every k in 0..max_deg,
+    exactly what the per-degree check would return, proved for all
+    degrees.  Otherwise verdicts are the per-degree is_iso_up_to checks
+    for 0..max_deg.  Raises ComparisonError when the stratum's rays did
+    not match or either step of the forward map fails.
     """
     if stratum.failure:
         raise ComparisonError(stratum.failure)
@@ -212,14 +254,16 @@ def exceptional_comparison(stratum: ExceptionalStratum,
         if i == v_idx:
             substitution.append(tuple(extra))
         else:
-            substitution.append(tuple(1 if j == dst[i] else 0
-                                      for j in range(n_target)))
+            substitution.append(_unit(dst[i], n_target))
     rm = ring_map(source, target, substitution)
     cert = certify_well_defined(rm)
     if not cert.ok:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))
-    verdicts = is_iso_up_to(rm, max_deg)
+    if _inverse_certified(rm, v_idx, dst):
+        verdicts = {k: True for k in range(max_deg + 1)}
+    else:
+        verdicts = is_iso_up_to(rm, max_deg)
     return Comparison(stratum=stratum, source=source, target=target,
                       map=rm, extra_row=tuple(extra),
                       verdicts=tuple(sorted(verdicts.items())))
@@ -229,12 +273,15 @@ def exceptional_comparison(stratum: ExceptionalStratum,
 class VanishingReport:
     """Outcome of the vanishing verification for one cone.
 
-    pieces lists (degree, free_rank, torsion) of the subdivided stack's
-    graded components up to max_deg; degrees above max_deg are unchecked.
-    point_class records the assumed degree-0 group of the zero-dimensional
-    stratum.  conclusion is True only when the identification was built,
-    every degree 1..max_deg compares isomorphically, and every checked
-    piece is torsion-free.
+    verdicts has one (degree, bool) pair per degree 0..max_deg.  When the
+    comparison certified an inverse map they are all True and hold in
+    every degree, not only up to max_deg; otherwise each is the degree's
+    own check.  pieces lists (degree, free_rank, torsion) of the
+    subdivided stack's graded components up to max_deg; degrees above
+    max_deg are unchecked.  point_class records the assumed degree-0 group
+    of the zero-dimensional stratum.  conclusion is True only when the
+    identification was built, every degree 1..max_deg compares
+    isomorphically, and every checked piece is torsion-free.
     """
 
     cone_rays: tuple
@@ -265,7 +312,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
 
     pieces = []
     for k in range(max_deg + 1):
-        group = graded_piece(source, k).group
+        group = graded_piece(source, k).reduced
         pieces.append((k, group.free_rank, group.torsion))
 
     identified = comparison is not None

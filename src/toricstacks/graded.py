@@ -10,17 +10,20 @@ is expanded.  A Smith basis of the linear lattice is a unimodular change of
 variables after which they read d_i s_i; the variables with d_i = 1 drop
 out, so degree k is expanded over monomials in the len(torsion) + free_rank
 remaining variables rather than in one variable per generator of Z^n (for a
-fan's Chow ring: roughly rays minus rank, instead of one per ray).  Pieces
-are still reported on the original degree-k monomial basis, so callers never
-see the reduced variables.  Monomials of a fixed degree are ordered
-descending-lex in the variable order, which makes every normal form
-reproducible bit for bit.
+fan's Chow ring: roughly rays minus rank, instead of one per ray).  A
+piece's structure (GradedPiece.reduced) and the relation test
+(in_relations, which certify_well_defined uses) are read in those reduced
+coordinates.  A piece is carried back to the original degree-k monomial
+basis (GradedPiece.group) only on demand, for the callers that need
+coordinates there (normal forms, products, induced maps).  Monomials of a
+fixed degree are ordered descending-lex in the variable order, which makes
+every normal form reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
                         matmul, normal_form_group, smith_basis, transpose)
@@ -140,10 +143,39 @@ def _shifted_column(poly: Poly, shift, n_vars: int, degree: int) -> Vector:
 
 @dataclass(frozen=True)
 class GradedPiece:
+    """The degree-k component of a presentation's quotient.
+
+    reduced is the cokernel over the reduced variables of _reduction(p);
+    it has the piece's structure and answers the relation test.  group is
+    the same group in normal-form coordinates over the original degree-k
+    monomial basis, carried back on first use and kept with the piece.
+    """
+
+    presentation: GradedPresentation
     degree: int
-    n_vars: int
-    monomial_basis: tuple
-    group: AbelianGroup
+    reduced: AbelianGroup
+
+    @property
+    def n_vars(self) -> int:
+        return self.presentation.n_vars
+
+    @property
+    def monomial_basis(self) -> tuple:
+        return monomials(self.n_vars, self.degree)
+
+    @cached_property
+    def group(self) -> AbelianGroup:
+        """The carry-back: the reduced projection through Sym^k(phi), the
+        lift through Sym^k(psi), and the free block put back in normal
+        form.  Free rank and torsion pass through unchanged."""
+        phi, psi = _reduction(self.presentation)
+        k, reduced = self.degree, self.reduced
+        projection, lift_cols = (), ()
+        if not reduced.is_trivial:
+            projection = matmul(reduced.projection, _sym_power(phi, k))
+            lift_cols = transpose(matmul(_sym_power(psi, k), reduced.lift))
+        return normal_form_group(len(self.monomial_basis), reduced.torsion,
+                                 projection, lift_cols)
 
     def coords(self, element) -> Vector:
         """Normal-form coordinates of a homogeneous element of this degree."""
@@ -183,34 +215,46 @@ def graded_piece(p: GradedPresentation, k: int) -> GradedPiece:
     The linear relations are eliminated once per presentation (_reduction):
     in the reduced variables the relation lattice is spanned by g*m over
     the reduced generators g of degree d and monomials m of degree k-d, and
-    its cokernel is taken over the reduced degree-k monomials.  The result
-    is carried back to the original degree-k monomial basis: the
-    projection through Sym^k(phi), the lift through Sym^k(psi), and the
-    free block put back in normal form.
+    its cokernel is taken over the reduced degree-k monomials.  The piece
+    carries it back to the original monomial basis only when its group is
+    read.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    phi, psi = _reduction(p)
-    reduced = cokernel(_relation_matrix(phi.target, k))
-    basis = monomials(p.n_vars, k)
-    projection, lift_cols = (), ()
-    if not reduced.is_trivial:
-        projection = matmul(reduced.projection, _sym_power(phi, k))
-        lift_cols = transpose(matmul(_sym_power(psi, k), reduced.lift))
-    group = normal_form_group(len(basis), reduced.torsion, projection,
-                              lift_cols)
-    return GradedPiece(degree=k, n_vars=p.n_vars, monomial_basis=basis,
-                       group=group)
+    reduced = cokernel(_relation_matrix(_reduction(p)[0].target, k))
+    return GradedPiece(presentation=p, degree=k, reduced=reduced)
+
+
+def _homogeneous(p: GradedPresentation, k: int, element) -> Poly:
+    poly = _normalize_poly(element, p.n_vars)
+    actual = _poly_degree(poly)
+    if actual is not None and actual != k:
+        raise ValueError("element has degree %d, expected %d" % (actual, k))
+    return poly
 
 
 def normal_form(p: GradedPresentation, k: int, element) -> Vector:
     """Quotient coordinates of a homogeneous degree-k element; all zero iff
     the element lies in the relation lattice."""
-    poly = _normalize_poly(element, p.n_vars)
-    actual = _poly_degree(poly)
-    if actual is not None and actual != k:
-        raise ValueError("element has degree %d, expected %d" % (actual, k))
-    return graded_piece(p, k).coords(poly)
+    return graded_piece(p, k).coords(_homogeneous(p, k, element))
+
+
+def in_relations(p: GradedPresentation, k: int, element) -> bool:
+    """Does a homogeneous degree-k element lie in the relation lattice?
+
+    The same answer as `not any(normal_form(p, k, element))`, read in
+    reduced coordinates: the element goes through _reduction's phi and
+    then the reduced cokernel's projection.  normal_form_group only
+    reduces the torsion rows mod d_i and multiplies the free rows by a
+    unimodular matrix, so the carry-back changes no vector's zeroness.
+    """
+    poly = _homogeneous(p, k, element)
+    phi = _reduction(p)[0]
+    index = _monomial_index(phi.target.n_vars, k)
+    vec = [0] * len(index)
+    for expt, coeff in _substitute(phi, poly).items():
+        vec[index[expt]] = coeff
+    return not any(graded_piece(p, k).reduced.project(vec))
 
 
 def _canonical_rep(p: GradedPresentation, k: int, coords) -> Poly:
@@ -345,8 +389,7 @@ def certify_well_defined(rm: RingMap) -> Certification:
             for row in rm.source.linear_gens]
     gens += [(d, dict(items)) for d, items in rm.source.homogeneous_gens]
     for degree, gen in gens:
-        image = _substitute(rm, gen)
-        if any(normal_form(rm.target, degree, image)):
+        if not in_relations(rm.target, degree, _substitute(rm, gen)):
             witness = (degree, tuple(sorted(gen.items(), reverse=True)))
             return Certification(ok=False, witness=witness)
     return Certification(ok=True, witness=None)
@@ -378,11 +421,11 @@ def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:
     """
     verdicts = {}
     for k in range(max_deg + 1):
-        src = graded_piece(rm.source, k).group
-        tgt = graded_piece(rm.target, k).group
-        if src.structure() != tgt.structure():
+        src = graded_piece(rm.source, k)
+        tgt = graded_piece(rm.target, k)
+        if src.reduced.structure() != tgt.reduced.structure():
             verdicts[k] = False
             continue
         matrix = induced_map(rm, k)
-        verdicts[k] = tgt.generated_by(zip(*matrix))
+        verdicts[k] = tgt.group.generated_by(zip(*matrix))
     return verdicts

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
-from .cox import cox
+from .cox import CoxData, cox
 from .fan import Cone, Fan
 from .intlinalg import (
     AbelianGroup,
@@ -52,7 +52,11 @@ def _group_add(group: AbelianGroup, a: Vector, b: Vector) -> Vector:
 
 def k_ring_stack(f: Fan) -> GroupAlgebraPresentation:
     """Group-algebra presentation of a fan's multiplicative invariant ring."""
-    cd = cox(f)
+    return _k_presentation(cox(f))
+
+
+def _k_presentation(cd: CoxData) -> GroupAlgebraPresentation:
+    """k_ring_stack of the fan whose Cox data is cd."""
     group = cd.char_group
     zero = group.reduce((0,) * group.coord_rank)
     for row in cd.kernel:
@@ -255,14 +259,15 @@ def k_exceptional_comparison(stratum: ExceptionalStratum,
     quotient = stratum.quotient.fan
     src_of = {d: s for s, d in stratum.dst.items()}
     p_src = k_ring_stack(stratum.subdivision)
-    p_tgt = k_ring_stack(quotient)
+    cd_tgt = cox(quotient)
+    p_tgt = _k_presentation(cd_tgt)
     src_group, tgt_group = p_src.group, p_tgt.group
 
     # Identification: j-th stratum ray class -> class of its source ray.
     images = tuple(p_src.generator_images[src_of[j]]
                    for j in range(len(quotient.rays)))
     if any(any(_combine(src_group, images, row))
-           for row in cox(quotient).kernel):
+           for row in cd_tgt.kernel):
         raise ComparisonError(
             "the stratum's exponent lattice does not map to zero; the "
             "character groups are not identified over Z")
