@@ -5,19 +5,21 @@ quotients, and facet relation data for orbit closures.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
-order.  All geometry is exact.  Supporting hyperplanes are enumerated over
-the (d-1)-subsets of rays (of tight constraints, for intersect_cones),
-which is entirely adequate at the scale this library targets (rank <= 6,
-around a dozen rays).  Each subset's hyperplane normal is the primitive
-vector of its signed maximal minors (intlinalg.kernel_generator), one
-small fraction-free determinant per minor and no HNF.
+order.  All geometry is exact.  A simplicial cone (d independent rays)
+reads all its facet normals off one fraction-free adjugate of its ray
+coordinates.  Other cones enumerate supporting hyperplanes over the
+(d-1)-subsets of rays (of tight constraints, for intersect_cones), which
+is adequate at the scale this library targets (rank <= 6, around a dozen
+rays); each subset's normal is the primitive vector of its signed maximal
+minors (intlinalg.kernel_generator), with no HNF.
 
 A cone's geometry is computed once, when it is built: span and perp
 lattices, ray coordinates and facet normals.  All ray coordinates are
 solved against one HNF of the span, and all normal lifts against one HNF
 of its transpose; a full-dimensional cone needs neither, since its span is
 the identity.  A simplicial cone skips the strong-convexity and
-extremality rank checks, which d independent rays always pass.
+extremality rank checks, which d independent rays always pass, and its
+faces are all subsets of its rays.
 Operations that need a cone's facets read them from that data;
 star_subdivision builds no cone per facet.
 """
@@ -28,10 +30,12 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .intlinalg import (
     Matrix,
     Vector,
+    adjugate,
     cokernel,
     identity,
     kernel_basis,
@@ -50,10 +54,7 @@ class GeometryError(ValueError):
 
 
 def content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitivize(v) -> Vector:
@@ -64,7 +65,7 @@ def primitivize(v) -> Vector:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 class Cone:
@@ -78,7 +79,9 @@ class Cone:
     the ambient lattice; on the cone it vanishes exactly on the facet).
     The ray coordinates come from one HNF of the span, the normal lifts
     from one HNF of its transpose; both are the identity map when the cone
-    is full-dimensional."""
+    is full-dimensional.  Facet normals come from one adjugate of the ray
+    coordinates when the cone is simplicial, and otherwise from the
+    (d-1)-subsets of rays."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
                  "ray_coords", "facet_sets", "facet_normals", "_faces")
@@ -107,8 +110,10 @@ class Cone:
 
         # Saturated span lattice: perp of the rays, then perp of the perp.
         # A full-dimensional cone has the identity as its span, so its rays
-        # are their own coordinates and its normals their own lifts.
-        perp_rows = transpose(kernel_basis(gens))
+        # are their own coordinates and its normals their own lifts; n
+        # independent rays are such a cone, with facets from an adjugate.
+        found = len(gens) == n and _simplicial_facets(gens)
+        perp_rows = () if found else transpose(kernel_basis(gens))
         if perp_rows:
             span = kernel_basis(perp_rows)
             coords = list(solve_many_in_span(span, gens))
@@ -117,7 +122,7 @@ class Cone:
             span, coords = identity(n), gens
         d = len(span[0])
 
-        facet_sets, span_normals = _facet_data(coords, d)
+        facet_sets, span_normals = found or _facet_data(coords, d)
         if perp_rows:
             # The span basis is saturated, so its transpose is surjective
             # and every span functional lifts to the ambient lattice.
@@ -195,10 +200,16 @@ class Cone:
         return all(_dot(w, v) > 0 for w in self.facet_normals)
 
     def face_ray_sets(self) -> tuple[frozenset, ...]:
-        """All faces as frozensets of local ray indices: the closure of the
-        facet sets under intersection, plus the cone itself."""
-        if self._faces is None:
-            everything = frozenset(range(len(self.rays)))
+        """All faces as frozensets of local ray indices, by size and then by
+        sorted indices: every subset of a simplicial cone's rays, otherwise
+        the closure of the facet sets under intersection, plus the cone."""
+        k = len(self.rays)
+        if self._faces is None and k == self.dim:
+            # combinations yields each size in sorted order.
+            self._faces = tuple(frozenset(s) for j in range(k + 1)
+                                for s in combinations(range(k), j))
+        elif self._faces is None:
+            everything = frozenset(range(k))
             found = {everything}
             frontier = {everything}
             while frontier:
@@ -228,7 +239,11 @@ def _facet_data(coords, d):
     their content) exists; a candidate is kept when all rays lie on one
     side of it, with the sign flipped to point inward.  Its zero set is
     then a facet: it holds the d-1 independent rays and lies in the
-    candidate's perp, so its rank is d-1."""
+    candidate's perp, so its rank is d-1.  d independent rays skip the
+    enumeration (_simplicial_facets)."""
+    found = len(coords) == d and _simplicial_facets(coords)
+    if found:
+        return found
     seen: dict[frozenset, Vector] = {}
     for sub in combinations(range(len(coords)), d - 1):
         w = kernel_generator([coords[i] for i in sub])
@@ -244,6 +259,25 @@ def _facet_data(coords, d):
             frozenset(i for i, p in enumerate(pairings) if p == 0), w)
     sets = tuple(sorted(seen, key=sorted))
     return sets, tuple(seen[s] for s in sets)
+
+
+def _simplicial_facets(coords):
+    """_facet_data of d rays in rank d, or None when they are dependent.
+    Column i of their adjugate pairs to det with ray i and to 0 with the
+    others, so sign(det) times it, made primitive, is the inward normal of
+    facet i (every ray but i)."""
+    det, adj = adjugate(coords)
+    if not det:
+        return None
+    sign, d = (1 if det > 0 else -1), len(coords)
+    cols = transpose(adj)
+    # Sorted by ray set, the facet without ray d-1 comes first.
+    order = range(d - 1, -1, -1)
+    normals = tuple(primitivize([sign * x for x in cols[i]]) for i in order)
+    for i, w in zip(order, normals):
+        assert all(_dot(w, c) > 0 if j == i else _dot(w, c) == 0
+                   for j, c in enumerate(coords)), "normal is not inward"
+    return tuple(frozenset(range(d)) - {i} for i in order), normals
 
 
 def make_cone(ambient_rank: int, generators) -> Cone:
@@ -346,8 +380,10 @@ class Fan:
 
         all_cones = set()
         for s in self.maximal_cones:
-            for face in self.cone(s).face_vector_sets():
-                all_cones.add(frozenset(index[r] for r in face))
+            c = self.cone(s)
+            to_fan = [index[r] for r in c.rays]
+            for face in c.face_ray_sets():
+                all_cones.add(frozenset(to_fan[i] for i in face))
         self.cones = frozenset(all_cones)
 
     @classmethod

@@ -470,6 +470,36 @@ def det(m) -> int:
     return sign * a[-1][-1] if a else 1
 
 
+def adjugate(m) -> tuple[int, Matrix | None]:
+    """(det m, adj m) of a square integer matrix, so m * adj = det * I, by
+    fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
+    entry stays a minor, so each division is exact.  A singular m gives
+    (0, None)."""
+    n = len(m)
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0, None
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a:
+            if row is not row_k:
+                x = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (row[j] * pivot - x * row_k[j]) // prev
+        prev = pivot
+    # a is now E [m | I] with E m = prev * I and prev = det(P m) for the
+    # row swaps P, so E = sign * adj m.
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
 def kernel_generator(m) -> Vector | None:
     """The primitive generator of the kernel of a (d-1) x d integer matrix
     of rank d-1, signed like kernel_basis (first nonzero entry positive);

@@ -1,17 +1,19 @@
-"""Checks det and kernel_generator on seeded matrices.
+"""Checks det, adjugate and kernel_generator on seeded matrices.
 
 kernel_generator is compared with kernel_basis, an HNF computation: it
 must return None exactly when the kernel has more than one basis column,
 and otherwise that column, sign included.  det is compared with cofactor
 expansion and, when sympy is installed, with sympy's determinant.
+adjugate must return det and a matrix with m * adj = det * I, or
+(0, None) for a singular matrix.
 """
 
 import random
 
 import pytest
 
-from toricstacks.intlinalg import det, kernel_basis, kernel_generator, \
-    matmul, transpose
+from toricstacks.intlinalg import adjugate, det, identity, kernel_basis, \
+    kernel_generator, matmul, transpose
 
 N_MATRICES = 300
 KINDS = ("generic", "zero", "zero-row", "duplicate-row", "rank-deficient",
@@ -96,6 +98,10 @@ def test_kernel_generator_rejects_wrong_shape():
         kernel_generator([[1, 2]] * 2)
     with pytest.raises(ValueError):
         det([[1, 2]])
+    with pytest.raises(ValueError):
+        adjugate([[1, 2]])
+    with pytest.raises(ValueError):
+        adjugate([[1, 2], [3]])
 
 
 def _cofactor_det(m):
@@ -116,3 +122,31 @@ def test_det_matches_sympy():
     for m in _square_cases():
         if m:
             assert det(m) == sympy.Matrix(m).det(method="bareiss"), m
+
+
+def test_adjugate_inverts_up_to_det():
+    seen = {"singular": 0, "negative": 0, "large": 0}
+    for m in _square_cases():
+        d, adj = adjugate(m)
+        assert d == det(m), m
+        if not d:
+            assert adj is None, m
+            seen["singular"] += 1
+            continue
+        n = len(m)
+        scaled = tuple(tuple(d * x for x in row) for row in identity(n))
+        assert matmul(m, adj) == scaled and matmul(adj, m) == scaled, m
+        seen["negative"] += d < 0
+        seen["large"] += abs(d) > 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("m, expected", [
+    ([], (1, ())),
+    ([[-3]], (-3, ((1,),))),
+    ([[0, 1], [1, 0]], (-1, ((0, -1), (-1, 0)))),
+    ([[2, 1], [0, 3]], (6, ((3, -1), (0, 2)))),
+    ([[1, 2], [2, 4]], (0, None)),
+])
+def test_adjugate_small(m, expected):
+    assert adjugate(m) == expected

@@ -3,7 +3,8 @@
 sympy shares no code with intlinalg, so agreeing invariant factors on a
 few hundred seeded matrices (zero, rank-deficient, wide and tall) is an
 independent check of cokernel.  The same matrices check that the
-transform-free normal forms agree with the tracked ones.  Skipped when
+transform-free normal forms agree with the tracked ones.  Seeded square
+matrices check adjugate against sympy's det and adjugate.  Skipped when
 sympy is not installed.
 """
 
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from toricstacks.intlinalg import (
+    adjugate,
     cokernel,
     hnf,
     hnf_form,
@@ -81,3 +83,25 @@ def test_transform_free_forms_match_tracked_ones():
         d = snf(m)[0]
         assert snf_diagonal(m) == tuple(d[i][i] for i in range(
             min(len(d), len(d[0]) if d else 0))), m
+
+
+def test_adjugate_matches_sympy():
+    rng = random.Random(20190427)
+    seen = {"singular": 0, "regular": 0}
+    for i in range(N_MATRICES):
+        n = 1 + i % 5
+        bound = rng.choice((1, 2, 5, 30))
+        m = [[rng.randint(-bound, bound) for _ in range(n)]
+             for _ in range(n)]
+        if i % 4 == 0:  # a repeated row makes m singular
+            m[-1] = list(m[0])
+        d, adj = adjugate(m)
+        expected = sympy.Matrix(m)
+        assert d == expected.det(method="bareiss"), m
+        if d:
+            assert [list(row) for row in adj] == \
+                expected.adjugate().tolist(), m
+        else:
+            assert adj is None, m
+        seen["regular" if d else "singular"] += 1
+    assert min(seen.values()) >= 40, seen
