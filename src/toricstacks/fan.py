@@ -5,21 +5,19 @@ quotients, and facet relation data for orbit closures.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
-order.  All geometry is exact.  A simplicial cone (d independent rays)
-reads all its facet normals off one fraction-free adjugate of its ray
-coordinates.  Other cones enumerate supporting hyperplanes over the
-(d-1)-subsets of rays (of tight constraints, for intersect_cones), which
-is adequate at the scale this library targets (rank <= 6, around a dozen
-rays); each subset's normal is the primitive vector of its signed maximal
-minors (intlinalg.kernel_generator), with no HNF.
+order.  All geometry is exact.  n independent rays in rank n read their
+facet normals off one fraction-free adjugate.  Other cones enumerate
+supporting hyperplanes over the (d-1)-subsets of rays (of tight
+constraints, for intersect_cones), adequate at this library's scale (rank
+<= 6, around a dozen rays); each normal is the primitive vector of the
+subset's signed maximal minors (intlinalg.kernel_generator), with no HNF.
 
 A cone's geometry is computed once, when it is built: span and perp
 lattices, ray coordinates and facet normals.  All ray coordinates are
 solved against one HNF of the span, and all normal lifts against one HNF
 of its transpose; a full-dimensional cone needs neither, since its span is
 the identity.  A simplicial cone skips the strong-convexity and
-extremality rank checks, which d independent rays always pass, and its
-faces are all subsets of its rays.
+extremality rank checks, which d independent rays always pass.
 Operations that need a cone's facets read them from that data;
 star_subdivision builds no cone per facet.
 """
@@ -79,9 +77,8 @@ class Cone:
     the ambient lattice; on the cone it vanishes exactly on the facet).
     The ray coordinates come from one HNF of the span, the normal lifts
     from one HNF of its transpose; both are the identity map when the cone
-    is full-dimensional.  Facet normals come from one adjugate of the ray
-    coordinates when the cone is simplicial, and otherwise from the
-    (d-1)-subsets of rays."""
+    is full-dimensional.  Facet normals come from one adjugate for n
+    independent rays in rank n, otherwise from the (d-1)-subsets of rays."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
                  "ray_coords", "facet_sets", "facet_normals", "_faces")
@@ -200,12 +197,11 @@ class Cone:
         return all(_dot(w, v) > 0 for w in self.facet_normals)
 
     def face_ray_sets(self) -> tuple[frozenset, ...]:
-        """All faces as frozensets of local ray indices, by size and then by
-        sorted indices: every subset of a simplicial cone's rays, otherwise
-        the closure of the facet sets under intersection, plus the cone."""
+        """All faces as frozensets of local ray indices, by (size, sorted):
+        every subset of a simplicial cone's rays, otherwise the closure of
+        the facet sets under intersection, plus the cone itself."""
         k = len(self.rays)
         if self._faces is None and k == self.dim:
-            # combinations yields each size in sorted order.
             self._faces = tuple(frozenset(s) for j in range(k + 1)
                                 for s in combinations(range(k), j))
         elif self._faces is None:
@@ -239,11 +235,7 @@ def _facet_data(coords, d):
     their content) exists; a candidate is kept when all rays lie on one
     side of it, with the sign flipped to point inward.  Its zero set is
     then a facet: it holds the d-1 independent rays and lies in the
-    candidate's perp, so its rank is d-1.  d independent rays skip the
-    enumeration (_simplicial_facets)."""
-    found = len(coords) == d and _simplicial_facets(coords)
-    if found:
-        return found
+    candidate's perp, so its rank is d-1."""
     seen: dict[frozenset, Vector] = {}
     for sub in combinations(range(len(coords)), d - 1):
         w = kernel_generator([coords[i] for i in sub])
@@ -262,10 +254,9 @@ def _facet_data(coords, d):
 
 
 def _simplicial_facets(coords):
-    """_facet_data of d rays in rank d, or None when they are dependent.
-    Column i of their adjugate pairs to det with ray i and to 0 with the
-    others, so sign(det) times it, made primitive, is the inward normal of
-    facet i (every ray but i)."""
+    """_facet_data of d rays in rank d, or None when they are dependent:
+    column i of their adjugate pairs to det with ray i and to 0 with the
+    rest, so sign(det) times it, made primitive, is facet i's normal."""
     det, adj = adjugate(coords)
     if not det:
         return None

@@ -471,10 +471,9 @@ def det(m) -> int:
 
 
 def adjugate(m) -> tuple[int, Matrix | None]:
-    """(det m, adj m) of a square integer matrix, so m * adj = det * I, by
-    fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
-    entry stays a minor, so each division is exact.  A singular m gives
-    (0, None)."""
+    """(det m, adj m), so m * adj = det * I, by fraction-free (Bareiss)
+    Gauss-Jordan elimination of [m | I], where every division is exact;
+    (0, None) for a singular m."""
     n = len(m)
     a = [list(map(int, row)) + [int(i == j) for j in range(n)]
          for i, row in enumerate(m)]

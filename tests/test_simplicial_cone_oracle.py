@@ -1,9 +1,9 @@
 """Checks the adjugate construction of simplicial cones against the
 enumeration it replaced.
 
-A cone with d independent rays in a rank-d span reads its facet normals
-off one adjugate of its ray coordinates, and its faces are all subsets of
-its rays.  Before that, every cone enumerated its facets over the
+A cone with n independent rays in rank n reads its facet normals off one
+adjugate of its rays, and a simplicial cone's faces are all subsets of its
+rays.  Before that, every cone enumerated its facets over the
 (d-1)-subsets of rays (one kernel_generator each), found its span with two
 kernel_basis calls, and closed its facet sets under intersection.  The
 copies below keep that code.  On seeded generator sets in ranks 1-5
@@ -21,7 +21,7 @@ from test_chow_certificate import clear_package_caches
 from toricstacks import fan
 from toricstacks.chow import exceptional_stratum, verify_vanishing
 from toricstacks.fan import Cone, Fan, GeometryError, _dot, _facet_data, \
-    primitivize
+    _simplicial_facets, primitivize
 from toricstacks.intlinalg import (
     det,
     identity,
@@ -191,17 +191,21 @@ def test_cone_geometry_matches_enumeration():
 
 
 def test_facet_data_matches_enumeration_on_simplicial_cones():
-    checked = 0
+    # The adjugate agrees with the enumeration on the span coordinates of
+    # every simplicial cone, lower-dimensional ones included.
+    checked = lower = 0
     for n, gens in _sets():
         try:
             c = Cone(n, gens)
         except GeometryError:
             continue
         if len(c.rays) == c.dim:
-            assert _facet_data(c.ray_coords, c.dim) == \
+            assert _simplicial_facets(c.ray_coords) == \
+                _facet_data(c.ray_coords, c.dim) == \
                 enumerated_facet_data(c.ray_coords, c.dim), (n, gens)
             checked += 1
-    assert checked >= 1500
+            lower += c.dim < n
+    assert checked >= 1500 and lower >= 50
 
 
 def test_fan_cones_match_face_vector_sets():
