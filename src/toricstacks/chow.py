@@ -20,6 +20,7 @@ in every report, not recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cox import CoxData, cox
 from .fan import (
@@ -135,6 +136,7 @@ class ExceptionalStratum:
     surviving subdivision ray (every ray but the star ray, listed in
     surviving) to its image ray in quotient.fan.  failure says why the
     matching does not exist (a dropped or a missing ray), or is None.
+    subdivision_cox is the subdivision's Cox data, built on first read.
     """
 
     subdivision: Fan
@@ -144,6 +146,10 @@ class ExceptionalStratum:
     surviving: tuple[int, ...]
     dst: dict
     failure: str | None
+
+    @cached_property
+    def subdivision_cox(self) -> CoxData:
+        return cox(self.subdivision)
 
 
 def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
@@ -235,7 +241,7 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     if stratum.failure:
         raise ComparisonError(stratum.failure)
     f2, v_idx, dst = stratum.subdivision, stratum.star_index, stratum.dst
-    cd = cox(f2)
+    cd = stratum.subdivision_cox
     source = _chow_presentation(cd)
     target = chow_ring_stack(stratum.quotient.fan)
     sol = cd.char_group.express([cd.weights[i] for i in stratum.surviving],
@@ -303,7 +309,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
         comparison = exceptional_comparison(stratum, max_deg)
     except ComparisonError as exc:
         comparison, failure = None, str(exc)
-        source = chow_ring_stack(stratum.subdivision)
+        source = _chow_presentation(stratum.subdivision_cox)
         verdicts, extra_row = (), None
     else:
         failure = None

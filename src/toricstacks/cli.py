@@ -186,7 +186,7 @@ def _cmd_cox(ns):
 def _piece_json(p, max_deg):
     out = []
     for k in range(max_deg + 1):
-        g = graded_piece(p, k).group
+        g = graded_piece(p, k).reduced
         out.append({"degree": k, "free_rank": g.free_rank,
                     "torsion": list(g.torsion), "text": g.describe()})
     return out

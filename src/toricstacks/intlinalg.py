@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -35,12 +36,11 @@ def transpose(m) -> Matrix:
 
 def matmul(a, b) -> Matrix:
     bt = list(zip(*b)) if b else []
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(m, v) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -365,7 +365,6 @@ def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
     only on the column lattice, not on the presenting matrix: the columns
     are HNF-canonicalized first.
     """
-    m = freeze(m)
     nr = len(m)
     col_canon = hnf_form(transpose(m))
     m = transpose([row for row in col_canon if any(row)])

@@ -8,12 +8,16 @@ exponent boxes: free coordinates range over [-B, B], torsion coordinates
 are enumerated completely, and every report is window-level only - an
 inner-window structure is labeled stabilized when it agrees with the next
 radius, and anything non-stabilized is inconclusive, never asserted.
+A window's relations are the boxed relations that vanish outside it: one
+HNF with the outside coordinates first gives them as the echelon rows with
+no outside entry (elimination order; Cohen, GTM 138, 2.4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
 from .cox import CoxData, cox
@@ -23,11 +27,7 @@ from .intlinalg import (
     Vector,
     cokernel,
     hnf_form,
-    identity,
-    kernel_basis,
-    matmul,
     solve_in_span,
-    transpose,
 )
 
 
@@ -117,47 +117,44 @@ def window_lattice(p: GroupAlgebraPresentation, box_radius: int,
     """Window monomials plus the canonical (HNF-row) basis of the boxed
     relation lattice intersected with the window coordinate subspace.
 
+    The relation columns, as rows with the outside coordinates first, get
+    one HNF.  A combination of echelon rows is nonzero at the pivot of its
+    first row used, so the rows pivoting inside the window span the
+    relations vanishing outside it, and are that lattice's own HNF.
+
     The box at radius B only certifies relations some distance from the
     boundary, so the window must be strictly inside; radius B pairs with
     window B-1 everywhere in this module."""
     group = p.group
     box = _box_monomials(group, box_radius)
     columns = _relation_columns(p, box_radius, box)
-    window = tuple(m for m in box if _in_box(group, m, window_radius))
-    if not columns:
-        return window, ()
-    window_pos = [i for i, m in enumerate(box)
-                  if _in_box(group, m, window_radius)]
-    outside_pos = [i for i, m in enumerate(box)
-                   if not _in_box(group, m, window_radius)]
-    matrix_rows = tuple(zip(*columns))  # len(box) rows
-    if outside_pos:
-        outside = tuple(matrix_rows[i] for i in outside_pos)
-        combos = kernel_basis(outside)  # columns
-    else:
-        combos = identity(len(columns))
-    inside = tuple(matrix_rows[i] for i in window_pos)
-    lattice_cols = matmul(inside, combos) if combos and combos[0] else \
-        tuple(() for _ in window_pos)
-    rows = [r for r in hnf_form(transpose(lattice_cols)) if any(r)] \
-        if lattice_cols and len(lattice_cols[0]) else []
-    return window, tuple(rows)
+    inside = [_in_box(group, m, window_radius) for m in box]
+    order = sorted(range(len(box)), key=inside.__getitem__)  # outside first
+    n_out = inside.count(False)
+    echelon = hnf_form([tuple(col[i] for i in order) for col in columns])
+    rows = tuple(r[n_out:] for r in echelon
+                 if any(r) and not any(r[:n_out]))
+    return tuple(m for m, w in zip(box, inside) if w), rows
 
 
-def _window_structure(p: GroupAlgebraPresentation, box_radius: int,
-                      window_radius: int):
-    window, lattice_rows = window_lattice(p, box_radius, window_radius)
-    matrix = transpose(lattice_rows) if lattice_rows else \
-        tuple(() for _ in window)
-    return cokernel(matrix).structure()
+def _quotient(columns: tuple, n_rows: int) -> AbelianGroup:
+    """The quotient of Z^n_rows by the span of columns."""
+    return cokernel(tuple(zip(*columns)) if columns
+                    else tuple(() for _ in range(n_rows)))
+
+
+def _window_group(p: GroupAlgebraPresentation, box_radius: int,
+                  window_radius: int):
+    window, rows = window_lattice(p, box_radius, window_radius)
+    return window, rows, _quotient(rows, len(window))
 
 
 @dataclass(frozen=True)
 class BoxedQuotient:
     """Finite truncation of a group-algebra quotient.
 
-    group is the quotient of the full box; window_group the quotient of
-    the inner window [-B+1, B-1] by the lattice the box certifies there.
+    group is the full box's quotient (built on first read); window_group the
+    quotient of the inner window [-B+1, B-1] by the lattice the box certifies.
     stabilized means the inner-window structure agrees with the one the
     next radius certifies (window scales with the box: radius B certifies
     window B-1).  The window lattice rows are canonical (HNF), so equal
@@ -167,12 +164,15 @@ class BoxedQuotient:
     box_radius: int
     monomials: tuple
     relation_columns: tuple
-    group: AbelianGroup
     window_radius: int
     window_monomials: tuple
     window_lattice: tuple
     window_group: AbelianGroup
     stabilized: bool
+
+    @cached_property
+    def group(self) -> AbelianGroup:
+        return _quotient(self.relation_columns, len(self.monomials))
 
     def contains(self, element: dict) -> bool:
         """Is a formal combination (coords -> coeff) in the boxed relation
@@ -200,20 +200,15 @@ def boxed_quotient(p: GroupAlgebraPresentation, box_radius: int) \
     group = p.group
     box = _box_monomials(group, box_radius)
     columns = _relation_columns(p, box_radius, box)
-    matrix = tuple(zip(*columns)) if columns else tuple(() for _ in box)
-    full = cokernel(matrix)
     window_radius = box_radius - 1
-    window, lattice_rows = window_lattice(p, box_radius, window_radius)
-    wmatrix = transpose(lattice_rows) if lattice_rows else \
-        tuple(() for _ in window)
-    wgroup = cokernel(wmatrix)
-    stabilized = wgroup.structure() == _window_structure(
-        p, box_radius + 1, window_radius + 1)
+    window, rows, wgroup = _window_group(p, box_radius, window_radius)
+    stabilized = wgroup.structure() == _window_group(
+        p, box_radius + 1, window_radius + 1)[2].structure()
     return BoxedQuotient(box_radius=box_radius, monomials=box,
-                         relation_columns=columns, group=full,
+                         relation_columns=columns,
                          window_radius=window_radius,
                          window_monomials=window,
-                         window_lattice=lattice_rows,
+                         window_lattice=rows,
                          window_group=wgroup, stabilized=stabilized)
 
 

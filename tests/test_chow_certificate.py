@@ -9,14 +9,16 @@ Each new path is checked here against the path it replaces: is_iso_up_to,
 normal_form and GradedPiece.group.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from corpus import CORPUS_DATA, corpus_cones
 from test_negative_corpus import NEGATIVE
-from toricstacks import chow, cox as cox_module, fan, graded, intlinalg, \
-    ktheory
+from toricstacks import chow, cli, cox as cox_module, fan, graded, \
+    intlinalg, ktheory
 from toricstacks.chow import (
     ComparisonError,
     _inverse_certified,
@@ -25,7 +27,7 @@ from toricstacks.chow import (
     exceptional_stratum,
     verify_vanishing,
 )
-from toricstacks.fan import GeometryError, make_cone
+from toricstacks.fan import Fan, GeometryError, make_cone
 from toricstacks.graded import (
     graded_piece,
     in_relations,
@@ -34,6 +36,8 @@ from toricstacks.graded import (
     normal_form,
     ring_map,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # The degree-1 failure of tests/test_chow.py: 2-torsion on the subdivided
 # side only.
@@ -239,7 +243,7 @@ def test_in_relations_checks_degree():
         in_relations(p, 2, {(1, 0, 0, 0, 0): 1})
 
 
-def test_certified_verification_carries_no_piece_back(monkeypatch):
+def _count_sym_power(monkeypatch) -> list:
     built = []
     real = graded._sym_power
 
@@ -248,11 +252,40 @@ def test_certified_verification_carries_no_piece_back(monkeypatch):
         return real(rm, k)
 
     monkeypatch.setattr(graded, "_sym_power", counting)
+    return built
+
+
+def test_certified_verification_carries_no_piece_back(monkeypatch):
+    built = _count_sym_power(monkeypatch)
     clear_package_caches()
     rep = verify_vanishing(corpus_cones()[18], 4)
     assert rep.conclusion
     assert graded_piece.cache_info().misses > 0
     assert built == []
+
+
+def test_chow_stack_reads_reduced_pieces(monkeypatch, capsys):
+    built = _count_sym_power(monkeypatch)
+    for name in ("sigma_square.json", "strongness_example.json"):
+        path = str(FIXTURES / name)
+        clear_package_caches()
+        assert cli.run(["chow-stack", path]) == 0
+        text = capsys.readouterr().out
+        assert cli.run(["chow-stack", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert built == []
+        # The carried-back groups give the same pieces, byte for byte.
+        data = json.loads((FIXTURES / name).read_text())
+        p = chow_ring_stack(Fan.from_data(data["rank"], data["rays"],
+                                          data["max_cones"]))
+        pieces = [graded_piece(p, k).group for k in range(5)]
+        assert text.endswith("".join("  A^%d = %s\n" % (k, g.describe())
+                                     for k, g in enumerate(pieces)))
+        assert payload["pieces"] == [
+            {"degree": k, "free_rank": g.free_rank,
+             "torsion": list(g.torsion), "text": g.describe()}
+            for k, g in enumerate(pieces)]
+        built.clear()
 
 
 def _count_cox(monkeypatch, *modules) -> list:
@@ -273,3 +306,11 @@ def test_k_comparison_builds_each_cox_once(monkeypatch):
     rep = ktheory.verify_k_vanishing(corpus_cones()[10], 2)
     assert rep.identified
     assert sorted(sizes) == [4, 5]
+
+
+def test_failed_chow_comparison_builds_each_cox_once(monkeypatch):
+    sizes = _count_cox(monkeypatch, chow)
+    rep = verify_vanishing(make_cone(3, [(3, 1, -1), (-1, -1, 0),
+                                         (-1, -2, 3)]), 3)
+    assert rep.failure.startswith("substitution does not map")
+    assert sizes == [4, 3]
