@@ -6,11 +6,11 @@ quotients, and facet relation data for orbit closures.
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
 order.  All geometry is exact.  n independent rays in rank n read their
-facet normals off one fraction-free adjugate.  Other cones enumerate
-supporting hyperplanes over the (d-1)-subsets of rays (of tight
-constraints, for intersect_cones), adequate at this library's scale (rank
-<= 6, around a dozen rays); each normal is the primitive vector of the
-subset's signed maximal minors (intlinalg.kernel_generator), with no HNF.
+facet normals off one fraction-free adjugate.  Other cones, and the dual
+cone whose facet normals are intersect_cones' rays, enumerate supporting
+hyperplanes over the (d-1)-subsets of rays, adequate at this library's
+scale (rank <= 6, around a dozen rays); each normal is the primitive
+vector of the subset's signed maximal minors (intlinalg.kernel_generator).
 
 A cone's geometry is computed once, when it is built: span and perp
 lattices, ray coordinates and facet normals.  All ray coordinates are
@@ -18,13 +18,14 @@ solved against one HNF of the span, and all normal lifts against one HNF
 of its transpose; a full-dimensional cone needs neither, since its span is
 the identity.  A simplicial cone skips the strong-convexity and
 extremality rank checks, which d independent rays always pass.
-Operations that need a cone's facets read them from that data;
-star_subdivision builds no cone per facet.
+Operations that need a cone's facets read them from that data and build
+no cone per facet.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -228,14 +229,17 @@ class Cone:
 def _facet_data(coords, d):
     """Inward facet normals of a full-dimensional cone given by ray
     coordinates in a rank-d lattice, as (facet ray sets, normals in span
-    coordinates), sorted by ray set.
+    coordinates), sorted by ray set.  The cone need not be pointed (the
+    dual cone of intersect_cones may hold a line; all of space has none).
 
     Every facet is cut out by d-1 independent rays, so the candidates are
     the (d-1)-subsets whose kernel generator (signed maximal minors over
     their content) exists; a candidate is kept when all rays lie on one
     side of it, with the sign flipped to point inward.  Its zero set is
     then a facet: it holds the d-1 independent rays and lies in the
-    candidate's perp, so its rank is d-1."""
+    candidate's perp, so its rank is d-1.  Ray-set order is the order of
+    each facet's first independent subset: where two ray sets first differ,
+    the smaller set's element is off the other facet, so off their prefix."""
     seen: dict[frozenset, Vector] = {}
     for sub in combinations(range(len(coords)), d - 1):
         w = kernel_generator([coords[i] for i in sub])
@@ -460,32 +464,21 @@ class FanReport:
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     """Exact intersection of two strongly convex cones (again strongly
-    convex).  Equalities are the stacked perps, inequalities the stacked
-    inward facet normals, written in a basis of the equalities' kernel
-    (rank e).  Extreme rays are enumerated over (e-1)-subsets of tight
-    inequalities: each subset of rank e-1 meets in a line whose primitive
-    generator is its kernel_generator, and each of its two directions that
-    satisfies every inequality is a ray."""
+    convex), by cone duality (Cox-Little-Schenck, 1.2).  Equalities are the
+    stacked perps, inequalities the stacked inward facet normals, written
+    in a basis of the equalities' kernel (rank e).  The intersection is
+    strongly convex, so the inequality rows generate a full-dimensional
+    cone, whose facet normals are exactly the intersection's rays."""
     n = a.ambient_rank
-    eqs = list(a.perp_rows) + list(b.perp_rows)
+    eqs = a.perp_rows + b.perp_rows
     span = kernel_basis(eqs) if eqs else identity(n)
-    e = len(transpose(span))
-    if e == 0:
-        return Cone(n, ())
     span_cols = transpose(span)
+    if not span_cols:
+        return Cone(n, ())
     ineqs = [tuple(_dot(w, col) for col in span_cols)
              for w in a.facet_normals + b.facet_normals]
-    rays = []
-    for sub in combinations(range(len(ineqs)), e - 1):
-        w = kernel_generator([ineqs[i] for i in sub])
-        if w is None:
-            continue
-        for y in (w, tuple(-x for x in w)):
-            if all(_dot(row, y) >= 0 for row in ineqs):
-                v = primitivize(matvec(span, y))
-                if v not in rays:
-                    rays.append(v)
-    return Cone(n, rays)
+    _, rays = _facet_data(ineqs, len(span_cols))
+    return Cone(n, [matvec(span, y) for y in rays])
 
 
 def validate_fan(f: Fan) -> FanReport:
@@ -540,22 +533,25 @@ def star_subdivision(f: Fan, c: Cone) -> Fan:
 
 
 def primitive_collections(f: Fan) -> list[frozenset]:
-    """Minimal sets of ray indices not contained in any single cone, by
-    subset enumeration over the maximal cones."""
+    """Minimal sets of ray indices in no single cone (the minimal non-faces,
+    Batyrev 1991), built level by level as in Apriori: a face t (sorted
+    tuple) grows to u = t + (i,) for i > max(t), a face when some maximal
+    cone contains it, else a collection when every u - {j}, j in t, is a
+    face of t's level.  Each u arises once, from u - {max u}."""
     n = len(f.rays)
     maximal = f.maximal_cones
+    level = {(i,) for i in range(n)}
     collections: list[frozenset] = []
-
-    def in_some_cone(s):
-        return any(s <= m for m in maximal)
-
-    for size in range(2, n + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if in_some_cone(s) or any(c <= s for c in collections):
-                continue
-            if all(in_some_cone(s - {i}) for i in s):
-                collections.append(s)
+    while level:
+        grown = set()
+        for t in level:
+            for i in range(t[-1] + 1, n):
+                u = t + (i,)
+                if any(m.issuperset(u) for m in maximal):
+                    grown.add(u)
+                elif all(u[:j] + u[j + 1:] in level for j in range(len(t))):
+                    collections.append(frozenset(u))
+        level = grown
     return sorted(collections, key=sorted)
 
 
@@ -563,22 +559,22 @@ def _tiles(sigma: Cone, pieces: list[Cone]) -> bool:
     # Do the pieces (distinct subcones of sigma of its dimension, hence with
     # pairwise disjoint interiors) cover sigma?  Wall criterion: every facet
     # of a piece lies in a facet of sigma or is a facet of exactly two
-    # pieces.
+    # pieces.  A wall lies in sigma, so it lies in a facet of sigma exactly
+    # when that facet's inward normal vanishes on its rays.
     if sigma.is_zero:
         return bool(pieces)
     if not pieces:
         return False
-    sigma_facets = facets(sigma)
-    for t in pieces:
-        for wall in facets(t):
-            if wall.is_zero:
-                continue  # sigma has dimension 1; the origin is boundary
-            if any(fc.contains_cone(wall) for fc in sigma_facets):
-                continue
-            shared = sum(1 for t2 in pieces
-                         if frozenset(wall.rays) in t2.face_vector_sets())
-            if shared != 2:
-                return False
+    walls = Counter(frozenset(t.rays[i] for i in fs)
+                    for t in pieces for fs in t.facet_sets)
+    for wall, shared in walls.items():
+        if not wall:
+            continue  # sigma has dimension 1; the origin is boundary
+        if any(all(_dot(w, r) == 0 for r in wall)
+               for w in sigma.facet_normals):
+            continue
+        if shared != 2:
+            return False
     return True
 
 
@@ -700,10 +696,15 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
     n = f.ambient_rank
     m_basis = tuple(transpose(kernel_basis(tau.rays))) if tau.rays \
         else tuple(identity(n))
+    wall = frozenset(tau.rays)
     out = []
     for s in f.cones_of_dim(tau.dim + 1):
         sigma = f.cone(s)
-        if frozenset(tau.rays) not in sigma.face_vector_sets():
+        # dim sigma = dim tau + 1, so tau is a face of sigma exactly when it
+        # is a facet; its inward normal orients the generator below.
+        w = next((fn for fs, fn in zip(sigma.facet_sets, sigma.facet_normals)
+                  if frozenset(sigma.rays[i] for i in fs) == wall), None)
+        if w is None:
             continue
         # Generator of span(sigma)/span(tau): both span lattices are
         # saturated, so the quotient is Z and a preferred lift exists.
@@ -715,13 +716,6 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
         quot = cokernel(rel)
         assert quot.structure() == (1, ()), "span quotient is not Z"
         n_gen = matvec(sigma.span_basis, quot.lift_coords((1,)))
-        # Orient into sigma using the inward normal of tau as a facet.
-        w = None
-        for fs, fn in zip(sigma.facet_sets, sigma.facet_normals):
-            if frozenset(sigma.rays[i] for i in fs) == frozenset(tau.rays):
-                w = fn
-                break
-        assert w is not None, "tau is a face but not a facet"
         pairing = _dot(w, n_gen)
         assert pairing != 0
         if pairing < 0:

@@ -140,12 +140,12 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
     ops = _hnf(m, u=True)
-    return freeze(ops.a), freeze(ops.u)
+    return tuple(map(tuple, ops.a)), tuple(map(tuple, ops.u))
 
 
 def hnf_form(m) -> Matrix:
     """hnf(m)[0], without tracking the transform."""
-    return freeze(_hnf(m).a)
+    return tuple(map(tuple, _hnf(m).a))
 
 
 class _SnfState:
