@@ -19,8 +19,8 @@ in every report, not recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .cox import CoxData, cox
 from .fan import (
@@ -127,7 +127,6 @@ def _require_full_dim(sigma: Cone) -> None:
                          % (sigma.dim, sigma.ambient_rank))
 
 
-@dataclass(frozen=True)
 class ExceptionalStratum:
     """A full-dimensional cone's star subdivision, matched ray by ray with
     the fan of its exceptional stratum.
@@ -139,13 +138,16 @@ class ExceptionalStratum:
     subdivision_cox is the subdivision's Cox data, built on first read.
     """
 
-    subdivision: Fan
-    star_ray: Vector
-    star_index: int
-    quotient: StarQuotient
-    surviving: tuple[int, ...]
-    dst: dict
-    failure: str | None
+    def __init__(self, subdivision: Fan, star_ray: Vector, star_index: int,
+                 quotient: StarQuotient, surviving: tuple[int, ...],
+                 dst: dict, failure: str | None) -> None:
+        self.subdivision = subdivision
+        self.star_ray = star_ray
+        self.star_index = star_index
+        self.quotient = quotient
+        self.surviving = surviving
+        self.dst = dst
+        self.failure = failure
 
     @cached_property
     def subdivision_cox(self) -> CoxData:
@@ -176,8 +178,7 @@ def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
                               dst=dst, failure=failure)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Everything the exceptional comparison of one cone produced."""
 
     stratum: ExceptionalStratum
@@ -275,8 +276,7 @@ def exceptional_comparison(stratum: ExceptionalStratum,
                       verdicts=tuple(sorted(verdicts.items())))
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Outcome of the vanishing verification for one cone.
 
     verdicts has one (degree, bool) pair per degree 0..max_deg.  When the
@@ -333,8 +333,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
                            point_class=POINT_CLASS, conclusion=conclusion)
 
 
-@dataclass(frozen=True)
-class PreimageReport:
+class PreimageReport(NamedTuple):
     star_ray: Vector
     preimage: tuple  # ray tuples of the cones over the interior
     ok: bool

@@ -14,7 +14,7 @@ per-chart strongness question from the same weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fan import Fan, _integer, _integer_rows, primitive_collections
 from .intlinalg import (
@@ -38,8 +38,7 @@ class TorusFactorError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class CoxData:
+class CoxData(NamedTuple):
     """The quotient presentation attached to a fan.
 
     beta has one column per ray (the primitive generator).  char_group is
@@ -85,8 +84,7 @@ def cox(f: Fan) -> CoxData:
                    primitive_collections=primitive_collections(f))
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(NamedTuple):
     """Strongness verdict for one maximal-cone chart.
 
     invertible lists the rays not in the cone (their coordinates are units

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .intlinalg import (
     Matrix,
@@ -449,15 +449,13 @@ class Fan:
         return s in self.cones
 
 
-@dataclass(frozen=True)
-class FanViolation:
+class FanViolation(NamedTuple):
     first: tuple[int, ...]
     second: tuple[int, ...]
     reason: str
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     ok: bool
     violations: tuple[FanViolation, ...]
 
@@ -590,10 +588,13 @@ def is_refinement(f2: Fan, f1: Fan) -> bool:
             return False
     # Reverse inclusion of supports: each maximal cone of f1 must be tiled
     # by the equal-dimensional f2 cones it contains.
+    by_dim: dict = {}
+    for s in f2.cones:
+        tau = f2.cone(s)
+        by_dim.setdefault(tau.dim, []).append(tau)
     for sigma in f1_max:
-        pieces = [f2.cone(s) for s in f2.cones
-                  if f2.cone(s).dim == sigma.dim
-                  and sigma.contains_cone(f2.cone(s))]
+        pieces = [tau for tau in by_dim.get(sigma.dim, ())
+                  if sigma.contains_cone(tau)]
         if not _tiles(sigma, pieces):
             return False
     return True
@@ -631,8 +632,7 @@ def preimage_orbit_closure(f2: Fan, f1: Fan, c: Cone) -> list[Cone]:
     return sorted(minimal, key=lambda t: (t.dim, sorted(t.rays)))
 
 
-@dataclass(frozen=True)
-class StarQuotient:
+class StarQuotient(NamedTuple):
     """Projection of the star of a ray to the quotient lattice.
 
     `projection` has quotient-rank many rows and kills exactly the ray.
@@ -676,8 +676,7 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
                         pairs=tuple(pairs), dropped=tuple(dropped))
 
 
-@dataclass(frozen=True)
-class OrbitRelationDatum:
+class OrbitRelationDatum(NamedTuple):
     """Facet pair (tau inside sigma) with the data entering divisor-of-
     character relations: a basis of the characters vanishing on tau, and a
     lattice point of the span of sigma generating the rank-one quotient of

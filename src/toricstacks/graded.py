@@ -22,8 +22,8 @@ every normal form reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
                         matmul, normal_form_group, smith_basis, transpose)
@@ -31,8 +31,7 @@ from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(NamedTuple):
     """Generators of a graded ideal in Z[t_1..t_n].
 
     linear_gens rows are degree-1 forms; homogeneous_gens are (degree,
@@ -141,7 +140,6 @@ def _shifted_column(poly: Poly, shift, n_vars: int, degree: int) -> Vector:
     return tuple(col)
 
 
-@dataclass(frozen=True)
 class GradedPiece:
     """The degree-k component of a presentation's quotient.
 
@@ -151,9 +149,11 @@ class GradedPiece:
     monomial basis, carried back on first use and kept with the piece.
     """
 
-    presentation: GradedPresentation
-    degree: int
-    reduced: AbelianGroup
+    def __init__(self, presentation: GradedPresentation, degree: int,
+                 reduced: AbelianGroup) -> None:
+        self.presentation = presentation
+        self.degree = degree
+        self.reduced = reduced
 
     @property
     def n_vars(self) -> int:
@@ -276,8 +276,7 @@ def multiply(p: GradedPresentation, a, b) -> Poly:
     return _canonical_rep(p, da + db, coords)
 
 
-@dataclass(frozen=True)
-class RingMap:
+class RingMap(NamedTuple):
     """A substitution t_i -> linear form between two presentations."""
 
     source: GradedPresentation
@@ -369,8 +368,7 @@ def _sym_power(rm: RingMap, k: int) -> Matrix:
     return tuple(zip(*cols))
 
 
-@dataclass(frozen=True)
-class Certification:
+class Certification(NamedTuple):
     ok: bool
     witness: tuple | None  # (degree, source generator as sorted item tuple)
 

@@ -14,9 +14,9 @@ operations applied to the working matrix, so results do not depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -268,8 +268,7 @@ def snf_diagonal(m) -> Vector:
     return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """A finitely generated abelian group presented as a quotient of an
     ambient Z^n, in normal form.
 

@@ -16,8 +16,8 @@ no outside entry (elimination order; Cohen, GTM 138, 2.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
 from .cox import CoxData, cox
@@ -31,8 +31,7 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class GroupAlgebraPresentation:
+class GroupAlgebraPresentation(NamedTuple):
     """Group algebra of X(G) with one relation per primitive collection.
 
     generator_images[i] is the class of the i-th ray's character in X(G)
@@ -149,7 +148,6 @@ def _window_group(p: GroupAlgebraPresentation, box_radius: int,
     return window, rows, _quotient(rows, len(window))
 
 
-@dataclass(frozen=True)
 class BoxedQuotient:
     """Finite truncation of a group-algebra quotient.
 
@@ -161,14 +159,18 @@ class BoxedQuotient:
     windows compare equal.
     """
 
-    box_radius: int
-    monomials: tuple
-    relation_columns: tuple
-    window_radius: int
-    window_monomials: tuple
-    window_lattice: tuple
-    window_group: AbelianGroup
-    stabilized: bool
+    def __init__(self, box_radius: int, monomials: tuple,
+                 relation_columns: tuple, window_radius: int,
+                 window_monomials: tuple, window_lattice: tuple,
+                 window_group: AbelianGroup, stabilized: bool) -> None:
+        self.box_radius = box_radius
+        self.monomials = monomials
+        self.relation_columns = relation_columns
+        self.window_radius = window_radius
+        self.window_monomials = window_monomials
+        self.window_lattice = window_lattice
+        self.window_group = window_group
+        self.stabilized = stabilized
 
     @cached_property
     def group(self) -> AbelianGroup:
@@ -218,8 +220,7 @@ def _combine(group: AbelianGroup, images: tuple, amb: Vector) -> Vector:
                               for t in range(group.coord_rank)))
 
 
-@dataclass(frozen=True)
-class KComparison:
+class KComparison(NamedTuple):
     """Everything the boxed comparison of one cone produced."""
 
     stratum: ExceptionalStratum
@@ -298,8 +299,7 @@ def k_exceptional_comparison(stratum: ExceptionalStratum,
                        iso_on_window=stabilized and matched)
 
 
-@dataclass(frozen=True)
-class KVanishingReport:
+class KVanishingReport(NamedTuple):
     """Outcome of the window-level verification for one cone.
 
     conclusion is true only when the identification exists, both boxed

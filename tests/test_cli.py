@@ -230,7 +230,8 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     def broken(_fan):
         raise AssertionError("projection does not kill a relation")
 
-    monkeypatch.setattr("toricstacks.cli.cox", broken)
+    # The cox verb imports cox from its module when it runs.
+    monkeypatch.setattr("toricstacks.cox.cox", broken)
     assert run(["cox", SQUARE]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

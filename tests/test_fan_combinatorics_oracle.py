@@ -276,12 +276,14 @@ def test_primitive_collections_match_subset_enumeration():
 # -- is_refinement -------------------------------------------------------------
 
 def _refinement_pairs(rng):
-    """(finer?, coarser?) fan pairs: star subdivisions at random faces,
-    both ways round; fans with a maximal cone removed; and fans whose
-    pieces overlap."""
+    """(finer?, coarser?) fan pairs: each fan with itself (the corpus and
+    square cones keep their non-simplicial pieces there); star
+    subdivisions at random faces, both ways round; fans with a maximal
+    cone removed; and fans whose pieces overlap."""
     bases = SEEDED + [Fan(c.ambient_rank, [c]) for c in corpus_cones()] \
         + [square_fan()]
     for f in bases:
+        yield f, f
         faces = sorted((s for s in f.cones if s), key=sorted)
         for _ in range(2):
             c = f.cone(rng.choice(faces))

@@ -1,0 +1,153 @@
+"""What a CLI process loads, and the records it builds.
+
+Each verb imports the layers it runs when it runs, so a process loads only
+those modules.  Records are typing.NamedTuple classes (tuples, with their
+field order pinned here), except the three with a field filled on first
+read, which are plain classes; no package module imports dataclasses.
+"""
+
+import ast
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "toricstacks"
+SQUARE = json.loads((ROOT / "fixtures" / "sigma_square.json").read_text())
+
+BASE = {"toricstacks", "toricstacks.cli", "toricstacks.fan",
+        "toricstacks.intlinalg"}
+COX = BASE | {"toricstacks.cox"}
+CHOW = COX | {"toricstacks.graded", "toricstacks.chow"}
+K = CHOW | {"toricstacks.ktheory"}
+LOADED = {
+    "validate": BASE,
+    "subdivide": BASE,
+    "cox": COX,
+    "strongness": COX,
+    "chow-stack": CHOW,
+    "chow-groups": CHOW,
+    "verify-vanishing": CHOW,
+    "ktheory-stack": K,
+    "verify-k-vanishing": K,
+}
+
+# Run cli.run on argv, then print its exit code and the package modules
+# the process has loaded.
+PROBE = """
+import contextlib, io, json, sys
+from toricstacks import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "toricstacks")]))
+"""
+
+
+@pytest.mark.parametrize("verb", sorted(LOADED))
+def test_verb_loads_only_its_layers(verb, tmp_path):
+    # strongness needs a divisor ray, and free weights: X(G) of the square
+    # cone has torsion.  Its free weight block is (1, -1, 1, -1).
+    fan = dict(SQUARE, divisor_ray=0, weights=[[1, -1, 1, -1]])
+    path = tmp_path / "sigma_square.json"
+    path.write_text(json.dumps(fan))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", PROBE, verb, str(path)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert set(modules) == LOADED[verb]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
+
+
+# module -> record -> field order.
+RECORDS = {
+    "intlinalg": {
+        "AbelianGroup": ("ambient_rank", "free_rank", "torsion",
+                         "projection", "lift"),
+    },
+    "fan": {
+        "FanViolation": ("first", "second", "reason"),
+        "FanReport": ("ok", "violations"),
+        "StarQuotient": ("fan", "projection", "ray_index", "pairs",
+                         "dropped"),
+        "OrbitRelationDatum": ("tau_rays", "sigma_rays", "m_tau_basis",
+                               "n_gen"),
+    },
+    "cox": {
+        "CoxData": ("fan", "beta", "char_group", "weights", "kernel",
+                    "primitive_collections"),
+        "ChartReport": ("max_cone", "invertible", "in_span", "min_power"),
+    },
+    "graded": {
+        "GradedPresentation": ("n_vars", "linear_gens", "homogeneous_gens"),
+        "GradedPiece": ("presentation", "degree", "reduced"),
+        "RingMap": ("source", "target", "substitution"),
+        "Certification": ("ok", "witness"),
+    },
+    "chow": {
+        "ExceptionalStratum": ("subdivision", "star_ray", "star_index",
+                               "quotient", "surviving", "dst", "failure"),
+        "Comparison": ("stratum", "source", "target", "map", "extra_row",
+                       "verdicts"),
+        "VanishingReport": ("cone_rays", "star_ray", "max_deg",
+                            "identified", "failure", "extra_row",
+                            "verdicts", "pieces", "point_class",
+                            "conclusion"),
+        "PreimageReport": ("star_ray", "preimage", "ok"),
+    },
+    "ktheory": {
+        "GroupAlgebraPresentation": ("group", "generator_images",
+                                     "ideal_gens"),
+        "BoxedQuotient": ("box_radius", "monomials", "relation_columns",
+                          "window_radius", "window_monomials",
+                          "window_lattice", "window_group", "stabilized"),
+        "KComparison": ("stratum", "box_radius", "source", "target",
+                        "boxed_source", "boxed_target", "window_rank",
+                        "torsion", "stabilized", "matched",
+                        "iso_on_window"),
+        "KVanishingReport": ("cone_rays", "star_ray", "box_radius",
+                             "identified", "failure", "window_rank",
+                             "torsion", "stabilized", "matched",
+                             "conclusion"),
+    },
+}
+# Records with a field built on first read (a cached_property).
+LAZY = {"ExceptionalStratum": "subdivision_cox", "GradedPiece": "group",
+        "BoxedQuotient": "group"}
+
+
+@pytest.mark.parametrize("module, name, fields", [
+    (module, name, fields) for module, records in RECORDS.items()
+    for name, fields in records.items()])
+def test_record_fields(module, name, fields):
+    cls = getattr(importlib.import_module("toricstacks." + module), name)
+    if name in LAZY:
+        assert not issubclass(cls, tuple)
+        assert tuple(inspect.signature(cls).parameters) == fields
+        assert all(p.default is p.empty
+                   for p in inspect.signature(cls).parameters.values())
+        assert hasattr(cls, LAZY[name])
+    else:
+        assert issubclass(cls, tuple)
+        assert cls._fields == fields
+        assert cls._field_defaults == {}

@@ -1,10 +1,9 @@
-from dataclasses import replace
-
 import pytest
 
 from toricstacks.chow import chow_groups
 from toricstacks.chow import (
     ComparisonError,
+    ExceptionalStratum,
     exceptional_comparison,
     exceptional_stratum,
 )
@@ -246,7 +245,10 @@ def test_recorded_matching_failure_stops_both_comparisons():
     # No random cone reaches the matching failures, so inject one: both
     # comparisons must raise it verbatim before building any ring.
     reason = "rays [0] have no image ray in the quotient"
-    broken = replace(stratum, failure=reason)
+    broken = ExceptionalStratum(
+        subdivision=stratum.subdivision, star_ray=stratum.star_ray,
+        star_index=stratum.star_index, quotient=stratum.quotient,
+        surviving=stratum.surviving, dst=stratum.dst, failure=reason)
     for compare, arg in ((exceptional_comparison, 4),
                          (k_exceptional_comparison, 3)):
         with pytest.raises(ComparisonError) as info:

@@ -14,13 +14,11 @@ the failure paths instead:
 The random cones were drawn with random.Random(11) and random.Random(23):
 ambient rank 2 or 3, rank or rank + 1 generators with entries in -3..3,
 kept when strongly convex and full-dimensional.  Every report is the full
-astuple of verify_vanishing(cone, 3) and verify_k_vanishing(cone, 3),
+tuple of verify_vanishing(cone, 3) and verify_k_vanishing(cone, 3),
 pinned from an implementation in which each verifier built its own
 subdivision and ray matching, so a changed verdict, failure reason, star
 ray or graded piece shows here.
 """
-
-from dataclasses import astuple
 
 import pytest
 
@@ -206,7 +204,7 @@ NEGATIVE = [
 
 @pytest.mark.parametrize("rank, rays, chow, k", NEGATIVE)
 def test_chow_report_pinned(rank, rays, chow, k):
-    assert astuple(verify_vanishing(Cone(rank, rays), 3)) == chow
+    assert tuple(verify_vanishing(Cone(rank, rays), 3)) == chow
 
 
 @pytest.mark.parametrize("rank, rays, chow, k", NEGATIVE)
@@ -217,7 +215,7 @@ def test_k_report_pinned(rank, rays, chow, k):
             verify_k_vanishing(cone, 3)
         assert str(info.value) == k
     else:
-        assert astuple(verify_k_vanishing(cone, 3)) == k
+        assert tuple(verify_k_vanishing(cone, 3)) == k
 
 
 def test_corpus_is_negative():
