@@ -43,7 +43,7 @@ from .graded import (
     make_presentation,
     ring_map,
 )
-from .intlinalg import AbelianGroup, Vector, cokernel
+from .intlinalg import AbelianGroup, Vector, cokernel, from_columns
 
 POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
 
@@ -113,11 +113,7 @@ def chow_relation_data(f: Fan, k: int):
 def chow_groups(f: Fan, k: int) -> AbelianGroup:
     """The dimension-k cycle class group of the fan's variety."""
     gens, cols = chow_relation_data(f, k)
-    if cols:
-        matrix = tuple(zip(*cols))
-    else:
-        matrix = tuple(() for _ in gens)
-    return cokernel(matrix)
+    return cokernel(from_columns(cols, len(gens)))
 
 
 def _require_full_dim(sigma: Cone) -> None:

@@ -191,12 +191,8 @@ def _cmd_cox(ns):
 
 def _piece_json(p, max_deg):
     from .graded import graded_piece
-    out = []
-    for k in range(max_deg + 1):
-        g = graded_piece(p, k).reduced
-        out.append({"degree": k, "free_rank": g.free_rank,
-                    "torsion": list(g.torsion), "text": g.describe()})
-    return out
+    return [dict(_group_json(graded_piece(p, k).reduced), degree=k)
+            for k in range(max_deg + 1)]
 
 
 def _cmd_chow_stack(ns):
@@ -228,11 +224,7 @@ def _cmd_chow_groups(ns):
     from .chow import chow_groups
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
     ks = [ns.k] if ns.k is not None else list(range(f.ambient_rank + 1))
-    groups = []
-    for k in ks:
-        g = chow_groups(f, k)
-        groups.append({"k": k, "free_rank": g.free_rank,
-                       "torsion": list(g.torsion), "text": g.describe()})
+    groups = [dict(_group_json(chow_groups(f, k)), k=k) for k in ks]
     payload = {"groups": groups}
     if ns.k is not None:
         lines = [groups[0]["text"]]

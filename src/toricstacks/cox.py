@@ -23,9 +23,8 @@ from .intlinalg import (
     Vector,
     cokernel,
     freeze,
+    from_columns,
     hnf_form,
-    rank,
-    transpose,
 )
 
 
@@ -63,20 +62,20 @@ def cox(f: Fan) -> CoxData:
     """
     n = f.ambient_rank
     rays = freeze(f.rays)
-    ray_rank = rank(rays)
-    if ray_rank != n:
+    beta = from_columns(rays, n)
+    # The nonzero HNF rows of beta span its row lattice, so they count the
+    # rays' rank.
+    kernel = tuple(row for row in hnf_form(beta) if any(row))
+    if len(kernel) != n:
         raise TorusFactorError(
             "rays span a rank-%d sublattice of Z^%d; the fan has a torus "
             "factor, which this construction does not support"
-            % (ray_rank, n))
-    beta = transpose(rays) if rays else tuple(() for _ in range(n))
+            % (len(kernel), n))
     group = cokernel(rays)
     r = len(rays)
     weights = tuple(
         group.project(tuple(1 if j == i else 0 for j in range(r)))
         for i in range(r))
-    h = hnf_form(beta)
-    kernel = tuple(row for row in h if any(row))
     for row in kernel:
         assert not any(group.project(row)), "kernel row has nonzero class"
     return CoxData(fan=f, beta=beta, char_group=group, weights=weights,

@@ -36,6 +36,7 @@ from .intlinalg import (
     Vector,
     adjugate,
     cokernel,
+    from_columns,
     identity,
     kernel_basis,
     kernel_generator,
@@ -98,7 +99,7 @@ class Cone:
         if not gens:
             self.rays = ()
             self.dim = 0
-            self.span_basis = tuple(() for _ in range(n))
+            self.span_basis = from_columns((), n)
             self.perp_rows = identity(n)
             self.ray_coords = ()
             self.facet_sets = ()
@@ -578,23 +579,22 @@ def _tiles(sigma: Cone, pieces: list[Cone]) -> bool:
 
 def is_refinement(f2: Fan, f1: Fan) -> bool:
     """True iff every cone of f2 lies in a cone of f1 and the supports
-    coincide."""
+    coincide.  f1 must be a fan."""
     if f2.ambient_rank != f1.ambient_rank:
         return False
     f1_max = [f1.cone(s) for s in f1.maximal_cones]
-    for s in f2.maximal_cones:
-        tau = f2.cone(s)
-        if not any(big.contains_cone(tau) for big in f1_max):
-            return False
-    # Reverse inclusion of supports: each maximal cone of f1 must be tiled
-    # by the equal-dimensional f2 cones it contains.
-    by_dim: dict = {}
-    for s in f2.cones:
-        tau = f2.cone(s)
-        by_dim.setdefault(tau.dim, []).append(tau)
+    f2_max = [f2.cone(s) for s in f2.maximal_cones]
+    if not all(any(big.contains_cone(tau) for big in f1_max)
+               for tau in f2_max):
+        return False
+    # Reverse inclusion of supports: each maximal cone sigma of f1 must be
+    # tiled by the f2 cones of its dimension it contains.  Such a piece lies
+    # in a maximal f2 cone, which lies in a maximal f1 cone meeting sigma in
+    # a face of full dimension, i.e. in sigma itself; so the piece is that
+    # maximal f2 cone.
     for sigma in f1_max:
-        pieces = [tau for tau in by_dim.get(sigma.dim, ())
-                  if sigma.contains_cone(tau)]
+        pieces = [tau for tau in f2_max
+                  if tau.dim == sigma.dim and sigma.contains_cone(tau)]
         if not _tiles(sigma, pieces):
             return False
     return True
@@ -689,12 +689,10 @@ class OrbitRelationDatum(NamedTuple):
 
 def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
     """For every fan cone sigma having tau as a facet: the characters
-    conormal to tau and the oriented generator transverse to tau in sigma."""
+    conormal to tau (m_tau_basis, tau's stored perp lattice tau.perp_rows)
+    and the oriented generator transverse to tau in sigma."""
     if not f.has_cone(tau):
         raise GeometryError("cone is not a cone of the fan")
-    n = f.ambient_rank
-    m_basis = tuple(transpose(kernel_basis(tau.rays))) if tau.rays \
-        else tuple(identity(n))
     wall = frozenset(tau.rays)
     out = []
     for s in f.cones_of_dim(tau.dim + 1):
@@ -710,9 +708,7 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
         coord_cols = solve_many_in_span(sigma.span_basis,
                                         transpose(tau.span_basis))
         assert None not in coord_cols
-        rel = transpose(coord_cols) if coord_cols \
-            else tuple(() for _ in range(sigma.dim))
-        quot = cokernel(rel)
+        quot = cokernel(from_columns(coord_cols, sigma.dim))
         assert quot.structure() == (1, ()), "span quotient is not Z"
         n_gen = matvec(sigma.span_basis, quot.lift_coords((1,)))
         pairing = _dot(w, n_gen)
@@ -721,5 +717,5 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
             n_gen = tuple(-x for x in n_gen)
         out.append(OrbitRelationDatum(
             tau_rays=tau.rays, sigma_rays=sigma.rays,
-            m_tau_basis=m_basis, n_gen=n_gen))
+            m_tau_basis=tau.perp_rows, n_gen=n_gen))
     return out

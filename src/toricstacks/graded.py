@@ -26,7 +26,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
-                        matmul, normal_form_group, smith_basis, transpose)
+                        from_columns, matmul, normal_form_group, smith_basis,
+                        transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -203,9 +204,7 @@ def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
         gen = dict(items)
         for m in monomials(p.n_vars, k - degree):
             columns.append(_shifted_column(gen, m, p.n_vars, k))
-    if columns:
-        return tuple(zip(*columns))
-    return tuple(() for _ in monomials(p.n_vars, k))
+    return from_columns(columns, len(monomials(p.n_vars, k)))
 
 
 @lru_cache(maxsize=None)
@@ -336,9 +335,7 @@ def _reduction(p: GradedPresentation) -> tuple:
     t_j -> sum_i rows[i][j] s_i, and psi maps it back by
     s_i -> sum_j cols[i][j] t_j; phi o psi is the identity.
     """
-    torsion, rows, cols = smith_basis(transpose(p.linear_gens)
-                                      if p.linear_gens else
-                                      tuple(() for _ in range(p.n_vars)))
+    torsion, rows, cols = smith_basis(from_columns(p.linear_gens, p.n_vars))
     n = len(rows)
     lin = [tuple(d if j == i else 0 for j in range(n))
            for i, d in enumerate(torsion)]
@@ -363,9 +360,7 @@ def _sym_power(rm: RingMap, k: int) -> Matrix:
         for expt, coeff in _substitute(rm, {m: 1}).items():
             col[index[expt]] = coeff
         cols.append(col)
-    if not cols:
-        return tuple(() for _ in index)
-    return tuple(zip(*cols))
+    return from_columns(cols, len(index))
 
 
 class Certification(NamedTuple):
@@ -404,9 +399,7 @@ def induced_map(rm: RingMap, k: int) -> Matrix:
         rep = _canonical_rep(rm.source, k, unit)
         image = _substitute(rm, rep)
         cols.append(tgt.coords(image))
-    if not cols:
-        return tuple(() for _ in range(tgt.group.coord_rank))
-    return tuple(zip(*cols))
+    return from_columns(cols, tgt.group.coord_rank)
 
 
 def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:

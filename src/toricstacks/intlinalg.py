@@ -5,7 +5,8 @@ Everything runs on plain Python ints, so there is no overflow and no floating
 point anywhere.  Matrices are sequences of equal-length integer rows; public
 functions return tuples of tuples.  Normal forms are canonical (positive
 pivots, entries above a pivot reduced into [0, pivot)), which lets callers
-compare lattices by comparing matrices.
+compare lattices by comparing matrices.  A matrix with no columns still
+has its rows: it is n_rows empty rows, and from_columns builds it.
 
 Each elimination tracks only the unimodular transforms its caller reads
 (hnf_form, snf_diagonal and rank track none).  Tracking never changes the
@@ -32,6 +33,12 @@ def identity(n: int) -> Matrix:
 
 def transpose(m) -> Matrix:
     return tuple(zip(*[tuple(r) for r in m])) if m else ()
+
+
+def from_columns(cols, n_rows: int) -> Matrix:
+    """The matrix whose columns are cols; n_rows empty rows if there are
+    none."""
+    return tuple(zip(*cols)) if cols else ((),) * n_rows
 
 
 def matmul(a, b) -> Matrix:
@@ -330,7 +337,7 @@ class AbelianGroup(NamedTuple):
         cols = [tuple(c) for c in cols] + [
             tuple(d if j == i else 0 for j in range(n))
             for i, d in enumerate(self.torsion)]
-        return tuple(zip(*cols)) if cols else tuple(() for _ in range(n))
+        return from_columns(cols, n)
 
     def generated_by(self, cols) -> bool:
         """Do the elements with coordinates cols generate the group?"""
@@ -366,9 +373,7 @@ def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
     """
     nr = len(m)
     col_canon = hnf_form(transpose(m))
-    m = transpose([row for row in col_canon if any(row)])
-    if not m:
-        m = tuple(() for _ in range(nr))
+    m = from_columns([row for row in col_canon if any(row)], nr)
     st = _snf(m, u=True, u_inv=True)
     nc = len(m[0]) if m else 0
     diag = [st.a[i][i] if i < nc else 0 for i in range(nr)]
@@ -397,12 +402,10 @@ def normal_form_group(ambient_rank: int, torsion, rows,
         free_rows = canon.a
         free_lift = list(transpose(matmul(transpose(free_lift),
                                           canon.u_inv)))
-    lift_cols = tor_lift + free_lift
-    lift = transpose(lift_cols) if lift_cols \
-        else tuple(() for _ in range(ambient_rank))
     return AbelianGroup(ambient_rank=ambient_rank,
                         free_rank=len(free_rows), torsion=torsion,
-                        projection=freeze(tor_rows + free_rows), lift=lift)
+                        projection=freeze(tor_rows + free_rows),
+                        lift=from_columns(tor_lift + free_lift, ambient_rank))
 
 
 def cokernel(m) -> AbelianGroup:
@@ -431,10 +434,7 @@ def kernel_basis(m) -> Matrix:
     nc = len(m[0]) if m else 0
     h, u = hnf(transpose(m))
     rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not rows:
-        return tuple(() for _ in range(nc))
-    canon = hnf_form(rows)
-    return transpose([r for r in canon if any(r)])
+    return from_columns([r for r in hnf_form(rows) if any(r)], nc)
 
 
 def rank(m) -> int:

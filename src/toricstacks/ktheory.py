@@ -26,6 +26,7 @@ from .intlinalg import (
     AbelianGroup,
     Vector,
     cokernel,
+    from_columns,
     hnf_form,
     solve_in_span,
 )
@@ -136,16 +137,10 @@ def window_lattice(p: GroupAlgebraPresentation, box_radius: int,
     return tuple(m for m, w in zip(box, inside) if w), rows
 
 
-def _quotient(columns: tuple, n_rows: int) -> AbelianGroup:
-    """The quotient of Z^n_rows by the span of columns."""
-    return cokernel(tuple(zip(*columns)) if columns
-                    else tuple(() for _ in range(n_rows)))
-
-
 def _window_group(p: GroupAlgebraPresentation, box_radius: int,
                   window_radius: int):
     window, rows = window_lattice(p, box_radius, window_radius)
-    return window, rows, _quotient(rows, len(window))
+    return window, rows, cokernel(from_columns(rows, len(window)))
 
 
 class BoxedQuotient:
@@ -174,7 +169,8 @@ class BoxedQuotient:
 
     @cached_property
     def group(self) -> AbelianGroup:
-        return _quotient(self.relation_columns, len(self.monomials))
+        return cokernel(from_columns(self.relation_columns,
+                                     len(self.monomials)))
 
     def contains(self, element: dict) -> bool:
         """Is a formal combination (coords -> coeff) in the boxed relation
@@ -187,9 +183,7 @@ class BoxedQuotient:
                 raise ValueError("term %s falls outside the box"
                                  % (list(coords),))
             vec[index[coords]] += coeff
-        if not self.relation_columns:
-            return not any(vec)
-        matrix = tuple(zip(*self.relation_columns))
+        matrix = from_columns(self.relation_columns, len(self.monomials))
         return solve_in_span(matrix, tuple(vec)) is not None
 
 

@@ -110,6 +110,21 @@ def test_torus_factor_rejected():
         cox(g)
 
 
+def test_torus_factor_message_names_the_ray_rank():
+    coplanar = Fan.from_data(3, [[1, 0, 0], [0, 1, 0], [-1, -1, 0]],
+                             [[0, 1], [1, 2], [0, 2]])
+    with pytest.raises(TorusFactorError,
+                       match="rank-2 sublattice of Z\\^3"):
+        cox(coplanar)
+    with pytest.raises(TorusFactorError,
+                       match="rank-0 sublattice of Z\\^2"):
+        cox(Fan.from_data(2, [], [[]]))
+    # A rank-0 fan (a point) has no torus factor.
+    cd = cox(Fan.from_data(0, [], [[]]))
+    assert cd.beta == () and cd.kernel == () and cd.weights == ()
+    assert cd.char_group.is_trivial
+
+
 STRONG_RAYS = [[1, 0, 1], [1, 1, 1], [-1, 0, 1], [0, -1, 1], [1, 0, 4]]
 STRONG_CONES = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]
 STRONG_WEIGHTS = [[3, -2, 1, -2, 0], [2, -3, 0, -3, 1]]

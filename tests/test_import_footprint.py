@@ -4,6 +4,7 @@ Each verb imports the layers it runs when it runs, so a process loads only
 those modules.  Records are typing.NamedTuple classes (tuples, with their
 field order pinned here), except the three with a field filled on first
 read, which are plain classes; no package module imports dataclasses.
+Only intlinalg builds a matrix with no columns (from_columns).
 """
 
 import ast
@@ -77,6 +78,13 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in names, path.name
+
+
+def test_only_intlinalg_builds_empty_matrices():
+    # A matrix with no columns is built by intlinalg.from_columns alone.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "intlinalg.py":
+            assert "tuple(() for" not in path.read_text(), path.name
 
 
 # module -> record -> field order.

@@ -6,6 +6,7 @@ from itertools import combinations
 from toricstacks.intlinalg import (
     AbelianGroup,
     cokernel,
+    from_columns,
     hnf,
     identity,
     kernel_basis,
@@ -199,6 +200,14 @@ def test_cokernel_projection_lift_roundtrip():
         for i in range(k):
             e = tuple(int(j == i) for j in range(k))
             assert g.reduce(matvec(g.projection, g.lift_coords(e))) == g.reduce(e)
+
+
+def test_from_columns():
+    assert from_columns([], 3) == ((), (), ())
+    assert from_columns((), 0) == ()
+    cols = [(1, 2, 3), (4, 5, 6)]
+    assert from_columns(cols, 3) == transpose(cols) == ((1, 4), (2, 5), (3, 6))
+    assert cokernel(from_columns([], 3)).structure() == (3, ())
 
 
 def test_kernel_basis_frozen():
