@@ -280,7 +280,10 @@ class VanishingReport(NamedTuple):
     every degree, not only up to max_deg; otherwise each is the degree's
     own check.  pieces lists (degree, free_rank, torsion) of the
     subdivided stack's graded components up to max_deg; degrees above
-    max_deg are unchecked.  point_class records the assumed degree-0 group
+    max_deg are unchecked.  The ring is generated in degree 1, so
+    A^K = 0 forces A^k = A^1 * A^(k-1) = 0 for every k >= K: once a
+    piece of degree K >= 1 is 0, the later pieces are recorded as 0
+    without being computed.  point_class records the assumed degree-0 group
     of the zero-dimensional stratum.  conclusion is True only when the
     identification was built, every degree 1..max_deg compares
     isomorphically, and every checked piece is torsion-free.
@@ -314,6 +317,11 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
 
     pieces = []
     for k in range(max_deg + 1):
+        if k >= 2 and pieces[-1][1:] == (0, ()):
+            # Every variable of a GradedPresentation has degree 1, so the
+            # ring is generated in degree 1: A^k = A^1 * A^(k-1) = 0.
+            pieces.append((k, 0, ()))
+            continue
         group = graded_piece(source, k).reduced
         pieces.append((k, group.free_rank, group.torsion))
 

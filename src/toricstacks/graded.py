@@ -181,8 +181,8 @@ class GradedPiece:
     def coords(self, element) -> Vector:
         """Normal-form coordinates of a homogeneous element of this degree."""
         poly = _normalize_poly(element, self.n_vars)
-        vec = [0] * len(self.monomial_basis)
-        index = {m: i for i, m in enumerate(self.monomial_basis)}
+        index = _monomial_index(self.n_vars, self.degree)
+        vec = [0] * len(index)
         for expt, coeff in poly.items():
             if expt not in index:
                 raise ValueError("element has degree-%s term %r, piece has "

@@ -11,10 +11,17 @@ has its rows: it is n_rows empty rows, and from_columns builds it.
 Each elimination tracks only the unimodular transforms its caller reads
 (hnf_form, snf_diagonal and rank track none).  Tracking never changes the
 operations applied to the working matrix, so results do not depend on it.
+
+The lattice kernels are memoised for the life of the process, in
+module-level functools caches: smith_basis's Smith stage on the canonical
+columns (so two presenting matrices of one lattice share it) and
+cokernel's group on its frozen input.  Every cached result is an
+immutable tuple, so callers share it safely.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -369,13 +376,21 @@ def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
     first, their factors listed in torsion; then the free ones, factor 0),
     and cols are the matching columns of u^-1, so rows * cols = 1.  Depends
     only on the column lattice, not on the presenting matrix: the columns
-    are HNF-canonicalized first.
+    are HNF-canonicalized first, and the Smith stage is memoised on the
+    canonical columns.
     """
-    nr = len(m)
     col_canon = hnf_form(transpose(m))
-    m = from_columns([row for row in col_canon if any(row)], nr)
+    return _lattice_smith_basis(len(m),
+                                tuple(row for row in col_canon if any(row)))
+
+
+@lru_cache(maxsize=None)
+def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
+        -> tuple[Vector, Matrix, Matrix]:
+    """smith_basis of the lattice in Z^nr spanned by canon_cols."""
+    m = from_columns(canon_cols, nr)
     st = _snf(m, u=True, u_inv=True)
-    nc = len(m[0]) if m else 0
+    nc = len(canon_cols)
     diag = [st.a[i][i] if i < nc else 0 for i in range(nr)]
     # The invariant factors run 1, ..., 1, torsion, 0, ..., 0.
     keep = [i for i in range(nr) if diag[i] != 1]
@@ -414,14 +429,20 @@ def cokernel(m) -> AbelianGroup:
     Depends only on the column lattice, not on the presenting matrix: the
     columns are HNF-canonicalized first, and the free block of the projection
     is HNF-canonicalized too, so equal quotients of the same ambient space
-    get identical projections and lifts.
+    get identical projections and lifts.  The group is memoised on the
+    frozen matrix; the check that every relation dies runs on each call.
     """
     m = freeze(m)
-    group = normal_form_group(len(m), *smith_basis(m))
+    group = _cokernel_group(m)
     # Relations must die in the quotient.
     for col in transpose(m):
         assert not any(group.project(col)), "projection does not kill a relation"
     return group
+
+
+@lru_cache(maxsize=None)
+def _cokernel_group(m: Matrix) -> AbelianGroup:
+    return normal_form_group(len(m), *smith_basis(m))
 
 
 def kernel_basis(m) -> Matrix:

@@ -146,26 +146,35 @@ def _window_group(p: GroupAlgebraPresentation, box_radius: int,
 class BoxedQuotient:
     """Finite truncation of a group-algebra quotient.
 
-    group is the full box's quotient (built on first read); window_group the
-    quotient of the inner window [-B+1, B-1] by the lattice the box certifies.
+    monomials, relation_columns and group (the full box's quotient) are
+    built on first read; window_group is the quotient of the inner window
+    [-B+1, B-1] by the lattice the box certifies.
     stabilized means the inner-window structure agrees with the one the
     next radius certifies (window scales with the box: radius B certifies
     window B-1).  The window lattice rows are canonical (HNF), so equal
     windows compare equal.
     """
 
-    def __init__(self, box_radius: int, monomials: tuple,
-                 relation_columns: tuple, window_radius: int,
+    def __init__(self, presentation: GroupAlgebraPresentation,
+                 box_radius: int, window_radius: int,
                  window_monomials: tuple, window_lattice: tuple,
                  window_group: AbelianGroup, stabilized: bool) -> None:
+        self.presentation = presentation
         self.box_radius = box_radius
-        self.monomials = monomials
-        self.relation_columns = relation_columns
         self.window_radius = window_radius
         self.window_monomials = window_monomials
         self.window_lattice = window_lattice
         self.window_group = window_group
         self.stabilized = stabilized
+
+    @cached_property
+    def monomials(self) -> tuple:
+        return _box_monomials(self.presentation.group, self.box_radius)
+
+    @cached_property
+    def relation_columns(self) -> tuple:
+        return _relation_columns(self.presentation, self.box_radius,
+                                 self.monomials)
 
     @cached_property
     def group(self) -> AbelianGroup:
@@ -193,15 +202,11 @@ def boxed_quotient(p: GroupAlgebraPresentation, box_radius: int) \
     generator shift staying inside the box."""
     if box_radius < 1:
         raise ValueError("box radius must be at least 1")
-    group = p.group
-    box = _box_monomials(group, box_radius)
-    columns = _relation_columns(p, box_radius, box)
     window_radius = box_radius - 1
     window, rows, wgroup = _window_group(p, box_radius, window_radius)
     stabilized = wgroup.structure() == _window_group(
         p, box_radius + 1, window_radius + 1)[2].structure()
-    return BoxedQuotient(box_radius=box_radius, monomials=box,
-                         relation_columns=columns,
+    return BoxedQuotient(presentation=p, box_radius=box_radius,
                          window_radius=window_radius,
                          window_monomials=window,
                          window_lattice=rows,
