@@ -12,14 +12,18 @@ hyperplanes over the (d-1)-subsets of rays, adequate at this library's
 scale (rank <= 6, around a dozen rays); each normal is the primitive
 vector of the subset's signed maximal minors (intlinalg.kernel_generator).
 
-A cone's geometry is computed once, when it is built: span and perp
-lattices, ray coordinates and facet normals.  All ray coordinates are
-solved against one HNF of the span, and all normal lifts against one HNF
-of its transpose; a full-dimensional cone needs neither, since its span is
-the identity.  A simplicial cone skips the strong-convexity and
-extremality rank checks, which d independent rays always pass.
-Operations that need a cone's facets read them from that data and build
-no cone per facet.
+A cone's span and perp lattices and ray coordinates are computed when it
+is built.  All ray coordinates are solved against one HNF of the span, and
+all normal lifts against one HNF of its transpose; a full-dimensional cone
+needs neither, since its span is the identity.  n rays in rank n are
+checked independent by one determinant, and their adjugate facets are
+built on first read: a verdict that never reads a subdivision cone's
+facets never builds them.  Other cones build their facets at once, since
+extremality needs them.  A simplicial cone skips the strong-convexity and
+extremality rank checks, which d independent rays always pass.  A fan's
+face lattice (Fan.cones) is likewise built on first read.  Operations
+that need a cone's facets read them from that data and build no cone per
+facet.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .intlinalg import (
     Vector,
     adjugate,
     cokernel,
+    det,
     from_columns,
     identity,
     kernel_basis,
@@ -73,17 +78,19 @@ class Cone:
     extreme rays (deduplicated, input order).
 
     Precomputed at construction: span_basis (a basis of the saturated span
-    lattice, as columns), perp_rows (a basis of its annihilator), ray_coords
-    (each ray in span_basis coordinates), facet_sets (the local ray indices
-    of each facet) and facet_normals (each facet's inward normal, lifted to
-    the ambient lattice; on the cone it vanishes exactly on the facet).
-    The ray coordinates come from one HNF of the span, the normal lifts
-    from one HNF of its transpose; both are the identity map when the cone
-    is full-dimensional.  Facet normals come from one adjugate for n
-    independent rays in rank n, otherwise from the (d-1)-subsets of rays."""
+    lattice, as columns), perp_rows (a basis of its annihilator) and
+    ray_coords (each ray in span_basis coordinates).  facet_sets (the local
+    ray indices of each facet) and facet_normals (each facet's inward
+    normal, lifted to the ambient lattice; on the cone it vanishes exactly
+    on the facet) are read-only.  The ray coordinates come from one HNF of
+    the span, the normal lifts from one HNF of its transpose; both are the
+    identity map when the cone is full-dimensional.  n rays in rank n with
+    a nonzero determinant build their facets from one adjugate on first
+    read; every other cone builds them at construction, from the
+    (d-1)-subsets of rays."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
-                 "ray_coords", "facet_sets", "facet_normals", "_faces")
+                 "ray_coords", "_facets", "_faces")
 
     def __init__(self, ambient_rank: int, generators):
         self.ambient_rank = n = int(ambient_rank)
@@ -102,17 +109,26 @@ class Cone:
             self.span_basis = from_columns((), n)
             self.perp_rows = identity(n)
             self.ray_coords = ()
-            self.facet_sets = ()
-            self.facet_normals = ()
+            self._facets = ((), ())
             self._faces = (frozenset(),)
+            return
+        self._faces = None
+
+        # n independent rays in rank n span a full-dimensional cone: the
+        # identity is its span, so its rays are their own coordinates, and
+        # its facets come from an adjugate when first read.
+        if len(gens) == n and det(gens):
+            self.rays = self.ray_coords = tuple(gens)
+            self.dim = n
+            self.span_basis = identity(n)
+            self.perp_rows = ()
+            self._facets = None
             return
 
         # Saturated span lattice: perp of the rays, then perp of the perp.
         # A full-dimensional cone has the identity as its span, so its rays
-        # are their own coordinates and its normals their own lifts; n
-        # independent rays are such a cone, with facets from an adjugate.
-        found = len(gens) == n and _simplicial_facets(gens)
-        perp_rows = () if found else transpose(kernel_basis(gens))
+        # are their own coordinates and its normals their own lifts.
+        perp_rows = transpose(kernel_basis(gens))
         if perp_rows:
             span = kernel_basis(perp_rows)
             coords = list(solve_many_in_span(span, gens))
@@ -121,7 +137,7 @@ class Cone:
             span, coords = identity(n), gens
         d = len(span[0])
 
-        facet_sets, span_normals = found or _facet_data(coords, d)
+        facet_sets, span_normals = _facet_data(coords, d)
         if perp_rows:
             # The span basis is saturated, so its transpose is surjective
             # and every span functional lifts to the ambient lattice.
@@ -161,9 +177,20 @@ class Cone:
         self.span_basis = span
         self.perp_rows = perp_rows
         self.ray_coords = tuple(coords)
-        self.facet_sets = facet_sets
-        self.facet_normals = facet_normals
-        self._faces = None
+        self._facets = (facet_sets, facet_normals)
+
+    def _facet_pair(self):
+        if self._facets is None:
+            self._facets = _simplicial_facets(self.rays)
+        return self._facets
+
+    @property
+    def facet_sets(self) -> tuple[frozenset, ...]:
+        return self._facet_pair()[0]
+
+    @property
+    def facet_normals(self) -> tuple[Vector, ...]:
+        return self._facet_pair()[1]
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -259,13 +286,12 @@ def _facet_data(coords, d):
 
 
 def _simplicial_facets(coords):
-    """_facet_data of d rays in rank d, or None when they are dependent:
-    column i of their adjugate pairs to det with ray i and to 0 with the
-    rest, so sign(det) times it, made primitive, is facet i's normal."""
-    det, adj = adjugate(coords)
-    if not det:
-        return None
-    sign, d = (1 if det > 0 else -1), len(coords)
+    """_facet_data of d independent rays in rank d: column i of their
+    adjugate pairs to det with ray i and to 0 with the rest, so sign(det)
+    times it, made primitive, is facet i's normal."""
+    volume, adj = adjugate(coords)
+    assert volume, "rays are dependent"
+    sign, d = (1 if volume > 0 else -1), len(coords)
     cols = transpose(adj)
     # Sorted by ray set, the facet without ray d-1 comes first.
     order = range(d - 1, -1, -1)
@@ -341,10 +367,11 @@ def _integer_rows(x, what: str, row: str) -> list[Vector]:
 
 class Fan:
     """A fan: rays in first-seen order plus all cones as frozensets of ray
-    indices, closed under faces.  Construction does not check the
-    intersection axiom; validate_fan does."""
+    indices, closed under faces.  The rays and maximal cones are set at
+    construction; the face lattice (cones) is built on first read.
+    Construction does not check the intersection axiom; validate_fan does."""
 
-    __slots__ = ("ambient_rank", "rays", "maximal_cones", "cones", "_cache")
+    __slots__ = ("ambient_rank", "rays", "maximal_cones", "_cones", "_cache")
 
     def __init__(self, ambient_rank: int, maximal, ray_hint=()):
         self.ambient_rank = n = int(ambient_rank)
@@ -373,14 +400,22 @@ class Fan:
             if s not in dedup and not any(s < t for t in sets):
                 dedup.append(s)
         self.maximal_cones = tuple(dedup) if dedup else (frozenset(),)
+        self._cones = None
 
-        all_cones = set()
-        for s in self.maximal_cones:
-            c = self.cone(s)
-            to_fan = [index[r] for r in c.rays]
-            for face in c.face_ray_sets():
-                all_cones.add(frozenset(to_fan[i] for i in face))
-        self.cones = frozenset(all_cones)
+    @property
+    def cones(self) -> frozenset:
+        """Every cone as a frozenset of ray indices: the faces of the
+        maximal cones."""
+        if self._cones is None:
+            index = {r: i for i, r in enumerate(self.rays)}
+            all_cones = set()
+            for s in self.maximal_cones:
+                c = self.cone(s)
+                to_fan = [index[r] for r in c.rays]
+                for face in c.face_ray_sets():
+                    all_cones.add(frozenset(to_fan[i] for i in face))
+            self._cones = frozenset(all_cones)
+        return self._cones
 
     @classmethod
     def from_data(cls, rank: int, rays, max_cones) -> "Fan":

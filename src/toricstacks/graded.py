@@ -375,17 +375,37 @@ def certify_well_defined(rm: RingMap) -> Certification:
     Generator images pin down the whole map (relation lattices are spanned
     by generator multiples and substitution is a ring map), so every
     generator is checked outright, with no degree bound.
+
+    The linear generators are checked together: one matrix product
+    linear_gens * substitution * phi carries each of them to the target's
+    reduced variables (phi of _reduction(target)), where a degree-1 element
+    is its own coordinate vector, and each row must project to zero in the
+    reduced degree-1 piece.  This is in_relations row by row, without
+    polynomials.  The homogeneous generators go through _substitute and
+    in_relations.  The witness is the first generator that fails, linear
+    generators first, as (degree, generator as sorted item tuple).
     """
-    n = rm.source.n_vars
-    gens = [(1, {tuple(1 if j == i else 0 for j in range(n)): c
-                 for i, c in enumerate(row) if c})
-            for row in rm.source.linear_gens]
-    gens += [(d, dict(items)) for d, items in rm.source.homogeneous_gens]
-    for degree, gen in gens:
+    lin = rm.source.linear_gens
+    if lin:
+        phi = _reduction(rm.target)[0].substitution
+        reduced = graded_piece(rm.target, 1).reduced
+        n = rm.source.n_vars
+        for row, image in zip(lin, matmul(matmul(lin, rm.substitution), phi)):
+            if any(reduced.project(image)):
+                return _failure(1, {tuple(1 if j == i else 0
+                                          for j in range(n)): c
+                                    for i, c in enumerate(row) if c})
+    for degree, items in rm.source.homogeneous_gens:
+        gen = dict(items)
         if not in_relations(rm.target, degree, _substitute(rm, gen)):
-            witness = (degree, tuple(sorted(gen.items(), reverse=True)))
-            return Certification(ok=False, witness=witness)
+            return _failure(degree, gen)
     return Certification(ok=True, witness=None)
+
+
+def _failure(degree: int, gen: Poly) -> Certification:
+    return Certification(ok=False,
+                         witness=(degree, tuple(sorted(gen.items(),
+                                                       reverse=True))))
 
 
 def induced_map(rm: RingMap, k: int) -> Matrix:
