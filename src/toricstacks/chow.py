@@ -5,11 +5,15 @@ Three layers: graded presentations of the quotient rings attached to a fan
 from divisor-of-character relations (chow_groups), and the end-to-end
 comparison that star-subdivides a full-dimensional cone, projects onto the
 exceptional stratum, and decides whether the induced ring map is an
-isomorphism with torsion-free pieces (verify_vanishing).  The comparison is
-an all-degree certificate when the map has a certified inverse, and a
-per-degree check up to max_deg otherwise.  The subdivision and the ray
-matching with the stratum (exceptional_stratum) are shared with the
-K-theory verifier in ktheory.
+isomorphism with torsion-free pieces (verify_vanishing).  The subdivision
+and the ray matching with the stratum (exceptional_stratum) are shared with
+the K-theory verifier in ktheory.
+
+No inverse map or induced matrix is needed: the ray matching is a
+bijection, so the certified map hits every generator of a ring generated in
+degree 1 and is onto in every degree, and an onto map between finitely
+generated abelian groups of equal structure is an isomorphism (they are
+Hopfian).  Degree k is an isomorphism iff its two pieces' structures agree.
 
 The verification covers the two computable legs the reduction needs: the
 ring comparison and the per-degree torsion report.  The zero-dimensional
@@ -37,8 +41,6 @@ from .graded import (
     GradedPresentation,
     RingMap,
     certify_well_defined,
-    in_relations,
-    is_iso_up_to,
     graded_piece,
     make_presentation,
     ring_map,
@@ -182,41 +184,28 @@ class Comparison(NamedTuple):
     target: GradedPresentation
     map: RingMap
     extra_row: Vector  # image form of the subdivision-ray variable
-    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg, proved or checked
+    verdicts: tuple  # ((degree, bool), ...) for 0..max_deg: iso in degree k
 
 
 def _unit(i: int, n: int) -> Vector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _inverse_certified(rm: RingMap, star_index: int, dst: dict) -> bool:
-    """Is the certified substitution phi = rm a graded ring isomorphism?
+def _piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
+    """reduced.structure() of the pieces of degree 0..max_deg.
 
-    phi sends t_i to s_dst(i) for every surviving ray i and the star ray's
-    t_v to sum_j extra_j s_j (its row star_index).  When dst is a
-    bijection onto the stratum's rays, with inverse src, the substitution
-    psi: s_j -> t_src(j) is a candidate inverse.  If psi passes the same
-    certificate as phi, both are well-defined ring maps of the quotients.
-    phi o psi fixes every s_j outright; psi o phi fixes every surviving
-    t_i, and fixes t_v exactly when t_v - sum_j extra_j t_src(j) lies in
-    the source's degree-1 relations.  Ring maps that fix the generators
-    are the identity, so then phi and psi are mutually inverse and phi is
-    an isomorphism in every degree at once.  No property of the fan is
-    assumed.
+    Every variable of a GradedPresentation has degree 1, so the ring is
+    generated in degree 1: once a piece of degree K >= 1 is 0,
+    A^k = A^1 * A^(k-1) = 0 for every k > K, and those pieces are recorded
+    as 0 without being computed.
     """
-    n_source, n_target = rm.source.n_vars, rm.target.n_vars
-    src = {d: s for s, d in dst.items()}
-    if len(src) != len(dst) or sorted(src) != list(range(n_target)):
-        return False
-    inverse = ring_map(rm.target, rm.source,
-                       [_unit(src[j], n_source) for j in range(n_target)])
-    if not certify_well_defined(inverse).ok:
-        return False
-    round_trip = {_unit(star_index, n_source): 1}
-    for j, x in enumerate(rm.substitution[star_index]):
-        if x:
-            round_trip[_unit(src[j], n_source)] = -x
-    return in_relations(rm.source, 1, round_trip)
+    out = []
+    for k in range(max_deg + 1):
+        if k >= 2 and out[-1] == (0, ()):
+            out.append((0, ()))
+        else:
+            out.append(graded_piece(p, k).reduced.structure())
+    return tuple(out)
 
 
 def exceptional_comparison(stratum: ExceptionalStratum,
@@ -226,18 +215,22 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     Each surviving variable goes to its matched stratum variable, and the
     star ray's variable to the integral expression of its class in the
     surviving classes (solved in the character group, torsion included).
-    The substitution is certified well-defined first.  Then the inverse
-    substitution is certified and the round trip checked
-    (_inverse_certified); when both hold, the map is a graded ring
-    isomorphism and verdicts is (k, True) for every k in 0..max_deg,
-    exactly what the per-degree check would return, proved for all
-    degrees.  Otherwise verdicts are the per-degree is_iso_up_to checks
-    for 0..max_deg.  Raises ComparisonError when the stratum's rays did
-    not match or either step of the forward map fails.
+    The substitution is certified well-defined first.  The matching is a
+    bijection onto the stratum's rays (asserted), so the map hits every
+    target variable and, the target being generated in degree 1, is onto
+    in every degree; finitely generated abelian groups are Hopfian, so it
+    is an isomorphism in degree k exactly when the source and target
+    degree-k pieces have equal structure.  verdicts is that comparison for
+    k in 0..max_deg, each side computed up to its first zero piece of
+    degree >= 1 (_piece_structures).  Raises ComparisonError when the
+    stratum's rays did not match or the forward map fails.
     """
     if stratum.failure:
         raise ComparisonError(stratum.failure)
     f2, v_idx, dst = stratum.subdivision, stratum.star_index, stratum.dst
+    n_target = len(stratum.quotient.fan.rays)
+    assert sorted(dst.values()) == list(range(n_target)), \
+        "the ray matching is not a bijection onto the quotient's rays"
     cd = stratum.subdivision_cox
     source = _chow_presentation(cd)
     target = chow_ring_stack(stratum.quotient.fan)
@@ -248,7 +241,6 @@ def exceptional_comparison(stratum: ExceptionalStratum,
             "the class of the subdivision ray has no integral expression "
             "in the surviving ray classes")
 
-    n_target = len(stratum.quotient.fan.rays)
     extra = [0] * n_target
     for i, x in zip(stratum.surviving, sol):
         extra[dst[i]] += x
@@ -263,28 +255,27 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     if not cert.ok:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))
-    if _inverse_certified(rm, v_idx, dst):
-        verdicts = {k: True for k in range(max_deg + 1)}
-    else:
-        verdicts = is_iso_up_to(rm, max_deg)
+    pairs = zip(_piece_structures(source, max_deg),
+                _piece_structures(target, max_deg))
+    verdicts = tuple((k, s == t) for k, (s, t) in enumerate(pairs))
     return Comparison(stratum=stratum, source=source, target=target,
-                      map=rm, extra_row=tuple(extra),
-                      verdicts=tuple(sorted(verdicts.items())))
+                      map=rm, extra_row=tuple(extra), verdicts=verdicts)
 
 
 class VanishingReport(NamedTuple):
     """Outcome of the vanishing verification for one cone.
 
-    verdicts has one (degree, bool) pair per degree 0..max_deg.  When the
-    comparison certified an inverse map they are all True and hold in
-    every degree, not only up to max_deg; otherwise each is the degree's
-    own check.  pieces lists (degree, free_rank, torsion) of the
-    subdivided stack's graded components up to max_deg; degrees above
-    max_deg are unchecked.  The ring is generated in degree 1, so
-    A^K = 0 forces A^k = A^1 * A^(k-1) = 0 for every k >= K: once a
-    piece of degree K >= 1 is 0, the later pieces are recorded as 0
-    without being computed.  point_class records the assumed degree-0 group
-    of the zero-dimensional stratum.  conclusion is True only when the
+    verdicts has one (degree, bool) pair per degree 0..max_deg: the
+    certified map is onto in every degree, so it is an isomorphism in
+    degree k exactly when the source and target degree-k pieces have
+    equal structure (finitely generated abelian groups are Hopfian).
+    pieces lists (degree, free_rank, torsion) of the subdivided stack's
+    graded components up to max_deg; degrees above max_deg are unchecked.
+    The ring is generated in degree 1, so A^K = 0 forces
+    A^k = A^1 * A^(k-1) = 0 for every k >= K: once a piece of degree
+    K >= 1 is 0, the later pieces are recorded as 0 without being
+    computed, on both sides of the comparison.  point_class records the
+    assumed degree-0 group of the zero-dimensional stratum.  conclusion is True only when the
     identification was built, every degree 1..max_deg compares
     isomorphically, and every checked piece is torsion-free.
     """
@@ -315,25 +306,15 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
         source = comparison.source
         verdicts, extra_row = comparison.verdicts, comparison.extra_row
 
-    pieces = []
-    for k in range(max_deg + 1):
-        if k >= 2 and pieces[-1][1:] == (0, ()):
-            # Every variable of a GradedPresentation has degree 1, so the
-            # ring is generated in degree 1: A^k = A^1 * A^(k-1) = 0.
-            pieces.append((k, 0, ()))
-            continue
-        group = graded_piece(source, k).reduced
-        pieces.append((k, group.free_rank, group.torsion))
-
+    pieces = tuple((k,) + structure for k, structure
+                   in enumerate(_piece_structures(source, max_deg)))
     identified = comparison is not None
-    verdict_map = dict(verdicts)
-    conclusion = identified \
-        and all(verdict_map.get(k, False) for k in range(1, max_deg + 1)) \
+    conclusion = identified and all(ok for _k, ok in verdicts[1:]) \
         and all(not torsion for deg, _rank, torsion in pieces if deg >= 1)
     return VanishingReport(cone_rays=sigma.rays, star_ray=stratum.star_ray,
                            max_deg=max_deg, identified=identified,
                            failure=failure, extra_row=extra_row,
-                           verdicts=verdicts, pieces=tuple(pieces),
+                           verdicts=verdicts, pieces=pieces,
                            point_class=POINT_CLASS, conclusion=conclusion)
 
 

@@ -369,7 +369,10 @@ class Fan:
     """A fan: rays in first-seen order plus all cones as frozensets of ray
     indices, closed under faces.  The rays and maximal cones are set at
     construction; the face lattice (cones) is built on first read.
-    Construction does not check the intersection axiom; validate_fan does."""
+    Construction does not check the intersection axiom; validate_fan does.
+
+    A fan is a value: equality, hash and repr read the rank, the rays in
+    order and the set of maximal cones, never the lazily built data."""
 
     __slots__ = ("ambient_rank", "rays", "maximal_cones", "_cones", "_cache")
 
@@ -416,6 +419,22 @@ class Fan:
                     all_cones.add(frozenset(to_fan[i] for i in face))
             self._cones = frozenset(all_cones)
         return self._cones
+
+    def _key(self) -> tuple:
+        return (self.ambient_rank, self.rays, frozenset(self.maximal_cones))
+
+    def __eq__(self, other):
+        if not isinstance(other, Fan):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Fan.from_data(%d, %r, %r)" % (
+            self.ambient_rank, [list(r) for r in self.rays],
+            sorted(sorted(s) for s in self.maximal_cones))
 
     @classmethod
     def from_data(cls, rank: int, rays, max_cones) -> "Fan":

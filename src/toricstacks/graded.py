@@ -11,13 +11,15 @@ variables after which they read d_i s_i; the variables with d_i = 1 drop
 out, so degree k is expanded over monomials in the len(torsion) + free_rank
 remaining variables rather than in one variable per generator of Z^n (for a
 fan's Chow ring: roughly rays minus rank, instead of one per ray).  A
-piece's structure (GradedPiece.reduced) and the relation test
-(in_relations, which certify_well_defined uses) are read in those reduced
+piece's structure (GradedPiece.reduced) and the relation tests
+(in_relations and certify_well_defined) are read in those reduced
 coordinates.  A piece is carried back to the original degree-k monomial
 basis (GradedPiece.group) only on demand, for the callers that need
 coordinates there (normal forms, products, induced maps).  Monomials of a
 fixed degree are ordered descending-lex in the variable order, which makes
-every normal form reproducible bit for bit.
+every normal form reproducible bit for bit.  Every substitution of linear
+forms into a polynomial goes through _expand, straight into a coefficient
+vector over the target's degree-k monomials.
 """
 
 from __future__ import annotations
@@ -129,6 +131,28 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
             out[e] = out.get(e, 0) + ca * cb
             if not out[e]:
                 del out[e]
+    return out
+
+
+def _expand(items, substitution: Matrix, n_vars: int, degree: int) -> list:
+    """Coefficient vector over monomials(n_vars, degree) of a homogeneous
+    polynomial of that degree, given as (exponent, coeff) items, with each
+    t_i replaced by the linear form substitution[i] in n_vars variables."""
+    index = _monomial_index(n_vars, degree)
+    out = [0] * len(index)
+    for expt, coeff in items:
+        term = {(0,) * n_vars: coeff}
+        for i, e in enumerate(expt):
+            form = [(j, c) for j, c in enumerate(substitution[i]) if c]
+            for _ in range(e):
+                product: dict = {}
+                for m, c in term.items():
+                    for j, x in form:
+                        key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        product[key] = product.get(key, 0) + c * x
+                term = product
+        for m, c in term.items():
+            out[index[m]] += c
     return out
 
 
@@ -249,10 +273,7 @@ def in_relations(p: GradedPresentation, k: int, element) -> bool:
     """
     poly = _homogeneous(p, k, element)
     phi = _reduction(p)[0]
-    index = _monomial_index(phi.target.n_vars, k)
-    vec = [0] * len(index)
-    for expt, coeff in _substitute(phi, poly).items():
-        vec[index[expt]] = coeff
+    vec = _expand(poly.items(), phi.substitution, phi.target.n_vars, k)
     return not any(graded_piece(p, k).reduced.project(vec))
 
 
@@ -298,31 +319,6 @@ def ring_map(source: GradedPresentation, target: GradedPresentation,
 
 
 @lru_cache(maxsize=None)
-def _linear_forms(rm: RingMap) -> tuple:
-    """The image of each source variable, as a Poly over the target
-    variables; built once per ring map and shared, so read only."""
-    n = rm.target.n_vars
-    return tuple({tuple(1 if j == i else 0 for j in range(n)): c
-                  for i, c in enumerate(row) if c}
-                 for row in rm.substitution)
-
-
-def _substitute(rm: RingMap, poly: Poly) -> Poly:
-    forms = _linear_forms(rm)
-    out: Poly = {}
-    for expt, coeff in poly.items():
-        term = {tuple([0] * rm.target.n_vars): coeff}
-        for i, e in enumerate(expt):
-            for _ in range(e):
-                term = _poly_mul(term, forms[i])
-        for m, c in term.items():
-            out[m] = out.get(m, 0) + c
-            if not out[m]:
-                del out[m]
-    return out
-
-
-@lru_cache(maxsize=None)
 def _reduction(p: GradedPresentation) -> tuple:
     """The linear relations eliminated by a unimodular change of variables.
 
@@ -340,11 +336,12 @@ def _reduction(p: GradedPresentation) -> tuple:
     lin = [tuple(d if j == i else 0 for j in range(n))
            for i, d in enumerate(torsion)]
     phi_rows = tuple(tuple(row[j] for row in rows) for j in range(p.n_vars))
-    to_free = RingMap(source=p, target=make_presentation(n),
-                      substitution=phi_rows)
-    homs = [(degree, _substitute(to_free, dict(items)))
-            for degree, items in p.homogeneous_gens]
-    reduced = make_presentation(n, lin, [h for h in homs if h[1]])
+    homs = []
+    for degree, items in p.homogeneous_gens:
+        image = _expand(items, phi_rows, n, degree)
+        if any(image):
+            homs.append((degree, zip(monomials(n, degree), image)))
+    reduced = make_presentation(n, lin, homs)
     phi = RingMap(source=p, target=reduced, substitution=phi_rows)
     psi = RingMap(source=reduced, target=p, substitution=cols)
     return phi, psi
@@ -353,14 +350,10 @@ def _reduction(p: GradedPresentation) -> tuple:
 def _sym_power(rm: RingMap, k: int) -> Matrix:
     """Matrix of the substitution on degree-k monomials (target monomials
     by source monomials)."""
-    index = _monomial_index(rm.target.n_vars, k)
-    cols = []
-    for m in monomials(rm.source.n_vars, k):
-        col = [0] * len(index)
-        for expt, coeff in _substitute(rm, {m: 1}).items():
-            col[index[expt]] = coeff
-        cols.append(col)
-    return from_columns(cols, len(index))
+    n = rm.target.n_vars
+    cols = [_expand(((m, 1),), rm.substitution, n, k)
+            for m in monomials(rm.source.n_vars, k)]
+    return from_columns(cols, len(monomials(n, k)))
 
 
 class Certification(NamedTuple):
@@ -376,29 +369,32 @@ def certify_well_defined(rm: RingMap) -> Certification:
     by generator multiples and substitution is a ring map), so every
     generator is checked outright, with no degree bound.
 
-    The linear generators are checked together: one matrix product
-    linear_gens * substitution * phi carries each of them to the target's
-    reduced variables (phi of _reduction(target)), where a degree-1 element
-    is its own coordinate vector, and each row must project to zero in the
-    reduced degree-1 piece.  This is in_relations row by row, without
-    polynomials.  The homogeneous generators go through _substitute and
-    in_relations.  The witness is the first generator that fails, linear
-    generators first, as (degree, generator as sorted item tuple).
+    Every generator is carried to the target's reduced variables by the
+    composite substitution * phi (phi of _reduction(target)), formed once,
+    and its image must project to zero in the reduced piece of its degree.
+    The linear generators are carried together, by the one matrix product
+    linear_gens * composite, since a degree-1 element is its own
+    coordinate vector.  Each homogeneous generator is expanded once under
+    the composite (_expand), straight into the reduced degree-k monomial
+    coordinates, with no polynomial built in between.  The witness is the
+    first generator that fails, linear generators first, as (degree,
+    generator as sorted item tuple).
     """
+    phi = _reduction(rm.target)[0]
+    composite = matmul(rm.substitution, phi.substitution)
     lin = rm.source.linear_gens
     if lin:
-        phi = _reduction(rm.target)[0].substitution
         reduced = graded_piece(rm.target, 1).reduced
         n = rm.source.n_vars
-        for row, image in zip(lin, matmul(matmul(lin, rm.substitution), phi)):
+        for row, image in zip(lin, matmul(lin, composite)):
             if any(reduced.project(image)):
                 return _failure(1, {tuple(1 if j == i else 0
                                           for j in range(n)): c
                                     for i, c in enumerate(row) if c})
     for degree, items in rm.source.homogeneous_gens:
-        gen = dict(items)
-        if not in_relations(rm.target, degree, _substitute(rm, gen)):
-            return _failure(degree, gen)
+        image = _expand(items, composite, phi.target.n_vars, degree)
+        if any(graded_piece(rm.target, degree).reduced.project(image)):
+            return _failure(degree, dict(items))
     return Certification(ok=True, witness=None)
 
 
@@ -417,8 +413,8 @@ def induced_map(rm: RingMap, k: int) -> Matrix:
     for i in range(src.group.coord_rank):
         unit = tuple(1 if j == i else 0 for j in range(src.group.coord_rank))
         rep = _canonical_rep(rm.source, k, unit)
-        image = _substitute(rm, rep)
-        cols.append(tgt.coords(image))
+        image = _expand(rep.items(), rm.substitution, rm.target.n_vars, k)
+        cols.append(tgt.group.project(image))
     return from_columns(cols, tgt.group.coord_rank)
 
 

@@ -1,12 +1,16 @@
-"""The all-degree Chow certificate and the reduced-coordinate piece reads.
+"""The Chow comparison's verdict rule and the reduced-coordinate piece reads.
 
-exceptional_comparison proves its verdicts for every degree when the
-inverse substitution certifies and the round trip holds, and falls back to
-the per-degree is_iso_up_to otherwise.  verify_vanishing reads the graded
-pieces' structure and certify_well_defined its relation test from the
-reduced cokernel (GradedPiece.reduced), never from the carried-back group.
-Each new path is checked here against the path it replaces: is_iso_up_to,
-normal_form and GradedPiece.group.
+When the stratum's rays match, the matching is a bijection onto the
+quotient's rays, so the certified map hits every target generator; the
+target ring is generated in degree 1, so the map is onto in every degree.
+Finitely generated abelian groups are Hopfian, so exceptional_comparison
+decides degree k by equal structure of the source and target pieces, with
+no inverse map and no induced matrix.  The oracle for that rule is
+is_iso_up_to, which builds the induced map and tests that it generates the
+target; the bijection itself is an assert.  verify_vanishing reads the
+graded pieces' structure and certify_well_defined its relation test from
+the reduced cokernel (GradedPiece.reduced), never from the carried-back
+group; those reads are checked against normal_form and GradedPiece.group.
 """
 
 import json
@@ -21,7 +25,6 @@ from toricstacks import chow, cli, cox as cox_module, fan, graded, \
     intlinalg, ktheory
 from toricstacks.chow import (
     ComparisonError,
-    _inverse_certified,
     chow_ring_stack,
     exceptional_comparison,
     exceptional_stratum,
@@ -31,10 +34,10 @@ from toricstacks.fan import Fan, GeometryError, make_cone
 from toricstacks.graded import (
     graded_piece,
     in_relations,
+    induced_map,
     is_iso_up_to,
     monomials,
     normal_form,
-    ring_map,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -65,11 +68,6 @@ def random_cones(seed: int, count: int) -> list:
     return out
 
 
-def certified(comp) -> bool:
-    return _inverse_certified(comp.map, comp.stratum.star_index,
-                              comp.stratum.dst)
-
-
 def clear_package_caches() -> None:
     for mod in (chow, cox_module, fan, graded, intlinalg, ktheory):
         for obj in vars(mod).values():
@@ -77,89 +75,83 @@ def clear_package_caches() -> None:
                 obj.cache_clear()
 
 
-def test_certified_verdicts_equal_per_degree_checks():
+def test_structure_verdicts_equal_per_degree_checks():
     cases = [(c, 4) for c in corpus_cones()]
     cases += [(make_cone(rank, rays), 4) for rank, rays in NEGATIVE_DATA]
     cases += [(c, 3) for c in random_cones(31, N_RANDOM)]
-    seen = {"certified": 0, "fallback": 0, "unidentified": 0}
+    seen = {"all true": 0, "some false": 0, "unidentified": 0}
     for cone, max_deg in cases:
         try:
             comp = exceptional_comparison(exceptional_stratum(cone), max_deg)
         except ComparisonError:
             seen["unidentified"] += 1
             continue
-        per_degree = is_iso_up_to(comp.map, max_deg)
-        assert dict(comp.verdicts) == per_degree, cone.rays
-        if certified(comp):
-            assert all(per_degree.values()), cone.rays
-            seen["certified"] += 1
-        else:
-            # On this seeded set, every cone left to the fallback fails
-            # some degree: the certificate misses no isomorphism here.
-            assert not all(per_degree.values()), cone.rays
-            seen["fallback"] += 1
-    # Every corpus cone certifies; the fallback and the unidentified
-    # path are both reached.
-    assert seen["certified"] >= len(CORPUS_DATA)
-    assert seen["fallback"] >= 20 and seen["unidentified"] >= 20
+        assert dict(comp.verdicts) == is_iso_up_to(comp.map, max_deg), \
+            cone.rays
+        seen["all true" if all(dict(comp.verdicts).values())
+             else "some false"] += 1
+    # Every corpus cone compares isomorphically in every degree; cones with
+    # a false degree and unidentified cones are both reached.
+    assert seen["all true"] >= len(CORPUS_DATA)
+    assert seen["some false"] >= 20 and seen["unidentified"] >= 20
 
 
-def test_degree_one_failure_falls_back(monkeypatch):
-    calls = []
+def test_comparison_map_is_onto_in_every_degree():
+    cones = corpus_cones()
+    cones += [make_cone(rank, rays) for rank, rays in NEGATIVE_DATA]
+    cones += random_cones(31, N_RANDOM)
+    checked = 0
+    for cone in cones:
+        try:
+            comp = exceptional_comparison(exceptional_stratum(cone), 3)
+        except ComparisonError:
+            continue
+        for k in range(4):
+            target = graded_piece(comp.target, k).group
+            assert target.generated_by(zip(*induced_map(comp.map, k))), \
+                (cone.rays, k)
+        checked += 1
+    assert checked >= len(CORPUS_DATA) + 20
 
-    def spy(rm, max_deg):
-        calls.append(max_deg)
-        return is_iso_up_to(rm, max_deg)
 
-    monkeypatch.setattr(chow, "is_iso_up_to", spy)
+def test_degree_one_failure_is_a_structure_mismatch():
     comp = exceptional_comparison(
         exceptional_stratum(make_cone(*DEGREE_ONE_FAILURE)), 4)
-    assert calls == [4]
     assert dict(comp.verdicts)[1] is False
-    calls.clear()
-    exceptional_comparison(exceptional_stratum(corpus_cones()[10]), 4)
-    assert calls == []
+    assert graded_piece(comp.source, 1).reduced.structure() \
+        != graded_piece(comp.target, 1).reduced.structure()
 
 
-def _not_injective(rm, star_index, dst):
+def _not_injective(dst):
     keys = sorted(dst)
-    return rm, star_index, {**dst, keys[0]: dst[keys[1]]}
+    return {**dst, keys[0]: dst[keys[1]]}
 
 
-def _not_surjective(rm, star_index, dst):
+def _not_surjective(dst):
     top = max(dst.values())
-    return rm, star_index, {s: (d + 1 if d == top else d)
-                            for s, d in dst.items()}
+    return {s: (d + 1 if d == top else d) for s, d in dst.items()}
 
 
-def _corrupted_extra(rm, star_index, dst):
-    sub = list(rm.substitution)
-    extra = sub[star_index]
-    sub[star_index] = (extra[0] + 1,) + extra[1:]
-    return ring_map(rm.source, rm.target, sub), star_index, dst
-
-
-@pytest.mark.parametrize("corrupt", [_not_injective, _not_surjective,
-                                     _corrupted_extra])
-def test_injected_failures_take_the_fallback(monkeypatch, corrupt):
-    real = chow._inverse_certified
-    fallbacks = []
-
-    def spy(rm, max_deg):
-        fallbacks.append(max_deg)
-        return is_iso_up_to(rm, max_deg)
-
-    monkeypatch.setattr(chow, "is_iso_up_to", spy)
-    monkeypatch.setattr(chow, "_inverse_certified",
-                        lambda *args: real(*corrupt(*args)))
+@pytest.mark.parametrize("corrupt", [_not_injective, _not_surjective])
+def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
+                                                     corrupt):
     for cone in corpus_cones():
         stratum = exceptional_stratum(cone)
-        comp = exceptional_comparison(stratum, 2)
-        assert real(comp.map, stratum.star_index, stratum.dst)
-        assert not real(*corrupt(comp.map, stratum.star_index,
-                                 stratum.dst)), cone.rays
-        assert comp.verdicts == ((0, True), (1, True), (2, True))
-    assert fallbacks == [2] * len(CORPUS_DATA)
+        stratum.dst = corrupt(stratum.dst)
+        with pytest.raises(AssertionError):
+            exceptional_comparison(stratum, 2)
+
+    real = chow.exceptional_stratum
+
+    def corrupted(sigma):
+        stratum = real(sigma)
+        stratum.dst = corrupt(stratum.dst)
+        return stratum
+
+    monkeypatch.setattr(chow, "exceptional_stratum", corrupted)
+    path = str(FIXTURES / "sigma_square.json")
+    assert cli.run(["verify-vanishing", path]) == 3
+    assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 def _rings():

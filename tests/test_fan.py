@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +357,36 @@ def test_cone_counts_of_subdivided_square():
     f = square_fan()
     f2 = star_subdivision(f, f.cone({0, 1, 2, 3}))
     assert [len(f2.cones_of_dim(d)) for d in range(4)] == [1, 5, 8, 4]
+
+
+def test_fan_value_semantics():
+    from toricstacks.cox import cox
+
+    path = Path(__file__).resolve().parent.parent / "fixtures" \
+        / "strongness_example.json"
+    data = json.loads(path.read_text())
+
+    def build(rays=data["rays"], cones=data["max_cones"]):
+        return Fan.from_data(data["rank"], rays, cones)
+
+    f1, f2 = build(), build()
+    assert f1 is not f2
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert len({f1, f2}) == 1
+    # Reading the lazily built face lattice changes neither.
+    f1.cones_of_dim(1)
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert build(cones=data["max_cones"][::-1]) == f1
+    assert cox(f1) == cox(f2)
+    assert "at 0x" not in repr(cox(f1))
+    assert eval(repr(f1), {"Fan": Fan}) == f1
+    assert f1 != build(cones=data["max_cones"][:-1])
+    # The same rays listed in another order make another fan: the variable
+    # order of every presentation built from it differs.
+    order = [4, 0, 1, 2, 3]
+    rays = [data["rays"][i] for i in order]
+    cones = [[order.index(i) for i in c] for c in data["max_cones"]]
+    reordered = build(rays=rays, cones=cones)
+    assert set(reordered.rays) == set(f1.rays)
+    assert reordered != f1
+    assert f1 != square_fan() and f1 != data

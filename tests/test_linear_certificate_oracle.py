@@ -1,16 +1,19 @@
-"""Checks the one-product degree-1 certificate against the per-generator
-check it replaced.
+"""Checks certify_well_defined against a per-generator dict-polynomial
+oracle.
 
 certify_well_defined carries all linear generators of the source to the
-target's reduced variables by one matrix product and projects each row
-through the reduced degree-1 piece.  Before, each linear generator was a
-dict polynomial pushed through the substitution and then through the
-target's reduction by in_relations.  per_generator_certify keeps that
-code.  Both must return the same (ok, witness) on the forward and inverse
-maps of the corpus, the negative corpus and 200 seeded random cones; on
-those forward maps with one substitution entry changed or the extra row
-corrupted; and on seeded random presentations whose targets include
-torsion in degree 1 and no reduced variables at all.
+target's reduced variables by one matrix product, and expands each
+homogeneous generator once under the composite substitution straight into
+reduced monomial coordinates.  per_generator_certify instead pushes every
+generator, as a dict polynomial, through the substitution and then through
+the target's reduction, with its own polynomial arithmetic (_substitute),
+and projects it through the reduced piece of its degree.  Both must return
+the same (ok, witness) on the forward maps of the corpus, the negative
+corpus and 200 seeded random cones and on the candidate inverse maps
+s_j -> t_src(j) of the identified ones; on those forward maps with one
+substitution entry changed or the extra row corrupted; and on seeded
+random presentations whose targets include torsion in degree 1 and no
+reduced variables at all.
 """
 
 import random
@@ -26,25 +29,74 @@ from toricstacks.chow import ComparisonError, exceptional_stratum
 from toricstacks.fan import Cone
 from toricstacks.graded import (
     Certification,
-    _substitute,
+    _reduction,
     certify_well_defined,
     graded_piece,
-    in_relations,
     make_presentation,
+    monomials,
     ring_map,
 )
 
 
+def _unit(i: int, n: int) -> tuple:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+            if not out[e]:
+                del out[e]
+    return out
+
+
+def _linear_forms(rm) -> tuple:
+    """The image of each source variable, as a dict polynomial over the
+    target variables."""
+    n = rm.target.n_vars
+    return tuple({_unit(i, n): c for i, c in enumerate(row) if c}
+                 for row in rm.substitution)
+
+
+def _substitute(rm, poly: dict) -> dict:
+    forms = _linear_forms(rm)
+    out: dict = {}
+    for expt, coeff in poly.items():
+        term = {tuple([0] * rm.target.n_vars): coeff}
+        for i, e in enumerate(expt):
+            for _ in range(e):
+                term = _poly_mul(term, forms[i])
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + c
+            if not out[m]:
+                del out[m]
+    return out
+
+
+def _in_reduced_relations(p, k: int, poly: dict) -> bool:
+    """Is a homogeneous degree-k polynomial over p's variables a relation?
+    It goes through the reduction's phi by _substitute and is projected
+    through the reduced degree-k piece."""
+    phi = _reduction(p)[0]
+    basis = monomials(phi.target.n_vars, k)
+    image = _substitute(phi, poly)
+    vec = [image.get(m, 0) for m in basis]
+    return not any(graded_piece(p, k).reduced.project(vec))
+
+
 def per_generator_certify(rm) -> Certification:
-    """certify_well_defined as written before the matrix product: every
-    generator, linear ones as polynomials, through in_relations."""
+    """certify_well_defined one generator at a time, every generator
+    (linear ones too) as a dict polynomial."""
     n = rm.source.n_vars
-    gens = [(1, {tuple(1 if j == i else 0 for j in range(n)): c
-                 for i, c in enumerate(row) if c})
+    gens = [(1, {_unit(i, n): c for i, c in enumerate(row) if c})
             for row in rm.source.linear_gens]
     gens += [(d, dict(items)) for d, items in rm.source.homogeneous_gens]
     for degree, gen in gens:
-        if not in_relations(rm.target, degree, _substitute(rm, gen)):
+        if not _in_reduced_relations(rm.target, degree,
+                                     _substitute(rm, gen)):
             witness = (degree, tuple(sorted(gen.items(), reverse=True)))
             return Certification(ok=False, witness=witness)
     return Certification(ok=True, witness=None)
@@ -57,10 +109,19 @@ def assert_same(rm, tally):
     return got
 
 
+def inverse_map(rm, dst):
+    """The candidate inverse of a comparison map: s_j -> t_src(j), with
+    src the inverse of the ray matching dst."""
+    src = {d: s for s, d in dst.items()}
+    return ring_map(rm.target, rm.source,
+                    [_unit(src[j], rm.source.n_vars)
+                     for j in range(rm.target.n_vars)])
+
+
 def comparison_maps(cones, monkeypatch):
-    """(map, star index) for every map the Chow comparison certifies: the
+    """(map, star index) for every map the Chow comparison certifies, the
     forward map of each cone with its star row, and, when the forward map
-    passes, the inverse with None."""
+    passes, its candidate inverse with None."""
     maps = []
 
     def spy(rm):
@@ -75,9 +136,11 @@ def comparison_maps(cones, monkeypatch):
         try:
             chow.exceptional_comparison(stratum, 1)
         except ComparisonError:
-            pass
-        out += [(rm, None if k else stratum.star_index)
-                for k, rm in enumerate(maps)]
+            out += [(rm, stratum.star_index) for rm in maps]
+            continue
+        (rm,) = maps
+        out += [(rm, stratum.star_index),
+                (inverse_map(rm, stratum.dst), None)]
     return out
 
 
