@@ -30,6 +30,7 @@ from .cox import CoxData, cox
 from .fan import (
     Cone,
     Fan,
+    GeometryError,
     StarQuotient,
     orbit_relation_data,
     preimage_orbit_closure,
@@ -120,9 +121,9 @@ def chow_groups(f: Fan, k: int) -> AbelianGroup:
 
 def _require_full_dim(sigma: Cone) -> None:
     if sigma.dim != sigma.ambient_rank:
-        raise ValueError("cone has dimension %d in rank %d; the comparison "
-                         "needs a full-dimensional cone"
-                         % (sigma.dim, sigma.ambient_rank))
+        raise GeometryError("cone has dimension %d in rank %d; the "
+                            "comparison needs a full-dimensional cone"
+                            % (sigma.dim, sigma.ambient_rank))
 
 
 class ExceptionalStratum:
@@ -192,7 +193,7 @@ def _unit(i: int, n: int) -> Vector:
 
 
 def _piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
-    """reduced.structure() of the pieces of degree 0..max_deg.
+    """The structures of the pieces of degree 0..max_deg.
 
     Every variable of a GradedPresentation has degree 1, so the ring is
     generated in degree 1: once a piece of degree K >= 1 is 0,
@@ -204,7 +205,7 @@ def _piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
         if k >= 2 and out[-1] == (0, ()):
             out.append((0, ()))
         else:
-            out.append(graded_piece(p, k).reduced.structure())
+            out.append(graded_piece(p, k).structure())
     return tuple(out)
 
 

@@ -4,9 +4,10 @@ Reads fan JSON ({"rank": n, "rays": [[..]], "max_cones": [[indices]]}),
 dispatches to the compute modules, and prints either a text report or the
 JSON shape published in schemas.py.  Exit codes: 0 for a successful
 computation (for the verify-* verbs: a true conclusion), 1 for a false or
-inconclusive verification, 2 for input or usage errors (every verb checks
-the fan axioms before computing), 3 for an internal error.  Output is
-deterministic: identical inputs produce identical bytes.
+inconclusive verification, 2 for input or usage errors (fan.UserError and
+its subclasses; every verb checks the fan axioms before computing), 3 for
+an internal error (any other exception, a bare ValueError included).
+Output is deterministic: identical inputs produce identical bytes.
 
 A process is one verb, and most of its time is start-up, so each handler
 imports the layers it runs in its own body: at top level only fan (and
@@ -25,11 +26,12 @@ import json
 import sys
 from math import lcm
 
-from .fan import Fan, _integer, _integer_rows, star_subdivision, \
-    star_vector, validate_fan
+from .fan import Fan, UserError, _integer, _integer_rows, \
+    star_subdivision, star_vector, validate_fan
+from .intlinalg import structure_text
 
 
-class InputError(ValueError):
+class InputError(UserError):
     """Unusable input: missing file, malformed JSON, bad option value."""
 
 
@@ -189,10 +191,11 @@ def _cmd_cox(ns):
     return payload, lines, 0
 
 
-def _piece_json(p, max_deg):
-    from .graded import graded_piece
-    return [dict(_group_json(graded_piece(p, k).reduced), degree=k)
-            for k in range(max_deg + 1)]
+def _piece_json(degree: int, free_rank: int, torsion) -> dict:
+    """One graded piece as chow-stack and verify-vanishing report it."""
+    return {"degree": degree, "free_rank": free_rank,
+            "torsion": list(torsion),
+            "text": structure_text(free_rank, torsion)}
 
 
 def _cmd_chow_stack(ns):
@@ -200,11 +203,13 @@ def _cmd_chow_stack(ns):
         raise InputError("--max-deg must be nonnegative")
     from .chow import _chow_presentation
     from .cox import cox
+    from .graded import graded_piece
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
     cd = cox(f)
     p = _chow_presentation(cd)
     n = len(f.rays)
-    pieces = _piece_json(p, ns.max_deg)
+    pieces = [_piece_json(k, *graded_piece(p, k).structure())
+              for k in range(ns.max_deg + 1)]
     payload = {"variables": n,
                "linear_relations": [list(r) for r in cd.kernel],
                "monomial_relations": [sorted(c)
@@ -223,6 +228,8 @@ def _cmd_chow_stack(ns):
 def _cmd_chow_groups(ns):
     from .chow import chow_groups
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
+    if ns.k is not None and not 0 <= ns.k <= f.ambient_rank:
+        raise InputError("--k must be in 0..%d" % f.ambient_rank)
     ks = [ns.k] if ns.k is not None else list(range(f.ambient_rank + 1))
     groups = [dict(_group_json(chow_groups(f, k)), k=k) for k in ks]
     payload = {"groups": groups}
@@ -268,14 +275,10 @@ def _cmd_verify_vanishing(ns):
         "extra_row": list(report.extra_row)
         if report.extra_row is not None else None,
         "verdicts": [{"degree": k, "iso": ok} for k, ok in report.verdicts],
-        "pieces": [{"degree": d, "free_rank": r, "torsion": list(t),
-                    "text": ""} for d, r, t in report.pieces],
+        "pieces": [_piece_json(*piece) for piece in report.pieces],
         "point_class": report.point_class,
         "conclusion": report.conclusion,
     }
-    for pc in payload["pieces"]:
-        parts = ["Z/%d" % d for d in pc["torsion"]] + ["Z"] * pc["free_rank"]
-        pc["text"] = " + ".join(parts) if parts else "0"
     lines = ["cone rays: " + ", ".join(_vec(r) for r in report.cone_rays),
              "subdivision ray: %s" % _vec(report.star_ray)]
     if report.identified:
@@ -460,8 +463,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload, lines, code = _HANDLERS[ns.verb](ns)
-    except ValueError as exc:
-        # InputError, GeometryError and TorusFactorError are ValueErrors.
+    except UserError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fan import Fan, _integer, _integer_rows, primitive_collections
+from .fan import Fan, UserError, _integer, _integer_rows, \
+    primitive_collections
 from .intlinalg import (
     AbelianGroup,
     Matrix,
@@ -28,7 +29,7 @@ from .intlinalg import (
 )
 
 
-class TorusFactorError(ValueError):
+class TorusFactorError(UserError):
     """Raised when a fan's rays do not span the ambient space over Q.
 
     Such a fan describes a product with a torus factor; the quotient

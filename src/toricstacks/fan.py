@@ -53,7 +53,13 @@ from .intlinalg import (
 )
 
 
-class GeometryError(ValueError):
+class UserError(ValueError):
+    """Input a user can correct: a malformed file or fan, an option out of
+    range, a cone that breaks a precondition.  The CLI reports this class,
+    and no other exception, as exit 2."""
+
+
+class GeometryError(UserError):
     """Input violates a geometric precondition (zero generator, cone not
     strongly convex, cone not in fan, ...)."""
 

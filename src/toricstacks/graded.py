@@ -10,26 +10,25 @@ is expanded.  A Smith basis of the linear lattice is a unimodular change of
 variables after which they read d_i s_i; the variables with d_i = 1 drop
 out, so degree k is expanded over monomials in the len(torsion) + free_rank
 remaining variables rather than in one variable per generator of Z^n (for a
-fan's Chow ring: roughly rays minus rank, instead of one per ray).  A
-piece's structure (GradedPiece.reduced) and the relation tests
-(in_relations and certify_well_defined) are read in those reduced
-coordinates.  A piece is carried back to the original degree-k monomial
-basis (GradedPiece.group) only on demand, for the callers that need
-coordinates there (normal forms, products, induced maps).  Monomials of a
-fixed degree are ordered descending-lex in the variable order, which makes
-every normal form reproducible bit for bit.  Every substitution of linear
-forms into a polynomial goes through _expand, straight into a coefficient
-vector over the target's degree-k monomials.
+fan's Chow ring: roughly rays minus rank, instead of one per ray).  A piece
+(graded_piece) is the cokernel over those reduced monomials, and every
+coordinate this module reads or returns is a coordinate of it: normal
+forms, relation tests, products and induced maps.  An element in the
+original variables enters through _reduction's phi and a representative
+leaves through its psi.  Monomials of a fixed degree are ordered
+descending-lex in the variable order, which makes every normal form
+reproducible bit for bit.  Every substitution of linear forms into a
+polynomial goes through _expand, straight into a coefficient vector over
+the target's degree-k monomials.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
-                        from_columns, matmul, normal_form_group, smith_basis,
-                        transpose)
+                        from_columns, matmul, smith_basis)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -165,56 +164,6 @@ def _shifted_column(poly: Poly, shift, n_vars: int, degree: int) -> Vector:
     return tuple(col)
 
 
-class GradedPiece:
-    """The degree-k component of a presentation's quotient.
-
-    reduced is the cokernel over the reduced variables of _reduction(p);
-    it has the piece's structure and answers the relation test.  group is
-    the same group in normal-form coordinates over the original degree-k
-    monomial basis, carried back on first use and kept with the piece.
-    """
-
-    def __init__(self, presentation: GradedPresentation, degree: int,
-                 reduced: AbelianGroup) -> None:
-        self.presentation = presentation
-        self.degree = degree
-        self.reduced = reduced
-
-    @property
-    def n_vars(self) -> int:
-        return self.presentation.n_vars
-
-    @property
-    def monomial_basis(self) -> tuple:
-        return monomials(self.n_vars, self.degree)
-
-    @cached_property
-    def group(self) -> AbelianGroup:
-        """The carry-back: the reduced projection through Sym^k(phi), the
-        lift through Sym^k(psi), and the free block put back in normal
-        form.  Free rank and torsion pass through unchanged."""
-        phi, psi = _reduction(self.presentation)
-        k, reduced = self.degree, self.reduced
-        projection, lift_cols = (), ()
-        if not reduced.is_trivial:
-            projection = matmul(reduced.projection, _sym_power(phi, k))
-            lift_cols = transpose(matmul(_sym_power(psi, k), reduced.lift))
-        return normal_form_group(len(self.monomial_basis), reduced.torsion,
-                                 projection, lift_cols)
-
-    def coords(self, element) -> Vector:
-        """Normal-form coordinates of a homogeneous element of this degree."""
-        poly = _normalize_poly(element, self.n_vars)
-        index = _monomial_index(self.n_vars, self.degree)
-        vec = [0] * len(index)
-        for expt, coeff in poly.items():
-            if expt not in index:
-                raise ValueError("element has degree-%s term %r, piece has "
-                                 "degree %d" % (sum(expt), expt, self.degree))
-            vec[index[expt]] = coeff
-        return self.group.project(tuple(vec))
-
-
 def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
     """Generator multiples of degree k as columns over the degree-k
     monomial basis."""
@@ -232,20 +181,17 @@ def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def graded_piece(p: GradedPresentation, k: int) -> GradedPiece:
+def graded_piece(p: GradedPresentation, k: int) -> AbelianGroup:
     """The degree-k component of the quotient, as an exact abelian group.
 
     The linear relations are eliminated once per presentation (_reduction):
     in the reduced variables the relation lattice is spanned by g*m over
     the reduced generators g of degree d and monomials m of degree k-d, and
-    its cokernel is taken over the reduced degree-k monomials.  The piece
-    carries it back to the original monomial basis only when its group is
-    read.
+    the piece is its cokernel over the reduced degree-k monomials.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
-    reduced = cokernel(_relation_matrix(_reduction(p)[0].target, k))
-    return GradedPiece(presentation=p, degree=k, reduced=reduced)
+    return cokernel(_relation_matrix(_reduction(p)[0].target, k))
 
 
 def _homogeneous(p: GradedPresentation, k: int, element) -> Poly:
@@ -257,43 +203,36 @@ def _homogeneous(p: GradedPresentation, k: int, element) -> Poly:
 
 
 def normal_form(p: GradedPresentation, k: int, element) -> Vector:
-    """Quotient coordinates of a homogeneous degree-k element; all zero iff
-    the element lies in the relation lattice."""
-    return graded_piece(p, k).coords(_homogeneous(p, k, element))
+    """Coordinates in graded_piece(p, k) of a homogeneous degree-k element:
+    its expansion through _reduction's phi, projected.  All zero iff the
+    element lies in the relation lattice."""
+    phi = _reduction(p)[0]
+    vec = _expand(_homogeneous(p, k, element).items(), phi.substitution,
+                  phi.target.n_vars, k)
+    return graded_piece(p, k).project(vec)
 
 
 def in_relations(p: GradedPresentation, k: int, element) -> bool:
-    """Does a homogeneous degree-k element lie in the relation lattice?
-
-    The same answer as `not any(normal_form(p, k, element))`, read in
-    reduced coordinates: the element goes through _reduction's phi and
-    then the reduced cokernel's projection.  normal_form_group only
-    reduces the torsion rows mod d_i and multiplies the free rows by a
-    unimodular matrix, so the carry-back changes no vector's zeroness.
-    """
-    poly = _homogeneous(p, k, element)
-    phi = _reduction(p)[0]
-    vec = _expand(poly.items(), phi.substitution, phi.target.n_vars, k)
-    return not any(graded_piece(p, k).reduced.project(vec))
-
-
-def _canonical_rep(p: GradedPresentation, k: int, coords) -> Poly:
-    piece = graded_piece(p, k)
-    amb = piece.group.lift_coords(coords)
-    return {m: c for m, c in zip(piece.monomial_basis, amb) if c}
+    """Does a homogeneous degree-k element lie in the relation lattice?"""
+    return not any(normal_form(p, k, element))
 
 
 def multiply(p: GradedPresentation, a, b) -> Poly:
     """Product of two homogeneous elements, reduced to the canonical
-    representative of its class (lift of the normal form)."""
+    representative of its class: the piece's lift of its normal form,
+    expanded back to the original variables through _reduction's psi."""
     pa = _normalize_poly(a, p.n_vars)
     pb = _normalize_poly(b, p.n_vars)
     da, db = _poly_degree(pa), _poly_degree(pb)
     if da is None or db is None:
         return {}
-    prod = _poly_mul(pa, pb)
-    coords = normal_form(p, da + db, prod)
-    return _canonical_rep(p, da + db, coords)
+    k = da + db
+    psi = _reduction(p)[1]
+    lifted = graded_piece(p, k).lift_coords(
+        normal_form(p, k, _poly_mul(pa, pb)))
+    rep = _expand(zip(monomials(psi.source.n_vars, k), lifted),
+                  psi.substitution, p.n_vars, k)
+    return {m: c for m, c in zip(monomials(p.n_vars, k), rep) if c}
 
 
 class RingMap(NamedTuple):
@@ -347,15 +286,6 @@ def _reduction(p: GradedPresentation) -> tuple:
     return phi, psi
 
 
-def _sym_power(rm: RingMap, k: int) -> Matrix:
-    """Matrix of the substitution on degree-k monomials (target monomials
-    by source monomials)."""
-    n = rm.target.n_vars
-    cols = [_expand(((m, 1),), rm.substitution, n, k)
-            for m in monomials(rm.source.n_vars, k)]
-    return from_columns(cols, len(monomials(n, k)))
-
-
 class Certification(NamedTuple):
     ok: bool
     witness: tuple | None  # (degree, source generator as sorted item tuple)
@@ -371,7 +301,7 @@ def certify_well_defined(rm: RingMap) -> Certification:
 
     Every generator is carried to the target's reduced variables by the
     composite substitution * phi (phi of _reduction(target)), formed once,
-    and its image must project to zero in the reduced piece of its degree.
+    and its image must project to zero in the piece of its degree.
     The linear generators are carried together, by the one matrix product
     linear_gens * composite, since a degree-1 element is its own
     coordinate vector.  Each homogeneous generator is expanded once under
@@ -384,16 +314,16 @@ def certify_well_defined(rm: RingMap) -> Certification:
     composite = matmul(rm.substitution, phi.substitution)
     lin = rm.source.linear_gens
     if lin:
-        reduced = graded_piece(rm.target, 1).reduced
+        piece = graded_piece(rm.target, 1)
         n = rm.source.n_vars
         for row, image in zip(lin, matmul(lin, composite)):
-            if any(reduced.project(image)):
+            if any(piece.project(image)):
                 return _failure(1, {tuple(1 if j == i else 0
                                           for j in range(n)): c
                                     for i, c in enumerate(row) if c})
     for degree, items in rm.source.homogeneous_gens:
         image = _expand(items, composite, phi.target.n_vars, degree)
-        if any(graded_piece(rm.target, degree).reduced.project(image)):
+        if any(graded_piece(rm.target, degree).project(image)):
             return _failure(degree, dict(items))
     return Certification(ok=True, witness=None)
 
@@ -405,17 +335,26 @@ def _failure(degree: int, gen: Poly) -> Certification:
 
 
 def induced_map(rm: RingMap, k: int) -> Matrix:
-    """Matrix of the degree-k induced map on normal-form coordinates
-    (target coordinates by source coordinates)."""
+    """Matrix of the degree-k induced map on piece coordinates (target
+    coordinates by source coordinates).
+
+    Each source coordinate's lift is expanded once under the composite
+    psi_source * substitution * phi_target, from the source's reduced
+    monomials straight to the target's, and projected there.
+    """
     src = graded_piece(rm.source, k)
     tgt = graded_piece(rm.target, k)
+    psi, phi = _reduction(rm.source)[1], _reduction(rm.target)[0]
+    composite = matmul(matmul(psi.substitution, rm.substitution),
+                       phi.substitution)
+    basis = monomials(psi.source.n_vars, k)
     cols = []
-    for i in range(src.group.coord_rank):
-        unit = tuple(1 if j == i else 0 for j in range(src.group.coord_rank))
-        rep = _canonical_rep(rm.source, k, unit)
-        image = _expand(rep.items(), rm.substitution, rm.target.n_vars, k)
-        cols.append(tgt.group.project(image))
-    return from_columns(cols, tgt.group.coord_rank)
+    for i in range(src.coord_rank):
+        unit = tuple(1 if j == i else 0 for j in range(src.coord_rank))
+        image = _expand(zip(basis, src.lift_coords(unit)), composite,
+                        phi.target.n_vars, k)
+        cols.append(tgt.project(image))
+    return from_columns(cols, tgt.coord_rank)
 
 
 def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:
@@ -428,11 +367,7 @@ def is_iso_up_to(rm: RingMap, max_deg: int) -> dict:
     """
     verdicts = {}
     for k in range(max_deg + 1):
-        src = graded_piece(rm.source, k)
         tgt = graded_piece(rm.target, k)
-        if src.reduced.structure() != tgt.reduced.structure():
-            verdicts[k] = False
-            continue
-        matrix = induced_map(rm, k)
-        verdicts[k] = tgt.group.generated_by(zip(*matrix))
+        verdicts[k] = graded_piece(rm.source, k).structure() \
+            == tgt.structure() and tgt.generated_by(zip(*induced_map(rm, k)))
     return verdicts

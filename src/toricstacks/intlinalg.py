@@ -282,6 +282,12 @@ def snf_diagonal(m) -> Vector:
     return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
 
+def structure_text(free_rank: int, torsion) -> str:
+    """A group of this structure written out, e.g. 'Z/2 + Z'."""
+    parts = ["Z/%d" % d for d in torsion] + ["Z"] * free_rank
+    return " + ".join(parts) if parts else "0"
+
+
 class AbelianGroup(NamedTuple):
     """A finitely generated abelian group presented as a quotient of an
     ambient Z^n, in normal form.
@@ -333,8 +339,7 @@ class AbelianGroup(NamedTuple):
         return matvec(self.lift, coords)
 
     def describe(self) -> str:
-        parts = ["Z/%d" % d for d in self.torsion] + ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "0"
+        return structure_text(self.free_rank, self.torsion)
 
     def _lifted_span(self, cols) -> Matrix:
         """Coordinate matrix of cols followed by one column d_i * e_i per

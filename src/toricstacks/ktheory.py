@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
 from .cox import CoxData, cox
-from .fan import Cone, Fan
+from .fan import Cone, Fan, UserError
 from .intlinalg import (
     AbelianGroup,
     Vector,
@@ -94,7 +94,7 @@ def _relation_columns(p: GroupAlgebraPresentation, radius: int,
     for gen in p.ideal_gens:
         for coords, _coeff in gen:
             if not _in_box(group, coords, radius):
-                raise ValueError(
+                raise UserError(
                     "box radius %d is smaller than a generator exponent %s"
                     % (radius, list(coords)))
     columns = []

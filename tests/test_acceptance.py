@@ -93,10 +93,10 @@ def test_criterion_2_subdivision_and_kernel(acceptance):
 
 def test_criterion_3_graded_ranks(acceptance):
     sub_ring = chow_ring_stack(subdivided_square())
-    sub_pieces = [graded_piece(sub_ring, k).group.structure()
+    sub_pieces = [graded_piece(sub_ring, k).structure()
                   for k in range(5)]
     cone_ring = chow_ring_stack(square_fan())
-    cone_ranks = [graded_piece(cone_ring, k).group.free_rank
+    cone_ranks = [graded_piece(cone_ring, k).free_rank
                   for k in range(6)]
     ok = (sub_pieces == [(1, ()), (2, ()), (1, ()), (0, ()), (0, ())]
           and cone_ranks == [1] * 6)

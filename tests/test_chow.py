@@ -40,7 +40,7 @@ def quadrant_fan():
 
 
 def ranks(p, max_deg):
-    return [graded_piece(p, k).group.free_rank for k in range(max_deg + 1)]
+    return [graded_piece(p, k).free_rank for k in range(max_deg + 1)]
 
 
 def test_chow_ring_stack_examples():

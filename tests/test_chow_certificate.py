@@ -7,10 +7,9 @@ Finitely generated abelian groups are Hopfian, so exceptional_comparison
 decides degree k by equal structure of the source and target pieces, with
 no inverse map and no induced matrix.  The oracle for that rule is
 is_iso_up_to, which builds the induced map and tests that it generates the
-target; the bijection itself is an assert.  verify_vanishing reads the
-graded pieces' structure and certify_well_defined its relation test from
-the reduced cokernel (GradedPiece.reduced), never from the carried-back
-group; those reads are checked against normal_form and GradedPiece.group.
+target; the bijection itself is an assert.  The pieces' structures and the
+CLI's piece reports are checked against the carry-back of each piece to
+the original monomial basis (carry_back.carried_back).
 """
 
 import json
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from carry_back import carried_back
 from corpus import CORPUS_DATA, corpus_cones
 from test_negative_corpus import NEGATIVE
 from toricstacks import chow, cli, cox as cox_module, fan, graded, \
@@ -36,8 +36,6 @@ from toricstacks.graded import (
     in_relations,
     induced_map,
     is_iso_up_to,
-    monomials,
-    normal_form,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,7 +105,7 @@ def test_comparison_map_is_onto_in_every_degree():
         except ComparisonError:
             continue
         for k in range(4):
-            target = graded_piece(comp.target, k).group
+            target = graded_piece(comp.target, k)
             assert target.generated_by(zip(*induced_map(comp.map, k))), \
                 (cone.rays, k)
         checked += 1
@@ -118,8 +116,8 @@ def test_degree_one_failure_is_a_structure_mismatch():
     comp = exceptional_comparison(
         exceptional_stratum(make_cone(*DEGREE_ONE_FAILURE)), 4)
     assert dict(comp.verdicts)[1] is False
-    assert graded_piece(comp.source, 1).reduced.structure() \
-        != graded_piece(comp.target, 1).reduced.structure()
+    assert graded_piece(comp.source, 1).structure() \
+        != graded_piece(comp.target, 1).structure()
 
 
 def _not_injective(dst):
@@ -166,64 +164,13 @@ def _rings():
     return out
 
 
-def _relation_element(rng, p, k) -> dict:
-    """A random integer combination of generator multiples of degree k."""
-    n = p.n_vars
-    gens = [(1, {tuple(1 if j == i else 0 for j in range(n)): c
-                 for i, c in enumerate(row) if c})
-            for row in p.linear_gens]
-    gens += [(d, dict(items)) for d, items in p.homogeneous_gens]
-    out: dict = {}
-    for d, gen in gens:
-        shifts = monomials(n, k - d)
-        for shift in rng.sample(shifts, min(2, len(shifts))):
-            c = rng.randint(-3, 3)
-            for expt, coeff in gen.items():
-                e = tuple(x + y for x, y in zip(expt, shift))
-                out[e] = out.get(e, 0) + c * coeff
-    return out
-
-
-def _elements(rng, p, k) -> list:
-    basis = monomials(p.n_vars, k)
-    relation = _relation_element(rng, p, k)
-    perturbed = dict(relation)
-    m = rng.choice(basis)
-    perturbed[m] = perturbed.get(m, 0) + rng.choice((-1, 1))
-    generic = {m: rng.randint(-3, 3) for m in rng.sample(basis,
-                                                         min(3, len(basis)))}
-    out = [{}, relation, perturbed, generic]
-    # Per torsion coordinate: the lift of its unit (not a relation), and
-    # d_i times it, a relation whose reduced coordinates are nonzero
-    # multiples of d_i before the mod.
-    group = graded_piece(p, k).group
-    for i, d in enumerate(group.torsion):
-        for scale in (1, d):
-            lifted = group.lift_coords(tuple(scale if j == i else 0
-                                             for j in range(group.coord_rank)))
-            out.append({m: c for m, c in zip(basis, lifted) if c})
-    return out
-
-
-def test_reduced_relation_test_matches_normal_form():
-    rng = random.Random(47)
-    answers = set()
-    for p in _rings():
-        for k in range(5):
-            for element in _elements(rng, p, k):
-                expected = not any(normal_form(p, k, element))
-                assert in_relations(p, k, element) == expected
-                answers.add(expected)
-    assert answers == {True, False}
-
-
 def test_reduced_structure_matches_graded_piece():
     torsion_seen = False
     for p in _rings():
         for k in range(5):
             piece = graded_piece(p, k)
-            group = piece.group
-            assert (piece.reduced.free_rank, piece.reduced.torsion) \
+            group = carried_back(p, k)
+            assert (piece.free_rank, piece.torsion) \
                 == (group.free_rank, group.torsion)
             torsion_seen |= bool(group.torsion)
     assert torsion_seen
@@ -235,49 +182,24 @@ def test_in_relations_checks_degree():
         in_relations(p, 2, {(1, 0, 0, 0, 0): 1})
 
 
-def _count_sym_power(monkeypatch) -> list:
-    built = []
-    real = graded._sym_power
-
-    def counting(rm, k):
-        built.append(k)
-        return real(rm, k)
-
-    monkeypatch.setattr(graded, "_sym_power", counting)
-    return built
-
-
-def test_certified_verification_carries_no_piece_back(monkeypatch):
-    built = _count_sym_power(monkeypatch)
-    clear_package_caches()
-    rep = verify_vanishing(corpus_cones()[18], 4)
-    assert rep.conclusion
-    assert graded_piece.cache_info().misses > 0
-    assert built == []
-
-
-def test_chow_stack_reads_reduced_pieces(monkeypatch, capsys):
-    built = _count_sym_power(monkeypatch)
+def test_chow_stack_reads_reduced_pieces(capsys):
     for name in ("sigma_square.json", "strongness_example.json"):
         path = str(FIXTURES / name)
-        clear_package_caches()
         assert cli.run(["chow-stack", path]) == 0
         text = capsys.readouterr().out
         assert cli.run(["chow-stack", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert built == []
         # The carried-back groups give the same pieces, byte for byte.
         data = json.loads((FIXTURES / name).read_text())
         p = chow_ring_stack(Fan.from_data(data["rank"], data["rays"],
                                           data["max_cones"]))
-        pieces = [graded_piece(p, k).group for k in range(5)]
+        pieces = [carried_back(p, k) for k in range(5)]
         assert text.endswith("".join("  A^%d = %s\n" % (k, g.describe())
                                      for k, g in enumerate(pieces)))
         assert payload["pieces"] == [
             {"degree": k, "free_rank": g.free_rank,
              "torsion": list(g.torsion), "text": g.describe()}
             for k, g in enumerate(pieces)]
-        built.clear()
 
 
 def _count_cox(monkeypatch, *modules) -> list:

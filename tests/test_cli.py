@@ -238,3 +238,50 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert captured.err.startswith("internal error: AssertionError: "
                                    "projection does not kill a relation\n"
                                    "Traceback (most recent call last):\n")
+
+
+@pytest.mark.parametrize("verb", ["verify-vanishing", "verify-k-vanishing"])
+def test_lower_dimensional_cone_exits_2(verb, tmp_path, capsys):
+    path = tmp_path / "rays.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0], [1]]}))
+    assert run([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cone has dimension 1 in rank 2; the "
+                            "comparison needs a full-dimensional cone\n")
+
+
+def test_chow_groups_degree_out_of_range_exits_2(capsys):
+    for k in ("-1", "4"):
+        assert run(["chow-groups", SQUARE, "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k must be in 0..3\n"
+
+
+@pytest.mark.parametrize("verb, module, name", [
+    ("verify-vanishing", "chow", "verify_vanishing"),
+    ("verify-k-vanishing", "ktheory", "verify_k_vanishing"),
+    ("chow-groups", "chow", "chow_groups"),
+])
+def test_bare_value_error_exits_3(verb, module, name, monkeypatch, capsys):
+    def broken(*_args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr("toricstacks.%s.%s" % (module, name), broken)
+    assert run([verb, SQUARE]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ValueError: not an "
+                                   "input error\n")
+
+
+def test_user_errors_share_one_base():
+    from toricstacks.cli import InputError
+    from toricstacks.cox import TorusFactorError
+    from toricstacks.fan import GeometryError, UserError
+
+    for cls in (InputError, GeometryError, TorusFactorError):
+        assert issubclass(cls, UserError)
+    assert issubclass(UserError, ValueError)

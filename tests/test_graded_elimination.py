@@ -3,10 +3,13 @@ expands a degree, against a direct expansion over every monomial.
 
 The direct expansion lives only here: every generator multiple of degree
 k, linear ones included, expanded over all degree-k monomials in the
-original variables, then one cokernel.  Each reduced piece must have the
-same structure and the same (canonical) free block of the projection,
-its projection must kill every direct relation column, and its lift must
-be a right inverse of its projection modulo torsion.
+original variables, then one cokernel.  Each piece, carried back to those
+monomials, must have the same structure and the same (canonical) free
+block of the projection, its projection must kill every direct relation
+column, and its lift must be a right inverse of its projection modulo
+torsion.  The reduced-coordinate API is checked against the same
+expansion: normal_form is zero exactly on the direct relation lattice, and
+it commutes with induced_map on the certified comparison maps.
 """
 
 import random
@@ -14,11 +17,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from toricstacks.chow import exceptional_comparison, exceptional_stratum
-from toricstacks.graded import graded_piece, make_presentation
-from toricstacks.intlinalg import cokernel
-
+from carry_back import carried_back, substitute
 from corpus import corpus_cones
+from test_chow_certificate import random_cones
+from toricstacks.chow import (ComparisonError, exceptional_comparison,
+                              exceptional_stratum)
+from toricstacks.graded import (graded_piece, in_relations, induced_map,
+                                make_presentation, monomials, normal_form)
+from toricstacks.intlinalg import cokernel, from_columns, matvec
 
 
 def exponents(n_vars, degree):
@@ -48,15 +54,19 @@ def direct_relations(p, k, basis):
     return columns
 
 
-def check_against_direct(p, k):
-    piece = graded_piece(p, k)
-    g = piece.group
-    basis = piece.monomial_basis
+def direct_cokernel(p, k):
+    """(basis, relation columns, cokernel) of the direct expansion, over
+    graded's degree-k monomial order."""
+    basis = monomials(p.n_vars, k)
     assert sorted(basis) == sorted(exponents(p.n_vars, k))
-    assert g.ambient_rank == len(basis)
     columns = direct_relations(p, k, basis)
-    ref = cokernel(tuple(zip(*columns)) if columns
-                   else tuple(() for _ in basis))
+    return basis, columns, cokernel(from_columns(columns, len(basis)))
+
+
+def check_against_direct(p, k):
+    g = carried_back(p, k)
+    basis, columns, ref = direct_cokernel(p, k)
+    assert g.ambient_rank == len(basis)
     assert g.structure() == ref.structure()
     nt = len(g.torsion)
     assert g.projection[nt:] == ref.projection[nt:]
@@ -146,3 +156,76 @@ def test_corpus_rings_match_direct_expansion():
         for p in (comparison.source, comparison.target):
             for k in range(5):
                 check_against_direct(p, k)
+
+
+def _rings():
+    rng = random.Random(5)
+    rings = list(EDGE_CASES.values())
+    rings += [random_presentation(rng) for _ in range(60)]
+    for cone in corpus_cones():
+        comparison = exceptional_comparison(exceptional_stratum(cone), 0)
+        rings += [comparison.source, comparison.target]
+    return rings
+
+
+def _sample_elements(rng, basis, columns, ref) -> list:
+    """Degree-k elements as coefficient dicts: zero, a random combination
+    of relation columns, the same off by one monomial, a generic element,
+    and per torsion coordinate of the direct cokernel the lift of its unit
+    (not a relation) and d times it (a relation)."""
+    vecs = []
+    if basis and columns:
+        relation = [0] * len(basis)
+        for col in rng.sample(columns, min(3, len(columns))):
+            c = rng.randint(-3, 3)
+            relation = [a + c * b for a, b in zip(relation, col)]
+        off = list(relation)
+        off[rng.randrange(len(basis))] += rng.choice((-1, 1))
+        vecs += [relation, off]
+    if basis:
+        vecs.append([rng.randint(-3, 3) for _ in basis])
+    n = ref.coord_rank
+    for i, d in enumerate(ref.torsion):
+        for scale in (1, d):
+            vecs.append(ref.lift_coords(tuple(scale if j == i else 0
+                                              for j in range(n))))
+    return [{}] + [{m: c for m, c in zip(basis, v) if c} for v in vecs]
+
+
+def test_normal_form_zeroness_matches_direct_cokernel():
+    rng = random.Random(47)
+    answers = set()
+    for p in _rings():
+        for k in range(5):
+            basis, columns, ref = direct_cokernel(p, k)
+            for element in _sample_elements(rng, basis, columns, ref):
+                vec = tuple(element.get(m, 0) for m in basis)
+                expected = not any(ref.project(vec))
+                assert (not any(normal_form(p, k, element))) == expected
+                assert in_relations(p, k, element) == expected
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_normal_form_commutes_with_induced_map():
+    rng = random.Random(13)
+    maps = []
+    for cone in corpus_cones() + random_cones(31, 200):
+        try:
+            maps.append(exceptional_comparison(exceptional_stratum(cone),
+                                               0).map)
+        except ComparisonError:
+            continue
+    assert len(maps) >= 100
+    for rm in maps:
+        n, n_target = rm.source.n_vars, rm.target.n_vars
+        for k in range(4):
+            matrix = induced_map(rm, k)
+            target = graded_piece(rm.target, k)
+            basis = monomials(n, k)
+            for _ in range(3):
+                element = {m: rng.randint(-3, 3)
+                           for m in rng.sample(basis, min(3, len(basis)))}
+                image = substitute(element, rm.substitution, n_target)
+                assert normal_form(rm.target, k, image) == target.reduce(
+                    matvec(matrix, normal_form(rm.source, k, element)))

@@ -108,7 +108,6 @@ RECORDS = {
     },
     "graded": {
         "GradedPresentation": ("n_vars", "linear_gens", "homogeneous_gens"),
-        "GradedPiece": ("presentation", "degree", "reduced"),
         "RingMap": ("source", "target", "substitution"),
         "Certification": ("ok", "witness"),
     },
@@ -141,7 +140,6 @@ RECORDS = {
 }
 # Records with fields built on first read (cached_property).
 LAZY = {"ExceptionalStratum": ("subdivision_cox",),
-        "GradedPiece": ("group",),
         "BoxedQuotient": ("monomials", "relation_columns", "group")}
 
 

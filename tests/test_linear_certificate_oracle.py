@@ -84,7 +84,7 @@ def _in_reduced_relations(p, k: int, poly: dict) -> bool:
     basis = monomials(phi.target.n_vars, k)
     image = _substitute(phi, poly)
     vec = [image.get(m, 0) for m in basis]
-    return not any(graded_piece(p, k).reduced.project(vec))
+    return not any(graded_piece(p, k).project(vec))
 
 
 def per_generator_certify(rm) -> Certification:
@@ -226,7 +226,7 @@ def test_random_presentations():
     for trial in range(600):
         kind = ("torsion", "no reduced variables", "random")[trial % 3]
         target = _random_target(rng, kind)
-        reduced = graded_piece(target, 1).reduced
+        reduced = graded_piece(target, 1)
         if kind == "torsion":
             assert reduced.torsion
         if kind == "no reduced variables":

@@ -1,7 +1,8 @@
 """Pins the exact normal form of every corpus graded piece.
 
 Each digest covers torsion, free rank, projection and lift of graded
-pieces of chow_ring_stack(star_subdivision(cone)).  PINNED_DIGEST covers
+pieces of chow_ring_stack(star_subdivision(cone)), carried back to the
+original monomial basis (carry_back.carried_back).  PINNED_DIGEST covers
 every corpus cone at degrees 0-4 and, except cone 18, at degree 5; it was
 computed on the code as it stood before the eliminations in intlinalg
 stopped tracking transforms no caller reads.  PINNED_DIGEST_CONE_18_DEG_5
@@ -16,8 +17,7 @@ import hashlib
 
 from toricstacks.chow import chow_ring_stack
 from toricstacks.fan import Fan, star_subdivision
-from toricstacks.graded import graded_piece
-
+from carry_back import carried_back
 from corpus import corpus_cones
 
 PINNED_DIGEST = "62c0769f592f99d53e2016b274ed02115fde2e34f1563f69532d192289110486"
@@ -37,7 +37,7 @@ def normal_form_digest(degrees_of) -> str:
         f = Fan(cone.ambient_rank, [cone])
         source = chow_ring_stack(star_subdivision(f, cone))
         for k in degrees:
-            g = graded_piece(source, k).group
+            g = carried_back(source, k)
             h.update(repr((idx, k, g.torsion, g.free_rank, g.projection,
                            g.lift)).encode())
     return h.hexdigest()

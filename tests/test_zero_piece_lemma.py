@@ -29,7 +29,7 @@ def every_piece(cone, max_deg: int) -> tuple:
     source = _chow_presentation(exceptional_stratum(cone).subdivision_cox)
     pieces = []
     for k in range(max_deg + 1):
-        group = graded_piece(source, k).reduced
+        group = graded_piece(source, k)
         pieces.append((k, group.free_rank, group.torsion))
     return tuple(pieces)
 
