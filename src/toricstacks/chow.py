@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .cox import CoxData, cox
+from .cox import CoxData, cox, ray_relations
 from .fan import (
     Cone,
     Fan,
@@ -34,6 +34,7 @@ from .fan import (
     StarQuotient,
     orbit_relation_data,
     preimage_orbit_closure,
+    primitive_collections,
     star_quotient_fan,
     star_subdivision,
     star_vector,
@@ -70,18 +71,27 @@ class ComparisonError(ValueError):
 def chow_ring_stack(f: Fan) -> GradedPresentation:
     """Quotient-ring presentation attached to a fan: one variable per ray,
     the kernel lattice as linear relations, one squarefree monomial per
-    primitive collection."""
-    return _chow_presentation(cox(f))
+    primitive collection.  It reads only cox.ray_relations and the
+    primitive collections, so it builds no character group; raises
+    TorusFactorError when the rays do not span."""
+    return chow_presentation(len(f.rays), ray_relations(f),
+                             primitive_collections(f))
+
+
+def chow_presentation(n: int, kernel, collections) -> GradedPresentation:
+    """The Chow presentation in n ray variables with the given kernel rows
+    as linear relations and one squarefree monomial per collection."""
+    homs = []
+    for coll in collections:
+        expt = tuple(1 if i in coll else 0 for i in range(n))
+        homs.append((len(coll), {expt: 1}))
+    return make_presentation(n, kernel, homs)
 
 
 def _chow_presentation(cd: CoxData) -> GradedPresentation:
-    """chow_ring_stack of the fan whose Cox data is cd."""
-    n = len(cd.fan.rays)
-    homs = []
-    for coll in cd.primitive_collections:
-        expt = tuple(1 if i in coll else 0 for i in range(n))
-        homs.append((len(coll), {expt: 1}))
-    return make_presentation(n, cd.kernel, homs)
+    """chow_ring_stack of the fan whose Cox data is cd, read off cd."""
+    return chow_presentation(len(cd.fan.rays), cd.kernel,
+                             cd.primitive_collections)
 
 
 def chow_relation_data(f: Fan, k: int):
@@ -134,7 +144,8 @@ class ExceptionalStratum:
     surviving subdivision ray (every ray but the star ray, listed in
     surviving) to its image ray in quotient.fan.  failure says why the
     matching does not exist (a dropped or a missing ray), or is None.
-    subdivision_cox is the subdivision's Cox data, built on first read.
+    subdivision_cox is the subdivision's Cox data, built on first read:
+    the comparison expresses the star ray's class in its X(G).
     """
 
     def __init__(self, subdivision: Fan, star_ray: Vector, star_index: int,

@@ -27,7 +27,7 @@ import sys
 from math import lcm
 
 from .fan import Fan, UserError, _integer, _integer_rows, \
-    star_subdivision, star_vector, validate_fan
+    primitive_collections, star_subdivision, star_vector, validate_fan
 from .intlinalg import structure_text
 
 
@@ -201,24 +201,23 @@ def _piece_json(degree: int, free_rank: int, torsion) -> dict:
 def _cmd_chow_stack(ns):
     if ns.max_deg < 0:
         raise InputError("--max-deg must be nonnegative")
-    from .chow import _chow_presentation
-    from .cox import cox
+    from .chow import chow_presentation
+    from .cox import ray_relations
     from .graded import graded_piece
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    cd = cox(f)
-    p = _chow_presentation(cd)
+    kernel, collections = ray_relations(f), primitive_collections(f)
     n = len(f.rays)
+    p = chow_presentation(n, kernel, collections)
     pieces = [_piece_json(k, *graded_piece(p, k).structure())
               for k in range(ns.max_deg + 1)]
     payload = {"variables": n,
-               "linear_relations": [list(r) for r in cd.kernel],
-               "monomial_relations": [sorted(c)
-                                      for c in cd.primitive_collections],
+               "linear_relations": [list(r) for r in kernel],
+               "monomial_relations": [sorted(c) for c in collections],
                "pieces": pieces}
     lines = ["variables: %s" % ", ".join("s%d" % (i + 1) for i in range(n)),
              "linear relations:"]
-    lines += ["  %s" % _form(r) for r in cd.kernel] or ["  none"]
-    mono = ", ".join(_monomial(c) for c in cd.primitive_collections)
+    lines += ["  %s" % _form(r) for r in kernel] or ["  none"]
+    mono = ", ".join(_monomial(c) for c in collections)
     lines.append("monomial relations: %s" % (mono or "none"))
     lines.append("graded pieces:")
     lines += ["  A^%d = %s" % (pc["degree"], pc["text"]) for pc in pieces]

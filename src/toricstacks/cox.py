@@ -1,15 +1,18 @@
 """Cox quotient data of a fan: the ray map, its character group, the action
 weights, the kernel lattice and the primitive collections.
 
-Everything here is a function of one matrix, the primitive ray generators
-written as rows.  The character group X(G) is its cokernel, the weight of a
-ray is the class of the matching unit vector, and the kernel lattice is the
-row lattice of the transpose.  Both rings built from a fan read the same
-CoxData: chow.chow_ring_stack takes the kernel rows as linear forms and the
-primitive collections as squarefree monomials; ktheory.k_ring_stack works
-in X(G), where the kernel rows vanish, and turns each collection into a
-relation 1 - e^{-(sum of its weights)}.  strong_divisor_check answers the
-per-chart strongness question from the same weights.
+Everything here is a function of one matrix, beta, whose columns are the
+primitive ray generators, and it is Hermite-reduced once (ray_relations).
+Its nonzero HNF rows are the kernel lattice, the linear relations among the
+ray variables.  The character group X(G) is the cokernel of those rows
+taken as columns, and the weight of a ray is the class of the matching unit
+vector.  The Chow ring reads only the kernel rows and the primitive
+collections: chow.chow_ring_stack takes them as linear forms and squarefree
+monomials, and builds no X(G).  ktheory.k_ring_stack works in X(G), where
+the kernel rows vanish, and turns each collection into a relation
+1 - e^{-(sum of its weights)}; it reads the full CoxData.
+strong_divisor_check answers the per-chart strongness question from the
+same weights.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .intlinalg import (
     freeze,
     from_columns,
     hnf_form,
+    transpose,
 )
 
 
@@ -56,14 +60,15 @@ class CoxData(NamedTuple):
     primitive_collections: tuple[tuple[int, ...], ...]
 
 
-def cox(f: Fan) -> CoxData:
-    """Cox data of a fan whose rays span the ambient space over Q.
+def ray_relations(f: Fan) -> Matrix:
+    """The nonzero HNF rows of beta: the canonical basis of the linear
+    relations among the ray variables, i.e. of beta's row lattice.
 
-    Raises TorusFactorError otherwise; a rank-0 fan (a point) is accepted.
+    Raises TorusFactorError when the rays do not span the ambient space
+    over Q; a rank-0 fan (a point) is accepted.
     """
     n = f.ambient_rank
-    rays = freeze(f.rays)
-    beta = from_columns(rays, n)
+    beta = from_columns(freeze(f.rays), n)
     # The nonzero HNF rows of beta span its row lattice, so they count the
     # rays' rank.
     kernel = tuple(row for row in hnf_form(beta) if any(row))
@@ -72,13 +77,26 @@ def cox(f: Fan) -> CoxData:
             "rays span a rank-%d sublattice of Z^%d; the fan has a torus "
             "factor, which this construction does not support"
             % (len(kernel), n))
-    group = cokernel(rays)
-    r = len(rays)
-    weights = tuple(
-        group.project(tuple(1 if j == i else 0 for j in range(r)))
-        for i in range(r))
-    for row in kernel:
-        assert not any(group.project(row)), "kernel row has nonzero class"
+    return kernel
+
+
+def cox(f: Fan) -> CoxData:
+    """Cox data of a fan whose rays span the ambient space over Q.
+
+    Raises TorusFactorError otherwise; a rank-0 fan (a point) is accepted.
+    X(G) is the cokernel of the kernel rows taken as columns: they span the
+    same lattice as the rays' coordinate columns, and cokernel depends only
+    on that lattice.
+    """
+    kernel = ray_relations(f)
+    r = len(f.rays)
+    beta = from_columns(freeze(f.rays), f.ambient_rank)
+    group = cokernel(from_columns(kernel, r))
+    # The weight of ray i is the class of the i-th unit vector: column i of
+    # the projection, whose torsion rows the normal form keeps reduced.
+    weights = transpose(group.projection) or ((),) * r
+    for row in beta:
+        assert not any(group.project(row)), "beta row has nonzero class"
     return CoxData(fan=f, beta=beta, char_group=group, weights=weights,
                    kernel=kernel,
                    primitive_collections=primitive_collections(f))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -612,6 +612,23 @@ def primitive_collections(f: Fan) -> list[frozenset]:
                     collections.append(frozenset(u))
         level = grown
     return sorted(collections, key=sorted)
+
+
+def h_vector(f: Fan) -> tuple[int, ...]:
+    """The h-vector (h_0, ..., h_d) of a simplicial fan in rank d, from the
+    face counts f_i (the number of cones with i rays, f_0 = 1):
+    h_k = sum over i <= k of (-1)^(k-i) C(d-i, k-i) f_i.  When every
+    maximal cone is full-dimensional the ray forms are a linear system of
+    parameters of the Stanley-Reisner ring over Q, and h_k is the free rank
+    of the degree-k Chow piece (Stanley, Combinatorics and Commutative
+    Algebra, ch. II).  Raises ValueError when a cone is not simplicial."""
+    if any(len(s) != f.cone(s).dim for s in f.maximal_cones):
+        raise ValueError("the h-vector needs a simplicial fan")
+    d = f.ambient_rank
+    counts = Counter(len(s) for s in f.cones)
+    return tuple(sum((-1) ** (k - i) * comb(d - i, k - i) * counts[i]
+                     for i in range(k + 1))
+                 for k in range(d + 1))
 
 
 def _tiles(sigma: Cone, pieces: list[Cone]) -> bool:
