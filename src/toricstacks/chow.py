@@ -6,8 +6,8 @@ from divisor-of-character relations (chow_groups), and the end-to-end
 comparison that star-subdivides a full-dimensional cone, projects onto the
 exceptional stratum, and decides whether the induced ring map is an
 isomorphism with torsion-free pieces (verify_vanishing).  The subdivision
-and the ray matching with the stratum (exceptional_stratum) are shared with
-the K-theory verifier in ktheory.
+and the ray matching with the stratum (fan.exceptional_stratum) are the
+geometric reduction the K-theory verifier in ktheory starts from too.
 
 No inverse map or induced matrix is needed: the ray matching is a
 bijection, so the certified map hits every generator of a ring generated in
@@ -23,19 +23,19 @@ in every report, not recomputed.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
-from .cox import CoxData, cox, ray_relations
+from .cox import cox, ray_relations
 from .fan import (
+    ComparisonError,
     Cone,
+    ExceptionalStratum,
     Fan,
-    GeometryError,
-    StarQuotient,
+    _require_full_dim,
+    exceptional_stratum,
     orbit_relation_data,
     preimage_orbit_closure,
     primitive_collections,
-    star_quotient_fan,
     star_subdivision,
     star_vector,
 )
@@ -50,22 +50,6 @@ from .graded import (
 from .intlinalg import AbelianGroup, Vector, cokernel, from_columns
 
 POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
-
-
-class ComparisonError(ValueError):
-    """The exceptional identification could not be built over Z.
-
-    Both vanishing verifiers raise it, with the reason verbatim:
-    - a projected ray is not extreme in the quotient fan (dropped);
-    - a surviving ray has no image ray in the quotient fan (missing);
-    - Chow: the class of the subdivision ray has no integral expression
-      in the surviving ray classes;
-    - Chow: the substitution fails its well-definedness certificate;
-    - K: the stratum's exponent lattice does not map to zero in X(G);
-    - K: the two character groups have different structures;
-    - K: the stratum's ray classes do not generate X(G).
-    Nothing is rescaled rationally.
-    """
 
 
 def chow_ring_stack(f: Fan) -> GradedPresentation:
@@ -86,12 +70,6 @@ def chow_presentation(n: int, kernel, collections) -> GradedPresentation:
         expt = tuple(1 if i in coll else 0 for i in range(n))
         homs.append((len(coll), {expt: 1}))
     return make_presentation(n, kernel, homs)
-
-
-def _chow_presentation(cd: CoxData) -> GradedPresentation:
-    """chow_ring_stack of the fan whose Cox data is cd, read off cd."""
-    return chow_presentation(len(cd.fan.rays), cd.kernel,
-                             cd.primitive_collections)
 
 
 def chow_relation_data(f: Fan, k: int):
@@ -129,65 +107,6 @@ def chow_groups(f: Fan, k: int) -> AbelianGroup:
     return cokernel(from_columns(cols, len(gens)))
 
 
-def _require_full_dim(sigma: Cone) -> None:
-    if sigma.dim != sigma.ambient_rank:
-        raise GeometryError("cone has dimension %d in rank %d; the "
-                            "comparison needs a full-dimensional cone"
-                            % (sigma.dim, sigma.ambient_rank))
-
-
-class ExceptionalStratum:
-    """A full-dimensional cone's star subdivision, matched ray by ray with
-    the fan of its exceptional stratum.
-
-    quotient is the star quotient fan of the star ray; dst sends each
-    surviving subdivision ray (every ray but the star ray, listed in
-    surviving) to its image ray in quotient.fan.  failure says why the
-    matching does not exist (a dropped or a missing ray), or is None.
-    subdivision_cox is the subdivision's Cox data, built on first read:
-    the comparison expresses the star ray's class in its X(G).
-    """
-
-    def __init__(self, subdivision: Fan, star_ray: Vector, star_index: int,
-                 quotient: StarQuotient, surviving: tuple[int, ...],
-                 dst: dict, failure: str | None) -> None:
-        self.subdivision = subdivision
-        self.star_ray = star_ray
-        self.star_index = star_index
-        self.quotient = quotient
-        self.surviving = surviving
-        self.dst = dst
-        self.failure = failure
-
-    @cached_property
-    def subdivision_cox(self) -> CoxData:
-        return cox(self.subdivision)
-
-
-def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
-    """The reduction both vanishing verifiers start from: star-subdivide
-    the cone, project the star onto the exceptional stratum, and match the
-    surviving rays with the stratum's rays."""
-    _require_full_dim(sigma)
-    f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
-    v = star_vector(sigma)
-    v_idx = f2.rays.index(v)
-    quotient = star_quotient_fan(f2, v)
-    dst = {src: d for src, d, _mult in quotient.pairs}
-    surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
-    missing = [i for i in surviving if i not in dst]
-    failure = None
-    if quotient.dropped:
-        failure = ("projected rays %s are not extreme in the quotient; no "
-                   "variable correspondence exists"
-                   % (sorted(quotient.dropped),))
-    elif missing:
-        failure = "rays %s have no image ray in the quotient" % (missing,)
-    return ExceptionalStratum(subdivision=f2, star_ray=v, star_index=v_idx,
-                              quotient=quotient, surviving=surviving,
-                              dst=dst, failure=failure)
-
-
 class Comparison(NamedTuple):
     """Everything the exceptional comparison of one cone produced."""
 
@@ -203,7 +122,7 @@ def _unit(i: int, n: int) -> Vector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
+def piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
     """The structures of the pieces of degree 0..max_deg.
 
     Every variable of a GradedPresentation has degree 1, so the ring is
@@ -234,7 +153,7 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     is an isomorphism in degree k exactly when the source and target
     degree-k pieces have equal structure.  verdicts is that comparison for
     k in 0..max_deg, each side computed up to its first zero piece of
-    degree >= 1 (_piece_structures).  Raises ComparisonError when the
+    degree >= 1 (piece_structures).  Raises ComparisonError when the
     stratum's rays did not match or the forward map fails.
     """
     if stratum.failure:
@@ -243,8 +162,9 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     n_target = len(stratum.quotient.fan.rays)
     assert sorted(dst.values()) == list(range(n_target)), \
         "the ray matching is not a bijection onto the quotient's rays"
-    cd = stratum.subdivision_cox
-    source = _chow_presentation(cd)
+    cd = cox(f2)
+    source = chow_presentation(len(f2.rays), cd.kernel,
+                               cd.primitive_collections)
     target = chow_ring_stack(stratum.quotient.fan)
     sol = cd.char_group.express([cd.weights[i] for i in stratum.surviving],
                                 cd.weights[v_idx])
@@ -267,8 +187,8 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     if not cert.ok:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))
-    pairs = zip(_piece_structures(source, max_deg),
-                _piece_structures(target, max_deg))
+    pairs = zip(piece_structures(source, max_deg),
+                piece_structures(target, max_deg))
     verdicts = tuple((k, s == t) for k, (s, t) in enumerate(pairs))
     return Comparison(stratum=stratum, source=source, target=target,
                       map=rm, extra_row=tuple(extra), verdicts=verdicts)
@@ -311,7 +231,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
         comparison = exceptional_comparison(stratum, max_deg)
     except ComparisonError as exc:
         comparison, failure = None, str(exc)
-        source = _chow_presentation(stratum.subdivision_cox)
+        source = chow_ring_stack(stratum.subdivision)
         verdicts, extra_row = (), None
     else:
         failure = None
@@ -319,7 +239,7 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
         verdicts, extra_row = comparison.verdicts, comparison.extra_row
 
     pieces = tuple((k,) + structure for k, structure
-                   in enumerate(_piece_structures(source, max_deg)))
+                   in enumerate(piece_structures(source, max_deg)))
     identified = comparison is not None
     conclusion = identified and all(ok for _k, ok in verdicts[1:]) \
         and all(not torsion for deg, _rank, torsion in pieces if deg >= 1)

@@ -12,8 +12,9 @@ Output is deterministic: identical inputs produce identical bytes.
 A process is one verb, and most of its time is start-up, so each handler
 imports the layers it runs in its own body: at top level only fan (and
 with it intlinalg) is loaded.  validate and subdivide run on those; cox
-and strongness add cox; the Chow verbs add graded and chow; only the two
-K verbs load ktheory.  The records the layers return are NamedTuples, with
+and strongness add cox; the Chow verbs add graded and chow; the two K
+verbs add ktheory, which reads the exceptional reduction from fan and
+loads no Chow layer.  The records the layers return are NamedTuples, with
 tuple semantics, and payloads are built from them field by field.
 `python -X importtime -m toricstacks validate fixtures/sigma_square.json`
 shows what a process loads.
@@ -201,15 +202,14 @@ def _piece_json(degree: int, free_rank: int, torsion) -> dict:
 def _cmd_chow_stack(ns):
     if ns.max_deg < 0:
         raise InputError("--max-deg must be nonnegative")
-    from .chow import chow_presentation
+    from .chow import chow_presentation, piece_structures
     from .cox import ray_relations
-    from .graded import graded_piece
     f = _load_valid_fan(_load_payload(ns.input), ns.input)
     kernel, collections = ray_relations(f), primitive_collections(f)
     n = len(f.rays)
     p = chow_presentation(n, kernel, collections)
-    pieces = [_piece_json(k, *graded_piece(p, k).structure())
-              for k in range(ns.max_deg + 1)]
+    pieces = [_piece_json(k, *structure) for k, structure
+              in enumerate(piece_structures(p, ns.max_deg))]
     payload = {"variables": n,
                "linear_relations": [list(r) for r in kernel],
                "monomial_relations": [sorted(c) for c in collections],

@@ -1,7 +1,9 @@
 """Rational polyhedral cones and fans over a lattice, with the operations a
 toric intersection-theory pipeline needs: face enumeration, star
 subdivision, primitive collections, refinement and preimage tests, star
-quotients, and facet relation data for orbit closures.
+quotients, and facet relation data for orbit closures, plus the reduction
+both vanishing verifiers start from (exceptional_stratum: a cone's star
+subdivision matched ray by ray with the star quotient fan of its star ray).
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
@@ -751,6 +753,71 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
             dropped.append(i)
     return StarQuotient(fan=quotient, projection=q, ray_index=ri,
                         pairs=tuple(pairs), dropped=tuple(dropped))
+
+
+class ComparisonError(ValueError):
+    """The exceptional identification could not be built over Z.
+
+    Both vanishing verifiers raise it, with the reason verbatim:
+    - a projected ray is not extreme in the quotient fan (dropped);
+    - a surviving ray has no image ray in the quotient fan (missing);
+    - Chow: the class of the subdivision ray has no integral expression
+      in the surviving ray classes;
+    - Chow: the substitution fails its well-definedness certificate;
+    - K: the stratum's exponent lattice does not map to zero in X(G);
+    - K: the two character groups have different structures;
+    - K: the stratum's ray classes do not generate X(G).
+    Nothing is rescaled rationally.
+    """
+
+
+def _require_full_dim(sigma: Cone) -> None:
+    if sigma.dim != sigma.ambient_rank:
+        raise GeometryError("cone has dimension %d in rank %d; the "
+                            "comparison needs a full-dimensional cone"
+                            % (sigma.dim, sigma.ambient_rank))
+
+
+class ExceptionalStratum(NamedTuple):
+    """A full-dimensional cone's star subdivision, matched ray by ray with
+    the fan of its exceptional stratum.
+
+    quotient is the star quotient fan of the star ray; dst sends each
+    surviving subdivision ray (every ray but the star ray, listed in
+    surviving) to its image ray in quotient.fan.  failure says why the
+    matching does not exist (a dropped or a missing ray), or is None.
+    """
+    subdivision: Fan
+    star_ray: Vector
+    star_index: int
+    quotient: StarQuotient
+    surviving: tuple[int, ...]
+    dst: dict
+    failure: str | None
+
+
+def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
+    """The reduction both vanishing verifiers start from: star-subdivide
+    the cone, project the star onto the exceptional stratum, and match the
+    surviving rays with the stratum's rays."""
+    _require_full_dim(sigma)
+    f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
+    v = star_vector(sigma)
+    v_idx = f2.rays.index(v)
+    quotient = star_quotient_fan(f2, v)
+    dst = {src: d for src, d, _mult in quotient.pairs}
+    surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
+    missing = [i for i in surviving if i not in dst]
+    failure = None
+    if quotient.dropped:
+        failure = ("projected rays %s are not extreme in the quotient; no "
+                   "variable correspondence exists"
+                   % (sorted(quotient.dropped),))
+    elif missing:
+        failure = "rays %s have no image ray in the quotient" % (missing,)
+    return ExceptionalStratum(subdivision=f2, star_ray=v, star_index=v_idx,
+                              quotient=quotient, surviving=surviving,
+                              dst=dst, failure=failure)
 
 
 class OrbitRelationDatum(NamedTuple):

@@ -11,6 +11,8 @@ radius, and anything non-stabilized is inconclusive, never asserted.
 A window's relations are the boxed relations that vanish outside it: one
 HNF with the outside coordinates first gives them as the echelon rows with
 no outside entry (elimination order; Cohen, GTM 138, 2.4).
+The comparison starts from fan.exceptional_stratum and reads the Cox data
+of its two fans; it loads neither graded nor chow.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-from .chow import ComparisonError, ExceptionalStratum, exceptional_stratum
 from .cox import CoxData, cox
-from .fan import Cone, Fan, UserError
+from .fan import (
+    ComparisonError,
+    Cone,
+    ExceptionalStratum,
+    Fan,
+    UserError,
+    exceptional_stratum,
+)
 from .intlinalg import (
     AbelianGroup,
     Vector,

@@ -135,7 +135,7 @@ def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
                                                      corrupt):
     for cone in corpus_cones():
         stratum = exceptional_stratum(cone)
-        stratum.dst = corrupt(stratum.dst)
+        stratum = stratum._replace(dst=corrupt(stratum.dst))
         with pytest.raises(AssertionError):
             exceptional_comparison(stratum, 2)
 
@@ -143,8 +143,7 @@ def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
 
     def corrupted(sigma):
         stratum = real(sigma)
-        stratum.dst = corrupt(stratum.dst)
-        return stratum
+        return stratum._replace(dst=corrupt(stratum.dst))
 
     monkeypatch.setattr(chow, "exceptional_stratum", corrupted)
     path = str(FIXTURES / "sigma_square.json")
@@ -230,3 +229,21 @@ def test_failed_chow_comparison_builds_each_cox_once(monkeypatch):
                                          (-1, -2, 3)]), 3)
     assert rep.failure.startswith("substitution does not map")
     assert sizes == [4]
+
+
+def test_failed_match_builds_no_cox(monkeypatch):
+    # A stratum whose rays do not match fails before the comparison reads
+    # any X(G), and the report's pieces come from the ray relations alone.
+    sizes = _count_cox(monkeypatch, chow)
+    reason = "rays [0] have no image ray in the quotient"
+    real = chow.exceptional_stratum
+    monkeypatch.setattr(chow, "exceptional_stratum",
+                        lambda sigma: real(sigma)._replace(failure=reason))
+    cone = corpus_cones()[10]
+    rep = verify_vanishing(cone, 4)
+    assert sizes == []
+    assert rep.failure == reason
+    assert not rep.identified
+    source = chow_ring_stack(real(cone).subdivision)
+    assert rep.pieces == tuple(
+        (k,) + graded_piece(source, k).structure() for k in range(5))

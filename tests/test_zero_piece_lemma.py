@@ -1,22 +1,30 @@
-"""verify_vanishing stops computing pieces at the first zero degree.
+"""verify_vanishing and chow-stack stop computing pieces at the first zero
+degree.
 
 The Chow presentation has one degree-1 variable per ray, so its ring is
 generated in degree 1 and A^K = 0 forces A^k = A^1 * A^(k-1) = 0 for every
 k >= K.  verify_vanishing records the pieces after the first zero piece of
-degree >= 1 as 0 without computing them.  The oracle here computes every
-degree with graded_piece and must agree, on the corpus, the negative
-corpus and seeded random cones.
+degree >= 1 as 0 without computing them, and so does the chow-stack verb
+(both list pieces through chow.piece_structures).  The oracle here
+computes every degree with graded_piece and must agree, on the corpus, the
+negative corpus, seeded random cones and the CLI fixtures.
 """
+
+import json
+from pathlib import Path
 
 from corpus import CORPUS_DATA, corpus_cones
 from test_chow_certificate import NEGATIVE_DATA, random_cones
+from toricstacks import cli
 from toricstacks.chow import (
-    _chow_presentation,
+    chow_ring_stack,
     exceptional_stratum,
     verify_vanishing,
 )
-from toricstacks.fan import make_cone
+from toricstacks.fan import Fan, make_cone
 from toricstacks.graded import graded_piece
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # First degree >= 1 whose piece is 0, per corpus cone (CORPUS_DATA order):
 # the cone's rank every time.
@@ -26,7 +34,7 @@ FIRST_ZERO_DEGREE = (2, 2, 2, 2, 2, 2, 2, 2, 2,
 
 
 def every_piece(cone, max_deg: int) -> tuple:
-    source = _chow_presentation(exceptional_stratum(cone).subdivision_cox)
+    source = chow_ring_stack(exceptional_stratum(cone).subdivision)
     pieces = []
     for k in range(max_deg + 1):
         group = graded_piece(source, k)
@@ -66,3 +74,26 @@ def test_corpus_first_zero_degree():
                    for k, free, torsion in pieces if k < zero)
         assert all((free, torsion) == (0, ())
                    for k, free, torsion in pieces if k >= zero)
+
+
+def test_chow_stack_pieces_equal_every_degree_computed(capsys, tmp_path):
+    # Neither fixture has a zero piece up to degree 6, so the subdivided
+    # fan of a corpus cone (zero from degree 2 on) is run as well.
+    subdivided = tmp_path / "subdivided.json"
+    data = exceptional_stratum(corpus_cones()[0]).subdivision.to_data()
+    subdivided.write_text(json.dumps(data))
+    paths = [FIXTURES / "sigma_square.json",
+             FIXTURES / "strongness_example.json", subdivided]
+    zeros = []
+    for path in paths:
+        assert cli.run(["chow-stack", str(path), "--max-deg", "6",
+                        "--json"]) == 0
+        pieces = tuple((pc["degree"], pc["free_rank"], tuple(pc["torsion"]))
+                       for pc in json.loads(capsys.readouterr().out)["pieces"])
+        data = json.loads(path.read_text())
+        f = Fan.from_data(data["rank"], data["rays"], data["max_cones"])
+        source = chow_ring_stack(f)
+        assert pieces == tuple((k,) + graded_piece(source, k).structure()
+                               for k in range(7)), path.name
+        zeros.append(first_zero_degree(pieces))
+    assert zeros == [None, None, 2]
