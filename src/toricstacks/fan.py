@@ -49,7 +49,6 @@ from .intlinalg import (
     kernel_generator,
     matvec,
     rank,
-    snf_diagonal,
     solve_many_in_span,
     transpose,
 )
@@ -228,11 +227,6 @@ class Cone:
             return True
         return all(self.contains(r) for r in other.rays)
 
-    def relint_contains(self, v) -> bool:
-        if any(matvec(self.perp_rows, v)):
-            return False
-        return all(_dot(w, v) > 0 for w in self.facet_normals)
-
     def face_ray_sets(self) -> tuple[frozenset, ...]:
         """All faces as frozensets of local ray indices, by (size, sorted):
         every subset of a simplicial cone's rays, otherwise the closure of
@@ -315,32 +309,6 @@ def make_cone(ambient_rank: int, generators) -> Cone:
     generators dropped; raises GeometryError if a generator is zero or the
     cone contains a line."""
     return Cone(ambient_rank, generators)
-
-
-def faces(c: Cone) -> list[Cone]:
-    return [Cone(c.ambient_rank, [c.rays[i] for i in sorted(s)])
-            for s in c.face_ray_sets()]
-
-
-def facets(c: Cone) -> list[Cone]:
-    if c.is_zero:
-        return []
-    if c.dim == 1:
-        return [Cone(c.ambient_rank, ())]
-    return [Cone(c.ambient_rank, [c.rays[i] for i in sorted(s)])
-            for s in c.facet_sets]
-
-
-def classify(c: Cone) -> str:
-    """'smooth' (rays extend to a basis of the ambient lattice),
-    'simplicial' (rays linearly independent), or 'general'."""
-    if c.is_zero:
-        return "smooth"
-    if len(c.rays) != c.dim:
-        return "general"
-    if all(d == 1 for d in snf_diagonal(c.rays)):
-        return "smooth"
-    return "simplicial"
 
 
 def star_vector(c: Cone) -> Vector:

@@ -12,14 +12,15 @@ out, so degree k is expanded over monomials in the len(torsion) + free_rank
 remaining variables rather than in one variable per generator of Z^n (for a
 fan's Chow ring: roughly rays minus rank, instead of one per ray).  A piece
 (graded_piece) is the cokernel over those reduced monomials, and every
-coordinate this module reads or returns is a coordinate of it: normal
-forms, relation tests, products and induced maps.  An element in the
-original variables enters through _reduction's phi and a representative
-leaves through its psi.  Monomials of a fixed degree are ordered
-descending-lex in the variable order, which makes every normal form
-reproducible bit for bit.  Every substitution of linear forms into a
-polynomial goes through _expand, straight into a coefficient vector over
-the target's degree-k monomials.
+coordinate this module reads or returns is a coordinate of it: the
+well-definedness check projects generator images into it, and induced_map
+maps piece coordinates to piece coordinates.  An element in the original
+variables enters through _reduction's phi; a coordinate's lift leaves
+through its psi.  Monomials of a fixed degree are ordered descending-lex
+in the variable order, which makes every piece reproducible bit for bit.
+Every substitution of linear forms into a polynomial goes through
+_expand, straight into a coefficient vector over the target's degree-k
+monomials.
 """
 
 from __future__ import annotations
@@ -122,17 +123,6 @@ def _monomial_index(n_vars: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials(n_vars, degree))}
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-            if not out[e]:
-                del out[e]
-    return out
-
-
 def _expand(items, substitution: Matrix, n_vars: int, degree: int) -> list:
     """Coefficient vector over monomials(n_vars, degree) of a homogeneous
     polynomial of that degree, given as (exponent, coeff) items, with each
@@ -192,47 +182,6 @@ def graded_piece(p: GradedPresentation, k: int) -> AbelianGroup:
     if k < 0:
         raise ValueError("degree must be non-negative")
     return cokernel(_relation_matrix(_reduction(p)[0].target, k))
-
-
-def _homogeneous(p: GradedPresentation, k: int, element) -> Poly:
-    poly = _normalize_poly(element, p.n_vars)
-    actual = _poly_degree(poly)
-    if actual is not None and actual != k:
-        raise ValueError("element has degree %d, expected %d" % (actual, k))
-    return poly
-
-
-def normal_form(p: GradedPresentation, k: int, element) -> Vector:
-    """Coordinates in graded_piece(p, k) of a homogeneous degree-k element:
-    its expansion through _reduction's phi, projected.  All zero iff the
-    element lies in the relation lattice."""
-    phi = _reduction(p)[0]
-    vec = _expand(_homogeneous(p, k, element).items(), phi.substitution,
-                  phi.target.n_vars, k)
-    return graded_piece(p, k).project(vec)
-
-
-def in_relations(p: GradedPresentation, k: int, element) -> bool:
-    """Does a homogeneous degree-k element lie in the relation lattice?"""
-    return not any(normal_form(p, k, element))
-
-
-def multiply(p: GradedPresentation, a, b) -> Poly:
-    """Product of two homogeneous elements, reduced to the canonical
-    representative of its class: the piece's lift of its normal form,
-    expanded back to the original variables through _reduction's psi."""
-    pa = _normalize_poly(a, p.n_vars)
-    pb = _normalize_poly(b, p.n_vars)
-    da, db = _poly_degree(pa), _poly_degree(pb)
-    if da is None or db is None:
-        return {}
-    k = da + db
-    psi = _reduction(p)[1]
-    lifted = graded_piece(p, k).lift_coords(
-        normal_form(p, k, _poly_mul(pa, pb)))
-    rep = _expand(zip(monomials(psi.source.n_vars, k), lifted),
-                  psi.substitution, p.n_vars, k)
-    return {m: c for m, c in zip(monomials(p.n_vars, k), rep) if c}
 
 
 class RingMap(NamedTuple):

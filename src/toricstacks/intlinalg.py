@@ -9,8 +9,8 @@ compare lattices by comparing matrices.  A matrix with no columns still
 has its rows: it is n_rows empty rows, and from_columns builds it.
 
 Each elimination tracks only the unimodular transforms its caller reads
-(hnf_form, snf_diagonal and rank track none).  Tracking never changes the
-operations applied to the working matrix, so results do not depend on it.
+(hnf_form and rank track none).  Tracking never changes the operations
+applied to the working matrix, so results do not depend on it.
 
 The lattice kernels are memoised for the life of the process, in
 module-level functools caches: smith_basis's Smith stage on the canonical
@@ -274,12 +274,6 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """
     st = _snf(m, u=True, v=True)
     return freeze(st.a), freeze(st.rows.u), freeze(st.v)
-
-
-def snf_diagonal(m) -> Vector:
-    """The diagonal of snf(m)[0], without tracking either transform."""
-    a = _snf(m).a
-    return tuple(a[i][i] for i in range(min(len(a), len(a[0]) if a else 0)))
 
 
 def structure_text(free_rank: int, torsion) -> str:

@@ -33,7 +33,6 @@ from toricstacks.chow import (
 from toricstacks.fan import Fan, GeometryError, make_cone
 from toricstacks.graded import (
     graded_piece,
-    in_relations,
     induced_map,
     is_iso_up_to,
 )
@@ -173,12 +172,6 @@ def test_reduced_structure_matches_graded_piece():
                 == (group.free_rank, group.torsion)
             torsion_seen |= bool(group.torsion)
     assert torsion_seen
-
-
-def test_in_relations_checks_degree():
-    p = chow_ring_stack(exceptional_stratum(corpus_cones()[10]).subdivision)
-    with pytest.raises(ValueError):
-        in_relations(p, 2, {(1, 0, 0, 0, 0): 1})
 
 
 def test_chow_stack_reads_reduced_pieces(capsys):

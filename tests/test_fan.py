@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,6 @@ from toricstacks.fan import (
     Cone,
     Fan,
     GeometryError,
-    classify,
-    faces,
-    facets,
     intersect_cones,
     is_refinement,
     make_cone,
@@ -24,6 +22,7 @@ from toricstacks.fan import (
     star_vector,
     validate_fan,
 )
+from toricstacks.intlinalg import det, matvec
 
 SQUARE_RAYS = [(1, 0, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1)]
 
@@ -78,38 +77,12 @@ def test_square_cone_frozen():
     c = make_cone(3, SQUARE_RAYS)
     assert c.rays == tuple(SQUARE_RAYS)
     assert c.dim == 3
-    assert classify(c) == "general"
     assert c.facet_sets == (frozenset({0, 1}), frozenset({0, 3}),
                             frozenset({1, 2}), frozenset({2, 3}))
     assert c.facet_normals == ((-1, 1, 1), (-1, -1, 1), (1, 1, 1), (1, -1, 1))
     assert star_vector(c) == (0, 0, 1)
     assert [sorted(s) for s in c.face_ray_sets()] == [
         [], [0], [1], [2], [3], [0, 1], [0, 3], [1, 2], [2, 3], [0, 1, 2, 3]]
-
-
-def test_faces_and_facets_small():
-    quad = make_cone(2, [(1, 0), (0, 1)])
-    assert sorted(len(f.rays) for f in faces(quad)) == [0, 1, 1, 2]
-    assert [f.rays for f in facets(quad)] == [((1, 0),), ((0, 1),)]
-    ray = make_cone(3, [(2, 4, 6)])
-    assert ray.rays == ((1, 2, 3),)
-    assert [f.rays for f in facets(ray)] == [()]
-    zero = make_cone(3, [])
-    assert facets(zero) == []
-    assert faces(zero) == [zero]
-
-
-def test_classify():
-    assert classify(make_cone(2, [(1, 0), (0, 1)])) == "smooth"
-    assert classify(make_cone(2, [(1, 0), (1, 2)])) == "simplicial"
-    assert classify(make_cone(3, SQUARE_RAYS)) == "general"
-    assert classify(make_cone(3, [(1, 0, 0), (0, 1, 0)])) == "smooth"
-    # (1,0,2),(0,1,2) extends to a basis by (0,0,1), so it is still smooth
-    assert classify(make_cone(3, [(1, 0, 2), (0, 1, 2)])) == "smooth"
-    # rays of a flat cone generating an index-2 sublattice of its span
-    assert classify(make_cone(3, [(1, 0, 1), (1, 0, -1)])) == "simplicial"
-    assert classify(make_cone(3, [])) == "smooth"
-    assert classify(make_cone(4, [(0, 3, 1, 2)])) == "smooth"
 
 
 def test_containment_random():
@@ -129,11 +102,16 @@ def test_containment_random():
                    for i in range(n))
         assert c.contains(pt)
         interior = tuple(sum(r[i] for r in c.rays) for i in range(n))
-        assert c.relint_contains(interior)
+        # The sum of the rays lies in the relative interior: in the span,
+        # and strictly inside every facet.
+        assert not any(matvec(c.perp_rows, interior))
+        assert all(sum(map(mul, w, interior)) > 0 for w in c.facet_normals)
         # strong convexity: the negated interior point never lies in c
         assert not c.contains(tuple(-x for x in interior))
         if c.dim >= 2:
-            assert not c.relint_contains(c.rays[0])
+            # A ray lies on some facet.
+            assert not all(sum(map(mul, w, c.rays[0])) > 0
+                           for w in c.facet_normals)
 
 
 def test_intersect_cones_frozen():
@@ -202,7 +180,7 @@ def test_star_subdivision_square():
     assert validate_fan(f2).ok
     assert is_refinement(f2, f)
     assert not is_refinement(f, f2)
-    assert all(classify(f2.cone(s)) == "smooth" for s in f2.maximal_cones)
+    assert all(abs(det(f2.cone(s).rays)) == 1 for s in f2.maximal_cones)
 
 
 def test_star_subdivision_at_ray_is_identity_on_smooth_fans():

@@ -22,7 +22,6 @@ from toricstacks.fan import (
     Fan,
     GeometryError,
     _dot,
-    facets,
     intersect_cones,
     is_refinement,
     orbit_relation_data,
@@ -48,6 +47,17 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 # -- the replaced code -----------------------------------------------------
+
+def facets(c):
+    """One Cone per facet of c, in facet-set order, as the removed
+    fan.facets built them."""
+    if c.is_zero:
+        return []
+    if c.dim == 1:
+        return [Cone(c.ambient_rank, ())]
+    return [Cone(c.ambient_rank, [c.rays[i] for i in sorted(s)])
+            for s in c.facet_sets]
+
 
 def old_intersect_cones(a, b):
     n = a.ambient_rank

@@ -20,7 +20,6 @@ from toricstacks.fan import (
     Cone,
     Fan,
     GeometryError,
-    facets,
     make_cone,
     star_quotient_fan,
     star_subdivision,
@@ -31,6 +30,17 @@ from corpus import corpus_cones
 
 GEOMETRY_DIGEST = \
     "83fc6bed5fa18fc050253573141ccc874cb4077664730e87a66519110121fe25"
+
+
+def facets(c):
+    """One Cone per facet of c, in facet-set order, as the removed
+    fan.facets built them."""
+    if c.is_zero:
+        return []
+    if c.dim == 1:
+        return [Cone(c.ambient_rank, ())]
+    return [Cone(c.ambient_rank, [c.rays[i] for i in sorted(s)])
+            for s in c.facet_sets]
 
 
 def _cone_key(c: Cone) -> tuple:

@@ -12,8 +12,6 @@ from toricstacks.graded import (
     is_iso_up_to,
     make_presentation,
     monomials,
-    multiply,
-    normal_form,
     ring_map,
 )
 
@@ -78,52 +76,6 @@ def test_degree_zero_is_always_z():
     for f in (square_fan(), subdivided_square_fan()):
         assert graded_piece(presentation_of(f), 0).structure() \
             == (1, ())
-
-
-def test_normal_forms():
-    p = presentation_of(subdivided_square_fan())
-    assert normal_form(p, 1, {(1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0): -1}) \
-        == (0, 0)
-    assert normal_form(p, 2, {(1, 0, 1, 0, 0): 1}) == (0,)
-    assert normal_form(p, 3, {}) == ()
-    assert graded_piece(p, 3).is_trivial
-    with pytest.raises(ValueError):
-        normal_form(p, 2, unit(5, 0))
-    with pytest.raises(ValueError):
-        normal_form(p, 1, {(1, 0, 0, 0, 0): 1, (2, 0, 0, 0, 0): 1})
-
-
-def test_multiply():
-    p = presentation_of(subdivided_square_fan())
-    s1, s2 = unit(5, 0), unit(5, 1)
-    assert multiply(p, s1, s1) == {}
-    prod = multiply(p, s1, s2)
-    assert prod
-    # The product generates the rank-1 degree-2 piece.
-    coords = normal_form(p, 2, prod)
-    assert coords in ((1,), (-1,))
-    assert multiply(p, s2, s1) == prod
-    # One times an element is the canonical representative of its class.
-    one = {(0, 0, 0, 0, 0): 1}
-    assert normal_form(p, 1, multiply(p, one, s2)) == normal_form(p, 1, s2)
-    free = make_presentation(3)
-    x = {(1, 1, 0): 2, (0, 0, 2): -1}
-    assert multiply(free, {(0, 0, 0): 1}, x) == x
-
-
-def test_multiply_distributes():
-    p = presentation_of(subdivided_square_fan())
-    a = unit(5, 0)
-    b = {(0, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0): 2}
-    c = {(0, 0, 0, 0, 1): 3}
-    b_plus_c = dict(b)
-    for m, v in c.items():
-        b_plus_c[m] = b_plus_c.get(m, 0) + v
-    lhs = normal_form(p, 2, multiply(p, a, b_plus_c))
-    ab = normal_form(p, 2, multiply(p, a, b))
-    ac = normal_form(p, 2, multiply(p, a, c))
-    summed = tuple(x + y for x, y in zip(ab, ac))
-    assert lhs == graded_piece(p, 2).reduce(summed)
 
 
 def test_linear_only_free_ring_oracle():

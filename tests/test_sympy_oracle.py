@@ -2,8 +2,8 @@
 
 sympy shares no code with intlinalg, so agreeing invariant factors on a
 few hundred seeded matrices (zero, rank-deficient, wide and tall) is an
-independent check of cokernel.  The same matrices check that the
-transform-free normal forms agree with the tracked ones.  Seeded square
+independent check of cokernel and of snf's diagonal.  The same matrices
+check that the transform-free Hermite form agrees with the tracked one.  Seeded square
 matrices check adjugate against sympy's det and adjugate.  Skipped when
 sympy is not installed.
 """
@@ -19,7 +19,6 @@ from toricstacks.intlinalg import (
     hnf_form,
     matmul,
     snf,
-    snf_diagonal,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -80,9 +79,15 @@ def test_cokernel_structure_matches_sympy():
 def test_transform_free_forms_match_tracked_ones():
     for m in _matrices():
         assert hnf_form(m) == hnf(m)[0], m
+
+
+def test_snf_diagonal_matches_sympy():
+    for m in _matrices():
         d = snf(m)[0]
-        assert snf_diagonal(m) == tuple(d[i][i] for i in range(
-            min(len(d), len(d[0]) if d else 0))), m
+        factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))
+                   if d[i][i]]
+        assert (len(m) - len(factors), tuple(x for x in factors if x > 1)) \
+            == _sympy_structure(m), m
 
 
 def test_adjugate_matches_sympy():
