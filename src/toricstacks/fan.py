@@ -2,8 +2,10 @@
 toric intersection-theory pipeline needs: face enumeration, star
 subdivision, primitive collections, refinement and preimage tests, star
 quotients, and facet relation data for orbit closures, plus the reduction
-both vanishing verifiers start from (exceptional_stratum: a cone's star
-subdivision matched ray by ray with the star quotient fan of its star ray).
+both vanishing verifiers start from (exceptional_stratum): a cone sigma's
+star subdivision Delta = v * (boundary of sigma), built from its facets,
+and the stratum's fan L = pi(boundary of sigma), pi the projection along
+the interior star ray v, which maps the boundary bijectively onto L.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
@@ -534,13 +536,7 @@ def validate_fan(f: Fan) -> FanReport:
 def star_subdivision(f: Fan, c: Cone) -> Fan:
     """Refine f at the cone c: maximal cones not containing c survive; every
     maximal cone sigma containing c is replaced by the joins of the star
-    vector v with the facets of sigma not containing it.
-
-    The facets are read off sigma's facet data, with no cone built per
-    facet: v lies in relint c, hence in sigma, so v lies in a facet exactly
-    when that facet's inward normal vanishes on v.  A one-dimensional sigma
-    has the origin as its only facet (facet set empty), which gives the
-    single new cone [v]."""
+    vector v with the facets of sigma not containing it (_joins)."""
     if not f.has_cone(c):
         raise GeometryError("subdivision cone is not a cone of the fan")
     if c.is_zero:
@@ -553,12 +549,20 @@ def star_subdivision(f: Fan, c: Cone) -> Fan:
             new_max.append(sigma)
             continue
         assert sigma.contains(v), "star vector escapes a cone containing c"
-        for fs, w in zip(sigma.facet_sets, sigma.facet_normals):
-            if _dot(w, v) == 0:
-                continue
-            new_max.append(Cone(f.ambient_rank,
-                                [sigma.rays[i] for i in sorted(fs)] + [v]))
+        new_max += _joins(sigma, v)
     return Fan(f.ambient_rank, new_max, ray_hint=f.rays)
+
+
+def _joins(sigma: Cone, v: Vector) -> list[Cone]:
+    """v joined with every facet of sigma not containing v, in facet order,
+    each cone listing the facet's rays then v.  The facets are read off
+    sigma's facet data, with no cone built per facet: v lies in sigma, so
+    it lies in a facet exactly when that facet's inward normal vanishes on
+    it.  A one-dimensional sigma has the origin as its only facet (facet
+    set empty), which gives the single cone [v]."""
+    return [Cone(sigma.ambient_rank, [sigma.rays[i] for i in sorted(fs)] + [v])
+            for fs, w in zip(sigma.facet_sets, sigma.facet_normals)
+            if _dot(w, v) != 0]
 
 
 def primitive_collections(f: Fan) -> list[frozenset]:
@@ -726,9 +730,9 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
 class ComparisonError(ValueError):
     """The exceptional identification could not be built over Z.
 
-    Both vanishing verifiers raise it, with the reason verbatim:
-    - a projected ray is not extreme in the quotient fan (dropped);
-    - a surviving ray has no image ray in the quotient fan (missing);
+    The ray matching itself cannot fail: it is a bijection by construction
+    (exceptional_stratum).  Both vanishing verifiers raise this error, with
+    the reason verbatim, when a later step fails:
     - Chow: the class of the subdivision ray has no integral expression
       in the surviving ray classes;
     - Chow: the substitution fails its well-definedness certificate;
@@ -739,21 +743,14 @@ class ComparisonError(ValueError):
     """
 
 
-def _require_full_dim(sigma: Cone) -> None:
-    if sigma.dim != sigma.ambient_rank:
-        raise GeometryError("cone has dimension %d in rank %d; the "
-                            "comparison needs a full-dimensional cone"
-                            % (sigma.dim, sigma.ambient_rank))
-
-
 class ExceptionalStratum(NamedTuple):
-    """A full-dimensional cone's star subdivision, matched ray by ray with
-    the fan of its exceptional stratum.
+    """A full-dimensional cone's star subdivision Delta = v * (boundary of
+    sigma), matched ray by ray with the fan L = pi(boundary of sigma) of its
+    exceptional stratum, pi the projection along the star ray v.
 
-    quotient is the star quotient fan of the star ray; dst sends each
-    surviving subdivision ray (every ray but the star ray, listed in
-    surviving) to its image ray in quotient.fan.  failure says why the
-    matching does not exist (a dropped or a missing ray), or is None.
+    subdivision lists sigma's rays, then v; quotient is the star quotient
+    fan of v; dst sends each surviving subdivision ray (every ray but v,
+    listed in surviving) to its image ray in quotient.fan, a bijection.
     """
     subdivision: Fan
     star_ray: Vector
@@ -761,31 +758,38 @@ class ExceptionalStratum(NamedTuple):
     quotient: StarQuotient
     surviving: tuple[int, ...]
     dst: dict
-    failure: str | None
 
 
 def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
-    """The reduction both vanishing verifiers start from: star-subdivide
-    the cone, project the star onto the exceptional stratum, and match the
-    surviving rays with the stratum's rays."""
-    _require_full_dim(sigma)
-    f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
+    """The reduction both vanishing verifiers start from.
+
+    v is interior to sigma, so no facet normal vanishes on it and Delta is
+    v joined with every facet.  Each proper face of sigma lies in a
+    supporting hyperplane positive on v, so pi is injective on its span,
+    and every line x + Rv leaves sigma once, so pi maps the boundary of
+    sigma bijectively onto N_R/Rv (Cox-Little-Schenck, Toric Varieties,
+    3.1-3.2).  So L's maximal cones are the facets' images and its rays the
+    primitive images of sigma's rays, one each: dst is a bijection.
+    """
+    if sigma.dim != sigma.ambient_rank:
+        raise GeometryError("cone has dimension %d in rank %d; the "
+                            "comparison needs a full-dimensional cone"
+                            % (sigma.dim, sigma.ambient_rank))
+    if sigma.is_zero:
+        raise GeometryError("cannot subdivide at the zero cone")
     v = star_vector(sigma)
+    f2 = Fan(sigma.ambient_rank, _joins(sigma, v), ray_hint=sigma.rays)
     v_idx = f2.rays.index(v)
     quotient = star_quotient_fan(f2, v)
     dst = {src: d for src, d, _mult in quotient.pairs}
     surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
-    missing = [i for i in surviving if i not in dst]
-    failure = None
-    if quotient.dropped:
-        failure = ("projected rays %s are not extreme in the quotient; no "
-                   "variable correspondence exists"
-                   % (sorted(quotient.dropped),))
-    elif missing:
-        failure = "rays %s have no image ray in the quotient" % (missing,)
+    # Every surviving ray matched (so none dropped), onto L's rays.
+    assert sorted(dst) == list(surviving) \
+        and sorted(dst.values()) == list(range(len(quotient.fan.rays))), \
+        "the ray matching is not a bijection onto the quotient's rays"
     return ExceptionalStratum(subdivision=f2, star_ray=v, star_index=v_idx,
                               quotient=quotient, surviving=surviving,
-                              dst=dst, failure=failure)
+                              dst=dst)
 
 
 class OrbitRelationDatum(NamedTuple):

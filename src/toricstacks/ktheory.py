@@ -11,8 +11,10 @@ radius, and anything non-stabilized is inconclusive, never asserted.
 A window's relations are the boxed relations that vanish outside it: one
 HNF with the outside coordinates first gives them as the echelon rows with
 no outside entry (elimination order; Cohen, GTM 138, 2.4).
-The comparison starts from fan.exceptional_stratum and reads the Cox data
-of its two fans; it loads neither graded nor chow.
+The comparison starts from fan.exceptional_stratum: Delta = v * (boundary
+of sigma) matched bijectively with L = pi(boundary of sigma), pi the
+projection along the star ray v.  It reads the Cox data of those two fans
+and loads neither graded nor chow.
 """
 
 from __future__ import annotations
@@ -257,8 +259,6 @@ def k_exceptional_comparison(stratum: ExceptionalStratum,
     torsion, and all generator-class images at once.  A non-stabilized
     window makes the verdict inconclusive, never a failure.
     """
-    if stratum.failure:
-        raise ComparisonError(stratum.failure)
     quotient = stratum.quotient.fan
     src_of = {d: s for s, d in stratum.dst.items()}
     p_src = k_ring_stack(stratum.subdivision)

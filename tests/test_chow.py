@@ -11,7 +11,8 @@ from toricstacks.chow import (
     preimage_check,
     verify_vanishing,
 )
-from toricstacks.fan import Fan, make_cone, orbit_relation_data
+from toricstacks.fan import Fan, GeometryError, make_cone, \
+    orbit_relation_data
 from toricstacks.graded import graded_piece, induced_map, ring_map
 from toricstacks.intlinalg import cokernel, matmul
 
@@ -209,3 +210,12 @@ def test_full_dimensional_required():
         exceptional_stratum(flat)
     with pytest.raises(ValueError):
         preimage_check(flat)
+
+
+def test_zero_cone_has_no_preimage_check():
+    # Rank 0: the zero cone is full-dimensional, but nothing subdivides it.
+    zero = make_cone(0, [])
+    for check in (preimage_check, exceptional_stratum):
+        with pytest.raises(GeometryError,
+                           match="cannot subdivide at the zero cone"):
+            check(zero)

@@ -65,6 +65,25 @@ def random_cones(seed: int, count: int) -> list:
     return out
 
 
+def random_rank4_cones(seed: int, count: int) -> list:
+    """Strongly convex full-dimensional cones in rank 4 with 4-6
+    generators, entries in -2..2.  A non-simplicial facet gives a
+    non-simplicial subdivision: seeds 5, 7 and 11 at 60 cones each give 1,
+    3 and 4 of them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(4))
+                for _ in range(rng.randint(4, 6))]
+        try:
+            c = make_cone(4, gens)
+        except (GeometryError, ValueError):
+            continue
+        if c.dim == 4:
+            out.append(c)
+    return out
+
+
 def clear_package_caches() -> None:
     for mod in (chow, cox_module, fan, graded, intlinalg, ktheory):
         for obj in vars(mod).values():
@@ -132,33 +151,33 @@ def _not_surjective(dst):
 @pytest.mark.parametrize("corrupt", [_not_injective, _not_surjective])
 def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
                                                      corrupt):
+    # exceptional_stratum owns the bijection assert: a quotient whose ray
+    # pairs are corrupted stops it, and both verbs report an internal error.
+    real = fan.star_quotient_fan
+
+    def corrupted(f, ray):
+        q = real(f, ray)
+        dst = corrupt({s: d for s, d, _mult in q.pairs})
+        return q._replace(pairs=tuple((s, dst[s], mult)
+                                      for s, _d, mult in q.pairs))
+
+    monkeypatch.setattr(fan, "star_quotient_fan", corrupted)
     for cone in corpus_cones():
-        stratum = exceptional_stratum(cone)
-        stratum = stratum._replace(dst=corrupt(stratum.dst))
         with pytest.raises(AssertionError):
-            exceptional_comparison(stratum, 2)
-
-    real = chow.exceptional_stratum
-
-    def corrupted(sigma):
-        stratum = real(sigma)
-        return stratum._replace(dst=corrupt(stratum.dst))
-
-    monkeypatch.setattr(chow, "exceptional_stratum", corrupted)
+            exceptional_stratum(cone)
     path = str(FIXTURES / "sigma_square.json")
-    assert cli.run(["verify-vanishing", path]) == 3
-    assert "internal error: AssertionError" in capsys.readouterr().err
+    for verb in ("verify-vanishing", "verify-k-vanishing"):
+        assert cli.run([verb, path]) == 3
+        assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 def _rings():
-    """Source and target rings of every corpus and negative-corpus cone
-    whose stratum matches."""
+    """Source and target rings of every corpus and negative-corpus cone."""
     out = []
     for rank, rays in CORPUS_DATA + NEGATIVE_DATA:
         st = exceptional_stratum(make_cone(rank, rays))
-        out.append(chow_ring_stack(st.subdivision))
-        if not st.failure:
-            out.append(chow_ring_stack(st.quotient.fan))
+        out += [chow_ring_stack(st.subdivision),
+                chow_ring_stack(st.quotient.fan)]
     return out
 
 
@@ -224,19 +243,21 @@ def test_failed_chow_comparison_builds_each_cox_once(monkeypatch):
     assert sizes == [4]
 
 
-def test_failed_match_builds_no_cox(monkeypatch):
-    # A stratum whose rays do not match fails before the comparison reads
-    # any X(G), and the report's pieces come from the ray relations alone.
+def test_comparison_failure_builds_no_cox(monkeypatch):
+    # When the comparison fails, the report's pieces come from the ray
+    # relations alone: the failure path reads no X(G).
     sizes = _count_cox(monkeypatch, chow)
-    reason = "rays [0] have no image ray in the quotient"
-    real = chow.exceptional_stratum
-    monkeypatch.setattr(chow, "exceptional_stratum",
-                        lambda sigma: real(sigma)._replace(failure=reason))
+    reason = "substitution does not map relations into relations; injected"
+
+    def failing(stratum, max_deg):
+        raise ComparisonError(reason)
+
+    monkeypatch.setattr(chow, "exceptional_comparison", failing)
     cone = corpus_cones()[10]
     rep = verify_vanishing(cone, 4)
     assert sizes == []
     assert rep.failure == reason
     assert not rep.identified
-    source = chow_ring_stack(real(cone).subdivision)
+    source = chow_ring_stack(exceptional_stratum(cone).subdivision)
     assert rep.pieces == tuple(
         (k,) + graded_piece(source, k).structure() for k in range(5))

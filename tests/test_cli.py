@@ -252,6 +252,17 @@ def test_lower_dimensional_cone_exits_2(verb, tmp_path, capsys):
                             "comparison needs a full-dimensional cone\n")
 
 
+@pytest.mark.parametrize("verb", ["verify-vanishing", "verify-k-vanishing"])
+def test_zero_cone_exits_2(verb, tmp_path, capsys):
+    # Rank 0: the zero cone is full-dimensional but has no star vector.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rank": 0, "rays": [], "max_cones": [[]]}))
+    assert run([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot subdivide at the zero cone\n"
+
+
 def test_chow_groups_degree_out_of_range_exits_2(capsys):
     for k in ("-1", "4"):
         assert run(["chow-groups", SQUARE, "--k", k]) == 2

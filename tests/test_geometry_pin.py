@@ -9,7 +9,10 @@ sets, facet normals) of every cone of both fans.  It was computed on the
 code as it stood before Cone construction solved all right-hand sides
 against one HNF and before star_subdivision read sigma's facet data
 instead of building a cone per facet.  Any change to a canonical basis,
-a facet order or a ray order shows up here.
+a facet order or a ray order shows up here.  The digest is taken twice:
+over the general star_subdivision of the one-cone fan with
+star_quotient_fan, and over the fans exceptional_stratum builds straight
+from sigma's facets.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ from toricstacks.fan import (
     Cone,
     Fan,
     GeometryError,
+    exceptional_stratum,
     make_cone,
     star_quotient_fan,
     star_subdivision,
@@ -54,18 +58,32 @@ def _fan_key(f: Fan) -> tuple:
             tuple(_cone_key(f.cone(s)) for s in sorted(f.cones, key=sorted)))
 
 
-def geometry_digest() -> str:
+def searched(sigma):
+    """The subdivision and quotient as the general star_subdivision of the
+    one-cone fan and star_quotient_fan build them."""
+    f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
+    return f2, star_quotient_fan(f2, star_vector(sigma))
+
+
+def built(sigma):
+    """The subdivision and quotient exceptional_stratum builds from sigma's
+    facets."""
+    stratum = exceptional_stratum(sigma)
+    return stratum.subdivision, stratum.quotient
+
+
+def geometry_digest(construct) -> str:
     h = hashlib.sha256()
     for idx, sigma in enumerate(corpus_cones()):
-        f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
-        q = star_quotient_fan(f2, star_vector(sigma))
+        f2, q = construct(sigma)
         h.update(repr((idx, _cone_key(sigma), _fan_key(f2), _fan_key(q.fan),
                        q.pairs)).encode())
     return h.hexdigest()
 
 
 def test_corpus_geometry_pinned():
-    assert geometry_digest() == GEOMETRY_DIGEST
+    assert geometry_digest(searched) == GEOMETRY_DIGEST
+    assert geometry_digest(built) == GEOMETRY_DIGEST
 
 
 def facet_cone_star_subdivision(f: Fan, c: Cone) -> Fan:

@@ -9,13 +9,15 @@ piece has free rank h_k (Stanley, Combinatorics and Commutative Algebra,
 ch. II).  h(Delta) = h(L) followed by 0, and h(L) is palindromic
 (Dehn-Sommerville).  Checked on the corpus, the negative corpus and 400
 seeded cones, against the presentations chow_ring_stack builds from the
-ray relations alone.
+ray relations alone, and on 180 seeded rank-4 cones, where a cone with a
+non-simplicial facet gives a non-simplicial Delta that h_vector refuses.
 """
 
 import pytest
 
 from corpus import corpus_cones
-from test_chow_certificate import NEGATIVE_DATA, random_cones
+from test_chow_certificate import NEGATIVE_DATA, random_cones, \
+    random_rank4_cones
 from toricstacks.chow import chow_ring_stack, exceptional_stratum
 from toricstacks.fan import Fan, h_vector, make_cone
 from toricstacks.graded import graded_piece
@@ -43,16 +45,34 @@ def test_h_vector_needs_a_simplicial_fan():
         h_vector(square)
 
 
+def assert_h_identities(cone) -> None:
+    rank = cone.ambient_rank
+    stratum = exceptional_stratum(cone)
+    h_source = h_vector(stratum.subdivision)
+    h_target = h_vector(stratum.quotient.fan)
+    assert h_source == h_target + (0,), cone
+    assert h_target == h_target[::-1], cone
+    assert free_ranks(stratum.subdivision, rank + 1) == h_source + (0,)
+    assert free_ranks(stratum.quotient.fan, rank) == h_target + (0,)
+
+
 def test_piece_free_ranks_are_the_h_vector():
     cones = corpus_cones()
     cones += [make_cone(rank, rays) for rank, rays in NEGATIVE_DATA]
     cones += random_cones(11, 200) + random_cones(23, 200)
     for cone in cones:
-        rank = cone.ambient_rank
-        stratum = exceptional_stratum(cone)
-        h_source = h_vector(stratum.subdivision)
-        h_target = h_vector(stratum.quotient.fan)
-        assert h_source == h_target + (0,), cone
-        assert h_target == h_target[::-1], cone
-        assert free_ranks(stratum.subdivision, rank + 1) == h_source + (0,)
-        assert free_ranks(stratum.quotient.fan, rank) == h_target + (0,)
+        assert_h_identities(cone)
+
+
+def test_rank4_cones_h_vector():
+    non_simplicial = 0
+    for seed in (5, 7, 11):
+        for cone in random_rank4_cones(seed, 60):
+            delta = exceptional_stratum(cone).subdivision
+            if all(len(s) == delta.cone(s).dim for s in delta.maximal_cones):
+                assert_h_identities(cone)
+                continue
+            non_simplicial += 1
+            with pytest.raises(ValueError, match="simplicial"):
+                h_vector(delta)
+    assert non_simplicial == 8

@@ -114,7 +114,7 @@ RECORDS = (
     }),
     ("fan", {
         "ExceptionalStratum": ("subdivision", "star_ray", "star_index",
-                               "quotient", "surviving", "dst", "failure"),
+                               "quotient", "surviving", "dst"),
     }),
     ("chow", {
         "Comparison": ("stratum", "source", "target", "map", "extra_row",

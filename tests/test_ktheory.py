@@ -1,10 +1,10 @@
 import pytest
 
+from toricstacks import chow, ktheory
 from toricstacks.chow import chow_groups
 from toricstacks.chow import (
     ComparisonError,
     ExceptionalStratum,
-    exceptional_comparison,
     exceptional_stratum,
 )
 from toricstacks.fan import Fan, make_cone, star_subdivision
@@ -234,23 +234,24 @@ def test_full_dimensional_required():
         verify_k_vanishing(flat, 3)
 
 
-def test_recorded_matching_failure_stops_both_comparisons():
+def test_comparison_failure_is_reported_by_both_verifiers(monkeypatch):
     stratum = exceptional_stratum(square_cone())
-    assert stratum.failure is None
+    assert "failure" not in ExceptionalStratum._fields
     assert stratum.star_ray == (0, 0, 1)
     assert stratum.surviving == tuple(i for i in range(5)
                                       if i != stratum.star_index)
     assert sorted(stratum.dst) == list(stratum.surviving)
     assert sorted(stratum.dst.values()) == list(range(4))
-    # No random cone reaches the matching failures, so inject one: both
-    # comparisons must raise it verbatim before building any ring.
-    reason = "rays [0] have no image ray in the quotient"
-    broken = ExceptionalStratum(
-        subdivision=stratum.subdivision, star_ray=stratum.star_ray,
-        star_index=stratum.star_index, quotient=stratum.quotient,
-        surviving=stratum.surviving, dst=stratum.dst, failure=reason)
-    for compare, arg in ((exceptional_comparison, 4),
-                         (k_exceptional_comparison, 3)):
-        with pytest.raises(ComparisonError) as info:
-            compare(broken, arg)
-        assert str(info.value) == reason
+    # The matching cannot fail, so inject a failed comparison: both
+    # verifiers must report its reason verbatim as an unidentified cone.
+    reason = "character groups differ: injected"
+
+    def failing(stratum, arg):
+        raise ComparisonError(reason)
+
+    monkeypatch.setattr(chow, "exceptional_comparison", failing)
+    monkeypatch.setattr(ktheory, "k_exceptional_comparison", failing)
+    for report in (chow.verify_vanishing(square_cone(), 4),
+                   verify_k_vanishing(square_cone(), 3)):
+        assert report.failure == reason
+        assert not report.identified and not report.conclusion

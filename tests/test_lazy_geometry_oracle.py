@@ -241,8 +241,8 @@ def test_fan_raises_at_construction():
 
 
 def test_verdict_builds_only_the_input_facets(monkeypatch):
-    # verify_vanishing reads the input cone's facets (star_subdivision
-    # does) and no facet of a subdivision or stratum cone.
+    # verify_vanishing reads the input cone's facets (exceptional_stratum
+    # joins v with them) and no facet of a subdivision or stratum cone.
     calls = []
     real = fan._simplicial_facets
 
