@@ -46,7 +46,8 @@ from .graded import (
     make_presentation,
     ring_map,
 )
-from .intlinalg import AbelianGroup, Vector, cokernel, from_columns
+from .intlinalg import AbelianGroup, Vector, cokernel, from_columns, \
+    identity
 
 POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
 
@@ -64,11 +65,9 @@ def chow_ring_stack(f: Fan) -> GradedPresentation:
 def chow_presentation(n: int, kernel, collections) -> GradedPresentation:
     """The Chow presentation in n ray variables with the given kernel rows
     as linear relations and one squarefree monomial per collection."""
-    homs = []
-    for coll in collections:
-        expt = tuple(1 if i in coll else 0 for i in range(n))
-        homs.append((len(coll), {expt: 1}))
-    return make_presentation(n, kernel, homs)
+    return make_presentation(n, kernel, [
+        (len(c), {tuple(int(i in c) for i in range(n)): 1})
+        for c in collections])
 
 
 def chow_relation_data(f: Fan, k: int):
@@ -115,10 +114,7 @@ class Comparison(NamedTuple):
     map: RingMap
     extra_row: Vector  # image form of the subdivision-ray variable
     verdicts: tuple  # ((degree, bool), ...) for 0..max_deg: iso in degree k
-
-
-def _unit(i: int, n: int) -> Vector:
-    return tuple(1 if j == i else 0 for j in range(n))
+    source_pieces: tuple  # piece_structures(source, max_deg)
 
 
 def piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
@@ -131,10 +127,8 @@ def piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
     """
     out = []
     for k in range(max_deg + 1):
-        if k >= 2 and out[-1] == (0, ()):
-            out.append((0, ()))
-        else:
-            out.append(graded_piece(p, k).structure())
+        zero = k >= 2 and out[-1] == (0, ())
+        out.append((0, ()) if zero else graded_piece(p, k).structure())
     return tuple(out)
 
 
@@ -154,13 +148,22 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     k in 0..max_deg, each side computed up to its first zero piece of
     degree >= 1 (piece_structures).  Raises ComparisonError when the
     forward map fails.
+
+    The target's primitive collections are the source's carried across
+    dst (Batyrev 1991), with no second search: v lies in every maximal
+    cone v + F of Delta, so no minimal non-face holds v, and a set S of
+    surviving rays lies in v + F exactly when dst(S) lies in pi(F), one of
+    L's maximal cones.
     """
     f2, v_idx, dst = stratum.subdivision, stratum.star_index, stratum.dst
-    n_target = len(stratum.quotient.fan.rays)
+    quotient = stratum.quotient.fan
+    n_target = len(quotient.rays)
     cd = cox(f2)
     source = chow_presentation(len(f2.rays), cd.kernel,
                                cd.primitive_collections)
-    target = chow_ring_stack(stratum.quotient.fan)
+    target = chow_presentation(n_target, ray_relations(quotient), sorted(
+        (frozenset(dst[i] for i in c) for c in cd.primitive_collections),
+        key=sorted))
     sol = cd.char_group.express([cd.weights[i] for i in stratum.surviving],
                                 cd.weights[v_idx])
     if sol is None:
@@ -171,22 +174,19 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     extra = [0] * n_target
     for i, x in zip(stratum.surviving, sol):
         extra[dst[i]] += x
-    substitution = []
-    for i in range(len(f2.rays)):
-        if i == v_idx:
-            substitution.append(tuple(extra))
-        else:
-            substitution.append(_unit(dst[i], n_target))
-    rm = ring_map(source, target, substitution)
+    unit = identity(n_target)
+    rm = ring_map(source, target, [tuple(extra) if i == v_idx else unit[dst[i]]
+                                   for i in range(len(f2.rays))])
     cert = certify_well_defined(rm)
     if not cert.ok:
         raise ComparisonError("substitution does not map relations into "
                               "relations; witness %r" % (cert.witness,))
-    pairs = zip(piece_structures(source, max_deg),
-                piece_structures(target, max_deg))
+    source_pieces = piece_structures(source, max_deg)
+    pairs = zip(source_pieces, piece_structures(target, max_deg))
     verdicts = tuple((k, s == t) for k, (s, t) in enumerate(pairs))
     return Comparison(stratum=stratum, source=source, target=target,
-                      map=rm, extra_row=tuple(extra), verdicts=verdicts)
+                      map=rm, extra_row=tuple(extra), verdicts=verdicts,
+                      source_pieces=source_pieces)
 
 
 class VanishingReport(NamedTuple):
@@ -225,17 +225,16 @@ def verify_vanishing(sigma: Cone, max_deg: int = 4) -> VanishingReport:
     try:
         comparison = exceptional_comparison(stratum, max_deg)
     except ComparisonError as exc:
-        comparison, failure = None, str(exc)
-        source = chow_ring_stack(stratum.subdivision)
-        verdicts, extra_row = (), None
+        failure, verdicts, extra_row = str(exc), (), None
+        structures = piece_structures(chow_ring_stack(stratum.subdivision),
+                                      max_deg)
     else:
-        failure = None
-        source = comparison.source
-        verdicts, extra_row = comparison.verdicts, comparison.extra_row
+        failure, verdicts, extra_row = None, comparison.verdicts, \
+            comparison.extra_row
+        structures = comparison.source_pieces
 
-    pieces = tuple((k,) + structure for k, structure
-                   in enumerate(piece_structures(source, max_deg)))
-    identified = comparison is not None
+    pieces = tuple((k,) + s for k, s in enumerate(structures))
+    identified = failure is None
     conclusion = identified and all(ok for _k, ok in verdicts[1:]) \
         and all(not torsion for deg, _rank, torsion in pieces if deg >= 1)
     return VanishingReport(cone_rays=sigma.rays, star_ray=stratum.star_ray,

@@ -95,8 +95,7 @@ def cox(f: Fan) -> CoxData:
     # The weight of ray i is the class of the i-th unit vector: column i of
     # the projection, whose torsion rows the normal form keeps reduced.
     weights = transpose(group.projection) or ((),) * r
-    for row in beta:
-        assert not any(group.project(row)), "beta row has nonzero class"
+    assert group.kills(transpose(beta)), "beta row has nonzero class"
     return CoxData(fan=f, beta=beta, char_group=group, weights=weights,
                    kernel=kernel,
                    primitive_collections=primitive_collections(f))

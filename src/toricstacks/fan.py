@@ -75,7 +75,8 @@ def primitivize(v) -> Vector:
     g = content(v)
     if g == 0:
         raise GeometryError("zero vector cannot generate a ray")
-    return tuple(x // g for x in v)
+    # map(int) on the common content-1 path: no bool may reach a ray.
+    return tuple(map(int, v)) if g == 1 else tuple(x // g for x in v)
 
 
 def _dot(a, b) -> int:
@@ -709,18 +710,15 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
     n = f.ambient_rank
     q = transpose(kernel_basis((ray,)))  # rows: saturated perp of the ray
     star_max = [s for s in f.maximal_cones if ri in s]
-    cones = [Cone(n - 1, [matvec(q, f.rays[i]) for i in sorted(s) if i != ri])
-             for s in star_max]
-    quotient = Fan(n - 1, cones)
-
-    pairs = []
-    dropped = []
-    for i in sorted({j for s in star_max for j in s if j != ri}):
-        img = matvec(q, f.rays[i])
-        mult = content(img)
+    image = {i: matvec(q, f.rays[i])
+             for i in sorted({j for s in star_max for j in s if j != ri})}
+    quotient = Fan(n - 1, [Cone(n - 1, [image[i] for i in sorted(s - {ri})])
+                           for s in star_max])
+    pairs, dropped = [], []
+    for i, img in image.items():
         prim = primitivize(img)
         if prim in quotient.rays:
-            pairs.append((i, quotient.rays.index(prim), mult))
+            pairs.append((i, quotient.rays.index(prim), content(img)))
         else:
             dropped.append(i)
     return StarQuotient(fan=quotient, projection=q, ray_index=ri,

@@ -29,7 +29,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
-                        from_columns, matmul, smith_basis)
+                        from_columns, identity, matmul, smith_basis,
+                        transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -159,8 +160,7 @@ def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
     monomial basis."""
     columns = []
     for row in p.linear_gens:
-        gen = {tuple(1 if j == i else 0 for j in range(p.n_vars)): c
-               for i, c in enumerate(row) if c}
+        gen = {identity(p.n_vars)[i]: c for i, c in enumerate(row) if c}
         for m in monomials(p.n_vars, k - 1):
             columns.append(_shifted_column(gen, m, p.n_vars, k))
     for degree, items in p.homogeneous_gens:
@@ -251,25 +251,24 @@ def certify_well_defined(rm: RingMap) -> Certification:
     Every generator is carried to the target's reduced variables by the
     composite substitution * phi (phi of _reduction(target)), formed once,
     and its image must project to zero in the piece of its degree.
-    The linear generators are carried together, by the one matrix product
-    linear_gens * composite, since a degree-1 element is its own
-    coordinate vector.  Each homogeneous generator is expanded once under
-    the composite (_expand), straight into the reduced degree-k monomial
-    coordinates, with no polynomial built in between.  The witness is the
-    first generator that fails, linear generators first, as (degree,
-    generator as sorted item tuple).
+    The linear generators are carried together by one matrix product,
+    linear_gens * composite (a degree-1 element is its own coordinate
+    vector), and checked by one more (kills).  Each homogeneous generator
+    is expanded once under the composite (_expand), straight into the
+    reduced degree-k monomial coordinates.  The witness is the first
+    generator that fails, linear generators first, as (degree, generator
+    as sorted item tuple).
     """
     phi = _reduction(rm.target)[0]
     composite = matmul(rm.substitution, phi.substitution)
     lin = rm.source.linear_gens
     if lin:
-        piece = graded_piece(rm.target, 1)
-        n = rm.source.n_vars
-        for row, image in zip(lin, matmul(lin, composite)):
-            if any(piece.project(image)):
-                return _failure(1, {tuple(1 if j == i else 0
-                                          for j in range(n)): c
-                                    for i, c in enumerate(row) if c})
+        piece, images = graded_piece(rm.target, 1), matmul(lin, composite)
+        if not piece.kills(transpose(images)):
+            row = next(row for row, image in zip(lin, images)
+                       if any(piece.project(image)))
+            unit = identity(rm.source.n_vars)
+            return _failure(1, {unit[i]: c for i, c in enumerate(row) if c})
     for degree, items in rm.source.homogeneous_gens:
         image = _expand(items, composite, phi.target.n_vars, degree)
         if any(graded_piece(rm.target, degree).project(image)):
@@ -299,7 +298,7 @@ def induced_map(rm: RingMap, k: int) -> Matrix:
     basis = monomials(psi.source.n_vars, k)
     cols = []
     for i in range(src.coord_rank):
-        unit = tuple(1 if j == i else 0 for j in range(src.coord_rank))
+        unit = identity(src.coord_rank)[i]
         image = _expand(zip(basis, src.lift_coords(unit)), composite,
                         phi.target.n_vars, k)
         cols.append(tgt.project(image))

@@ -31,15 +31,16 @@ Vector = tuple[int, ...]
 
 
 def freeze(m) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(tuple(map(int, row)) for row in m)
 
 
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(m) -> Matrix:
-    return tuple(zip(*[tuple(r) for r in m])) if m else ()
+    return tuple(zip(*m)) if m else ()
 
 
 def from_columns(cols, n_rows: int) -> Matrix:
@@ -70,10 +71,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _eye(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 class _RowOps:
     """A mutable matrix under unimodular row operations, tracking only the
     transforms asked for: u with work = u * original, u_inv with
@@ -81,8 +78,9 @@ class _RowOps:
 
     def __init__(self, m, u: bool = False, u_inv: bool = False):
         self.a = [list(map(int, row)) for row in m]
-        self.u = _eye(len(self.a)) if u else None
-        self.u_inv = _eye(len(self.a)) if u_inv else None
+        eye = identity(len(self.a))
+        self.u = list(map(list, eye)) if u else None
+        self.u_inv = list(map(list, eye)) if u_inv else None
         self.row_mats = [self.a] + ([self.u] if u else [])
 
     def swap(self, i, j):
@@ -170,7 +168,8 @@ class _SnfState:
     def __init__(self, m, u: bool = False, u_inv: bool = False,
                  v: bool = False):
         self.rows = _RowOps(m, u, u_inv)
-        self.v = _eye(len(m[0]) if len(m) else 0) if v else None
+        self.v = list(map(list, identity(len(m[0]) if len(m) else 0))) \
+            if v else None
 
     @property
     def a(self):
@@ -332,6 +331,13 @@ class AbelianGroup(NamedTuple):
                              % (self.coord_rank, len(coords)))
         return matvec(self.lift, coords)
 
+    def kills(self, m) -> bool:
+        """Is every column of m, in the ambient space, 0 in the group?  One
+        product, whose torsion rows must be 0 mod d_i and free rows 0."""
+        image, nt = matmul(self.projection, m), len(self.torsion)
+        return all(x % d == 0 for row, d in zip(image, self.torsion)
+                   for x in row) and not any(map(any, image[nt:]))
+
     def describe(self) -> str:
         return structure_text(self.free_rank, self.torsion)
 
@@ -433,9 +439,7 @@ def cokernel(m) -> AbelianGroup:
     """
     m = freeze(m)
     group = _cokernel_group(m)
-    # Relations must die in the quotient.
-    for col in transpose(m):
-        assert not any(group.project(col)), "projection does not kill a relation"
+    assert group.kills(m), "projection does not kill a relation"
     return group
 
 

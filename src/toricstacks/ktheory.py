@@ -39,6 +39,7 @@ from .intlinalg import (
     from_columns,
     hnf_form,
     solve_in_span,
+    transpose,
 )
 
 
@@ -69,9 +70,8 @@ def _k_presentation(cd: CoxData) -> GroupAlgebraPresentation:
     """k_ring_stack of the fan whose Cox data is cd."""
     group = cd.char_group
     zero = group.reduce((0,) * group.coord_rank)
-    for row in cd.kernel:
-        assert not any(group.project(row)), \
-            "exponent-lattice relation does not vanish in X(G)"
+    assert group.kills(transpose(cd.kernel)), \
+        "exponent-lattice relation does not vanish in X(G)"
     gens = []
     for coll in cd.primitive_collections:
         total = zero

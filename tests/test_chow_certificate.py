@@ -95,7 +95,10 @@ def test_structure_verdicts_equal_per_degree_checks():
     cases = [(c, 4) for c in corpus_cones()]
     cases += [(make_cone(rank, rays), 4) for rank, rays in NEGATIVE_DATA]
     cases += [(c, 3) for c in random_cones(31, N_RANDOM)]
-    seen = {"all true": 0, "some false": 0, "unidentified": 0}
+    cases += [(c, 3) for seed in (5, 7, 11)
+              for c in random_rank4_cones(seed, 60)]
+    seen = {"all true": 0, "some false": 0, "unidentified": 0,
+            "non-simplicial": 0}
     for cone, max_deg in cases:
         try:
             comp = exceptional_comparison(exceptional_stratum(cone), max_deg)
@@ -106,10 +109,15 @@ def test_structure_verdicts_equal_per_degree_checks():
             cone.rays
         seen["all true" if all(dict(comp.verdicts).values())
              else "some false"] += 1
+        delta = comp.stratum.subdivision
+        seen["non-simplicial"] += any(len(s) != delta.cone(s).dim
+                                      for s in delta.maximal_cones)
     # Every corpus cone compares isomorphically in every degree; cones with
-    # a false degree and unidentified cones are both reached.
+    # a false degree, unidentified cones and compared non-simplicial
+    # subdivisions (rank 4) are all reached.
     assert seen["all true"] >= len(CORPUS_DATA)
     assert seen["some false"] >= 20 and seen["unidentified"] >= 20
+    assert seen["non-simplicial"] > 0, seen
 
 
 def test_comparison_map_is_onto_in_every_degree():

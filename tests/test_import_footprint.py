@@ -118,7 +118,7 @@ RECORDS = (
     }),
     ("chow", {
         "Comparison": ("stratum", "source", "target", "map", "extra_row",
-                       "verdicts"),
+                       "verdicts", "source_pieces"),
         "VanishingReport": ("cone_rays", "star_ray", "max_deg",
                             "identified", "failure", "extra_row",
                             "verdicts", "pieces", "point_class",

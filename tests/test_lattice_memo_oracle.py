@@ -6,16 +6,22 @@ normal-form group on the frozen matrix.  The oracles below are the
 uncached constructions, kept test-local: a Smith form of the canonical
 columns with both row transforms, and the normal-form group built from it.
 Both memoised kernels must return what they return, on a cache miss and
-on a hit, and cokernel must still check that every relation dies on a
-hit.
+on a hit.  cokernel must still check that every relation dies on a hit,
+and cox that every row of beta dies; each check is one matrix product
+(AbelianGroup.kills), so a cached group with one broken projection row,
+free or torsion, must fail it.
 """
 
 import random
+from functools import lru_cache
+
+import pytest
 
 from corpus import corpus_cones
-from toricstacks import intlinalg
+from toricstacks import cox as cox_module, intlinalg
 from toricstacks.chow import exceptional_stratum
 from toricstacks.cox import cox
+from toricstacks.fan import Fan
 from toricstacks.intlinalg import (
     _snf,
     cokernel,
@@ -96,19 +102,48 @@ def test_one_lattice_from_two_presenting_matrices():
     assert distinct
 
 
+def broken_row(group, i, m):
+    """group with projection row i changed so that some column of m no
+    longer dies there: the row gains the unit vector e_j of an ambient row
+    j of m with an entry that is nonzero (a free row) or not 0 mod d_i (a
+    torsion row)."""
+    d = group.torsion[i] if i < len(group.torsion) else 0
+    j = next(j for j, row in enumerate(m)
+             if any(x % d if d else x for x in row))
+    projection = list(group.projection)
+    projection[i] = tuple(x + (c == j) for c, x in enumerate(projection[i]))
+    return group._replace(projection=tuple(projection))
+
+
 def test_relation_check_runs_on_a_hit(monkeypatch):
-    m = ((2, 0, 1), (0, 3, 1), (1, 1, 0), (4, -2, 2))
-    clear_memo()
-    cokernel(m)
-    projected = []
-    project = intlinalg.AbelianGroup.project
+    # Z^3 / <(2, 0, 0), (1, 3, 0)> = Z/6 + Z: row 0 is the torsion row,
+    # row 1 the free row.
+    m = freeze(((2, 1), (0, 3), (0, 0)))
+    group = uncached_cokernel(m)
+    assert group.torsion == (6,) and group.free_rank == 1
+    for i in (0, 1):
+        memo = lru_cache(maxsize=None)(
+            lambda key, bad=broken_row(group, i, m): bad)
+        memo(m)  # the miss: the broken group is now the cached one
+        monkeypatch.setattr(intlinalg, "_cokernel_group", memo)
+        with pytest.raises(AssertionError,
+                           match="projection does not kill a relation"):
+            cokernel(m)
+        assert memo.cache_info().hits == 1
 
-    def spy(group, v):
-        projected.append(tuple(v))
-        return project(group, v)
 
-    monkeypatch.setattr(intlinalg.AbelianGroup, "project", spy)
-    hits = intlinalg._cokernel_group.cache_info().hits
-    cokernel(m)
-    assert intlinalg._cokernel_group.cache_info().hits == hits + 1
-    assert projected == list(transpose(m))
+def test_cox_checks_every_beta_row(monkeypatch):
+    # The rays (+-1, +-1) span an index-2 sublattice, so X(G) = Z/2 + Z^2
+    # and row 0 is the torsion row.  The rows of beta span the lattice the
+    # kernel rows span, so a group that lets a beta row live fails
+    # cokernel's own check first; it is handed to cox past cokernel.
+    f = Fan.from_data(2, [[1, 1], [1, -1], [-1, -1], [-1, 1]],
+                      [[0, 1], [1, 2], [2, 3], [3, 0]])
+    group = cox(f).char_group
+    assert group.torsion == (2,) and group.free_rank == 2
+    for i in (0, 1):
+        bad = broken_row(group, i, freeze(f.rays))
+        monkeypatch.setattr(cox_module, "cokernel", lambda m, bad=bad: bad)
+        with pytest.raises(AssertionError,
+                           match="beta row has nonzero class"):
+            cox(f)
