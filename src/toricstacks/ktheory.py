@@ -13,8 +13,9 @@ HNF with the outside coordinates first gives them as the echelon rows with
 no outside entry (elimination order; Cohen, GTM 138, 2.4).
 The comparison starts from fan.exceptional_stratum: Delta = v * (boundary
 of sigma) matched bijectively with L = pi(boundary of sigma), pi the
-projection along the star ray v.  It reads the Cox data of those two fans
-and loads neither graded nor chow.
+projection along the star ray v.  It reads the Cox data of Delta and only
+the ray relations of L, whose primitive collections are Delta's carried
+across the matching, and loads neither graded nor chow.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-from .cox import CoxData, cox
+from .cox import cox, ray_relations
 from .fan import (
     ComparisonError,
     Cone,
@@ -63,11 +64,7 @@ def _group_add(group: AbelianGroup, a: Vector, b: Vector) -> Vector:
 
 def k_ring_stack(f: Fan) -> GroupAlgebraPresentation:
     """Group-algebra presentation of a fan's multiplicative invariant ring."""
-    return _k_presentation(cox(f))
-
-
-def _k_presentation(cd: CoxData) -> GroupAlgebraPresentation:
-    """k_ring_stack of the fan whose Cox data is cd."""
+    cd = cox(f)
     group = cd.char_group
     zero = group.reduce((0,) * group.coord_rank)
     assert group.kills(transpose(cd.kernel)), \
@@ -223,96 +220,70 @@ def boxed_quotient(p: GroupAlgebraPresentation, box_radius: int) \
                          window_group=wgroup, stabilized=stabilized)
 
 
-def _combine(group: AbelianGroup, images: tuple, amb: Vector) -> Vector:
-    """The group element sum(amb[j] * images[j])."""
-    return group.reduce(tuple(sum(a * w[t] for a, w in zip(amb, images))
-                              for t in range(group.coord_rank)))
-
-
 class KComparison(NamedTuple):
-    """Everything the boxed comparison of one cone produced."""
+    """What the boxed comparison of one cone produced.  Once the character
+    groups are identified the two quotients are equal (matched is proved),
+    so only the subdivision's is boxed."""
 
     stratum: ExceptionalStratum
     box_radius: int
     source: GroupAlgebraPresentation
-    target: GroupAlgebraPresentation
     boxed_source: BoxedQuotient
-    boxed_target: BoxedQuotient
     window_rank: int
     torsion: tuple
     stabilized: bool
-    matched: bool
-    iso_on_window: bool
 
 
 def k_exceptional_comparison(stratum: ExceptionalStratum,
                              box_radius: int = 3) -> KComparison:
-    """Compare the subdivided cone's boxed quotient with the exceptional
-    stratum's, identified over the subdivided character group.
+    """Identify the stratum's character group with the subdivided cone's,
+    then box the subdivision's quotient.
 
     The identification sends each stratum ray class to the class of its
-    matched subdivision ray.  It must be well defined (the stratum's
-    exponent lattice maps to zero) and an isomorphism (equal group
-    structures, and the images generate X(G)) before the quotients are
-    compared; otherwise ComparisonError says which part failed.  matched
-    means the two certified window lattices coincide, which pins rank,
-    torsion, and all generator-class images at once.  A non-stabilized
-    window makes the verdict inconclusive, never a failure.
+    matched subdivision ray.  It must be well defined (the stratum's kernel
+    rows, carried onto the subdivision's rays with 0 at v, die in X(G)) and
+    an isomorphism (equal structures, and the surviving ray classes
+    generate X(G)); otherwise ComparisonError says which part failed.
+    The stratum's primitive collections are the subdivision's carried
+    across dst (chow.exceptional_comparison), so each transported
+    generator 1 - e^{-(w'_{dst(i)}+...)} is the subdivision's
+    1 - e^{-(w_i+...)}: the ideals are equal, and only the source is boxed.
+    A non-stabilized window makes the verdict inconclusive, never a failure.
     """
-    quotient = stratum.quotient.fan
-    src_of = {d: s for s, d in stratum.dst.items()}
-    p_src = k_ring_stack(stratum.subdivision)
-    cd_tgt = cox(quotient)
-    p_tgt = _k_presentation(cd_tgt)
-    src_group, tgt_group = p_src.group, p_tgt.group
-
-    # Identification: j-th stratum ray class -> class of its source ray.
-    images = tuple(p_src.generator_images[src_of[j]]
-                   for j in range(len(quotient.rays)))
-    if any(any(_combine(src_group, images, row))
-           for row in cd_tgt.kernel):
+    f2, dst, quotient = stratum.subdivision, stratum.dst, stratum.quotient.fan
+    p_src = k_ring_stack(f2)
+    group, n = p_src.group, len(f2.rays)
+    kernel = ray_relations(quotient)
+    carried = [tuple(row[dst[i]] if i in dst else 0 for i in range(n))
+               for row in kernel]
+    if not group.kills(from_columns(carried, n)):
         raise ComparisonError(
             "the stratum's exponent lattice does not map to zero; the "
             "character groups are not identified over Z")
-    if src_group.structure() != tgt_group.structure():
+    tgt_group = cokernel(from_columns(kernel, len(quotient.rays)))
+    if group.structure() != tgt_group.structure():
         raise ComparisonError("character groups differ: %s vs %s"
-                              % (src_group.describe(), tgt_group.describe()))
-    if not src_group.generated_by(images):
+                              % (group.describe(), tgt_group.describe()))
+    if not group.generated_by([p_src.generator_images[i]
+                               for i in stratum.surviving]):
         raise ComparisonError("stratum ray classes do not generate the "
                               "character group")
 
-    transported_gens = []
-    for gen in p_tgt.ideal_gens:
-        term: dict = {}
-        for coords, coeff in gen:
-            c = _combine(src_group, images, tgt_group.lift_coords(coords))
-            term[c] = term.get(c, 0) + coeff
-        transported_gens.append(tuple(sorted((c, vv)
-                                             for c, vv in term.items() if vv)))
-    p_tgt_ident = GroupAlgebraPresentation(
-        group=src_group, generator_images=images,
-        ideal_gens=tuple(transported_gens))
-
-    bq_src = boxed_quotient(p_src, box_radius)
-    bq_tgt = boxed_quotient(p_tgt_ident, box_radius)
-    stabilized = bq_src.stabilized and bq_tgt.stabilized
-    matched = bq_src.window_lattice == bq_tgt.window_lattice
-    return KComparison(stratum=stratum, box_radius=box_radius,
-                       source=p_src, target=p_tgt,
-                       boxed_source=bq_src, boxed_target=bq_tgt,
-                       window_rank=bq_src.window_group.free_rank,
-                       torsion=bq_src.window_group.torsion,
-                       stabilized=stabilized, matched=matched,
-                       iso_on_window=stabilized and matched)
+    bq = boxed_quotient(p_src, box_radius)
+    return KComparison(stratum=stratum, box_radius=box_radius, source=p_src,
+                       boxed_source=bq, window_rank=bq.window_group.free_rank,
+                       torsion=bq.window_group.torsion,
+                       stabilized=bq.stabilized)
 
 
 class KVanishingReport(NamedTuple):
     """Outcome of the window-level verification for one cone.
 
-    conclusion is true only when the identification exists, both boxed
-    windows are stabilized and coincide, and the certified window carries
-    no torsion.  A failed identification is recorded in failure; a
-    non-stabilized window leaves matched unsettled (None)."""
+    conclusion is true only when the identification exists, the boxed
+    window is stabilized, and the certified window carries no torsion.  A
+    failed identification is recorded in failure.  Once identified, the
+    two quotients are the same presentation, so matched is proved (True)
+    when the window is stabilized and unsettled (None) when it is not."""
 
     cone_rays: tuple
     star_ray: Vector
@@ -338,8 +309,8 @@ def verify_k_vanishing(sigma: Cone, box_radius: int = 3) -> KVanishingReport:
                                 failure=str(exc), window_rank=None,
                                 torsion=None, stabilized=False, matched=None,
                                 conclusion=False)
-    matched = comp.matched if comp.stabilized else None
-    conclusion = comp.iso_on_window and comp.torsion == ()
+    matched = True if comp.stabilized else None
+    conclusion = comp.stabilized and comp.torsion == ()
     return KVanishingReport(cone_rays=sigma.rays, star_ray=stratum.star_ray,
                             box_radius=box_radius, identified=True,
                             failure=None, window_rank=comp.window_rank,

@@ -235,10 +235,41 @@ def _count_cox(monkeypatch, *modules) -> list:
 
 
 def test_k_comparison_builds_each_cox_once(monkeypatch):
+    # Only the subdivision's CoxData is built: the stratum side reads its
+    # ray relations alone.
     sizes = _count_cox(monkeypatch, chow, ktheory)
     rep = ktheory.verify_k_vanishing(corpus_cones()[10], 2)
     assert rep.identified
-    assert sorted(sizes) == [4, 5]
+    assert sizes == [5]
+
+
+def test_k_verifier_searches_primitive_collections_once(monkeypatch):
+    # One cox and one primitive-collection search per cone, the
+    # subdivision's: the stratum's collections are its carried across dst.
+    # The subdivision's quotient is the only one boxed.
+    calls = {"cox": 0, "primitive_collections": 0, "boxed_quotient": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(ktheory, "cox", counting("cox", cox_module.cox))
+    monkeypatch.setattr(cox_module, "primitive_collections", counting(
+        "primitive_collections", cox_module.primitive_collections))
+    monkeypatch.setattr(ktheory, "boxed_quotient", counting(
+        "boxed_quotient", ktheory.boxed_quotient))
+    identified = 0
+    for cone in corpus_cones():
+        before = dict(calls)
+        try:
+            identified += ktheory.verify_k_vanishing(cone, 2).identified
+        except ValueError:  # identified, but an exponent leaves the box
+            identified += 1
+        assert {k: calls[k] - before[k] for k in calls} \
+            == {"cox": 1, "primitive_collections": 1, "boxed_quotient": 1}
+    assert identified == 20
 
 
 def test_failed_chow_comparison_builds_each_cox_once(monkeypatch):

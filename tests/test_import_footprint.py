@@ -131,10 +131,9 @@ RECORDS = (
         "BoxedQuotient": ("presentation", "box_radius", "window_radius",
                           "window_monomials", "window_lattice",
                           "window_group", "stabilized"),
-        "KComparison": ("stratum", "box_radius", "source", "target",
-                        "boxed_source", "boxed_target", "window_rank",
-                        "torsion", "stabilized", "matched",
-                        "iso_on_window"),
+        "KComparison": ("stratum", "box_radius", "source",
+                        "boxed_source", "window_rank", "torsion",
+                        "stabilized"),
         "KVanishingReport": ("cone_rays", "star_ray", "box_radius",
                              "identified", "failure", "window_rank",
                              "torsion", "stabilized", "matched",

