@@ -14,8 +14,8 @@ imports the layers it runs in its own body: at top level only fan (and
 with it intlinalg) is loaded.  validate and subdivide run on those; cox
 and strongness add cox; the Chow verbs add graded and chow; the two K
 verbs add ktheory, which reads the exceptional reduction from fan and
-loads no Chow layer.  The records the layers return are NamedTuples, with
-tuple semantics, and payloads are built from them field by field.
+loads no Chow layer.  A JSON payload is its record's own fields (the
+NamedTuple's _asdict()), reshaped only where schemas.py asks for it.
 `python -X importtime -m toricstacks validate fixtures/sigma_square.json`
 shows what a process loads.
 """
@@ -27,9 +27,9 @@ import json
 import sys
 from math import lcm
 
-from .fan import Fan, UserError, _integer, _integer_rows, \
-    primitive_collections, star_subdivision, star_vector, validate_fan
-from .intlinalg import structure_text
+from .fan import Fan, UserError, _integer, primitive_collections, \
+    star_subdivision, star_vector, validate_fan
+from .intlinalg import structure_text, transpose
 
 
 class InputError(UserError):
@@ -49,11 +49,14 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
-def _load_fan(payload: dict, path: str) -> Fan:
+def _load_fan(ns, payload: dict | None = None) -> Fan:
+    """The fan of ns.input; payload is that file's JSON if already read."""
+    if payload is None:
+        payload = _load_payload(ns.input)
     for key in ("rank", "rays", "max_cones"):
         if key not in payload:
             raise InputError("%s: fan JSON needs rank, rays and max_cones"
-                             % path)
+                             % ns.input)
     return Fan.from_data(payload["rank"], payload["rays"],
                          payload["max_cones"])
 
@@ -64,10 +67,10 @@ def _violation_lines(report) -> list:
         for v in report.violations]
 
 
-def _load_valid_fan(payload: dict, path: str) -> Fan:
-    """The fan of the payload, rejected with validate's report unless it
+def _load_valid_fan(ns, payload: dict | None = None) -> Fan:
+    """_load_fan's fan, rejected with validate's report unless it
     satisfies the fan axioms."""
-    f = _load_fan(payload, path)
+    f = _load_fan(ns, payload)
     report = validate_fan(f)
     if not report.ok:
         raise InputError("\n".join(_violation_lines(report)))
@@ -86,23 +89,26 @@ def _vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _form(row, letter: str = "s") -> str:
-    """Linear form over indexed variables, e.g. (-2,-2,0) -> '-2s1 - 2s2'."""
-    parts = []
-    for i, c in enumerate(row):
-        if not c:
+def _signed_sum(terms, times: str = "") -> str:
+    """The sum of (coeff, name) terms with zero coefficients left out,
+    e.g. ((-2, "s1"), (-2, "s2")) -> '-2s1 - 2s2'; times goes between a
+    magnitude other than 1 and its name."""
+    text = ""
+    for coeff, name in terms:
+        if not coeff:
             continue
-        mag = abs(c)
-        body = "%s%d" % (letter, i + 1) if mag == 1 \
-            else "%d%s%d" % (mag, letter, i + 1)
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+        mag = abs(coeff)
+        body = name if mag == 1 else "%d%s%s" % (mag, times, name)
+        if not text:
+            text = ("-" if coeff < 0 else "") + body
+        else:
+            text += " %s %s" % ("-" if coeff < 0 else "+", body)
+    return text or "0"
+
+
+def _form(row) -> str:
+    """Linear form over s1, s2, ..., e.g. (-2,-2,0) -> '-2s1 - 2s2'."""
+    return _signed_sum((c, "s%d" % (i + 1)) for i, c in enumerate(row))
 
 
 def _monomial(indices, letter: str = "s") -> str:
@@ -121,35 +127,20 @@ def _laurent(coords) -> str:
 def _gen_text(gen) -> str:
     # constant term first, then the monomial terms
     terms = sorted(gen, key=lambda t: (any(t[0]), t[0]))
-    text = ""
-    for coords, coeff in terms:
-        mono = _laurent(coords)
-        mag = abs(coeff)
-        body = mono if mag == 1 else "%d*%s" % (mag, mono)
-        if not text:
-            text = ("-" if coeff < 0 else "") + body
-        else:
-            text += " %s %s" % ("-" if coeff < 0 else "+", body)
-    return text or "0"
+    return _signed_sum(((coeff, _laurent(coords)) for coords, coeff in terms),
+                       "*")
 
 
 def _group_json(g) -> dict:
-    return {"free_rank": g.free_rank, "torsion": list(g.torsion),
+    return {"free_rank": g.free_rank, "torsion": g.torsion,
             "text": g.describe()}
 
 
-def _torsion_text(torsion) -> str:
-    return ", ".join("Z/%d" % d for d in torsion) if torsion else "none"
-
-
 def _cmd_validate(ns):
-    f = _load_fan(_load_payload(ns.input), ns.input)
+    f = _load_fan(ns)
     report = validate_fan(f)
-    payload = {"ok": report.ok,
-               "violations": [{"first": list(v.first),
-                               "second": list(v.second),
-                               "reason": v.reason}
-                              for v in report.violations]}
+    payload = dict(report._asdict(),
+                   violations=[v._asdict() for v in report.violations])
     if report.ok:
         lines = ["fan is valid: %d rays, %d maximal cones"
                  % (len(f.rays), len(f.maximal_cones))]
@@ -158,14 +149,14 @@ def _cmd_validate(ns):
 
 
 def _cmd_subdivide(ns):
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(ns)
     sigma = _pick_cone(f, ns.cone)
     if sigma.is_zero:
         raise InputError("cannot subdivide the zero cone")
     out = star_subdivision(f, sigma)
     ray = star_vector(sigma)
     data = out.to_data()
-    payload = {"fan": data, "star_ray": list(ray)}
+    payload = {"fan": data, "star_ray": ray}
     lines = ["star ray: %s" % _vec(ray), "rays:"]
     lines += ["  %s" % _vec(r) for r in data["rays"]]
     lines.append("maximal cones: "
@@ -175,11 +166,10 @@ def _cmd_subdivide(ns):
 
 def _cmd_cox(ns):
     from .cox import cox
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    cd = cox(f)
+    cd = cox(_load_valid_fan(ns))
     payload = {"group": _group_json(cd.char_group),
-               "weights": [list(w) for w in cd.weights],
-               "kernel": [list(r) for r in cd.kernel],
+               "weights": cd.weights,
+               "kernel": cd.kernel,
                "primitive_collections": [sorted(c)
                                          for c in cd.primitive_collections]}
     lines = ["character group: %s" % cd.char_group.describe(), "weights:"]
@@ -194,8 +184,7 @@ def _cmd_cox(ns):
 
 def _piece_json(degree: int, free_rank: int, torsion) -> dict:
     """One graded piece as chow-stack and verify-vanishing report it."""
-    return {"degree": degree, "free_rank": free_rank,
-            "torsion": list(torsion),
+    return {"degree": degree, "free_rank": free_rank, "torsion": torsion,
             "text": structure_text(free_rank, torsion)}
 
 
@@ -204,14 +193,14 @@ def _cmd_chow_stack(ns):
         raise InputError("--max-deg must be nonnegative")
     from .chow import chow_presentation, piece_structures
     from .cox import ray_relations
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(ns)
     kernel, collections = ray_relations(f), primitive_collections(f)
     n = len(f.rays)
     p = chow_presentation(n, kernel, collections)
     pieces = [_piece_json(k, *structure) for k, structure
               in enumerate(piece_structures(p, ns.max_deg))]
     payload = {"variables": n,
-               "linear_relations": [list(r) for r in kernel],
+               "linear_relations": kernel,
                "monomial_relations": [sorted(c) for c in collections],
                "pieces": pieces}
     lines = ["variables: %s" % ", ".join("s%d" % (i + 1) for i in range(n)),
@@ -226,7 +215,7 @@ def _cmd_chow_stack(ns):
 
 def _cmd_chow_groups(ns):
     from .chow import chow_groups
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
+    f = _load_valid_fan(ns)
     if ns.k is not None and not 0 <= ns.k <= f.ambient_rank:
         raise InputError("--k must be in 0..%d" % f.ambient_rank)
     ks = [ns.k] if ns.k is not None else list(range(f.ambient_rank + 1))
@@ -241,13 +230,12 @@ def _cmd_chow_groups(ns):
 
 def _cmd_ktheory_stack(ns):
     from .ktheory import k_ring_stack
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    p = k_ring_stack(f)
-    gens_json = [[{"exponent": list(coords), "coeff": coeff}
+    p = k_ring_stack(_load_valid_fan(ns))
+    gens_json = [[{"exponent": coords, "coeff": coeff}
                   for coords, coeff in gen] for gen in p.ideal_gens]
     gens_text = [_gen_text(gen) for gen in p.ideal_gens]
     payload = {"group": _group_json(p.group),
-               "generator_images": [list(w) for w in p.generator_images],
+               "generator_images": p.generator_images,
                "ideal_gens": gens_json,
                "ideal_gens_text": gens_text}
     lines = ["group algebra of: %s" % p.group.describe(),
@@ -258,39 +246,35 @@ def _cmd_ktheory_stack(ns):
     return payload, lines, 0
 
 
+def _report_head(report, *lines) -> list:
+    """The lines both verify verbs open with: the cone, its subdivision
+    ray, the given lines, then why the identification failed, if it did."""
+    head = ["cone rays: " + ", ".join(_vec(r) for r in report.cone_rays),
+            "subdivision ray: %s" % _vec(report.star_ray), *lines]
+    if not report.identified:
+        head.append("identification failed: %s" % report.failure)
+    return head
+
+
 def _cmd_verify_vanishing(ns):
     if ns.max_deg < 1:
         raise InputError("--max-deg must be at least 1")
     from .chow import verify_vanishing
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    sigma = _pick_cone(f, ns.cone)
-    report = verify_vanishing(sigma, ns.max_deg)
-    payload = {
-        "cone_rays": [list(r) for r in report.cone_rays],
-        "star_ray": list(report.star_ray),
-        "max_deg": report.max_deg,
-        "identified": report.identified,
-        "failure": report.failure,
-        "extra_row": list(report.extra_row)
-        if report.extra_row is not None else None,
-        "verdicts": [{"degree": k, "iso": ok} for k, ok in report.verdicts],
-        "pieces": [_piece_json(*piece) for piece in report.pieces],
-        "point_class": report.point_class,
-        "conclusion": report.conclusion,
-    }
-    lines = ["cone rays: " + ", ".join(_vec(r) for r in report.cone_rays),
-             "subdivision ray: %s" % _vec(report.star_ray)]
+    report = verify_vanishing(_pick_cone(_load_valid_fan(ns), ns.cone),
+                              ns.max_deg)
+    pieces = [_piece_json(*piece) for piece in report.pieces]
+    payload = dict(report._asdict(), pieces=pieces,
+                   verdicts=[{"degree": k, "iso": ok}
+                             for k, ok in report.verdicts])
+    lines = _report_head(report)
     if report.identified:
         lines.append("identification: t_v -> %s (modulo the kernel lattice)"
                      % _form(report.extra_row))
-    else:
-        lines.append("identification failed: %s" % report.failure)
     for k, ok in report.verdicts:
         lines.append("degree %d comparison: %s" % (k, "iso" if ok else
                                                    "NOT iso"))
     lines.append("graded pieces of the subdivided stack:")
-    lines += ["  A^%d = %s" % (pc["degree"], pc["text"])
-              for pc in payload["pieces"]]
+    lines += ["  A^%d = %s" % (pc["degree"], pc["text"]) for pc in pieces]
     lines.append("A^0 of the point stratum: %s (recorded assumption)"
                  % report.point_class)
     if report.conclusion:
@@ -304,30 +288,15 @@ def _cmd_verify_k_vanishing(ns):
     if ns.box < 1:
         raise InputError("--box must be at least 1")
     from .ktheory import verify_k_vanishing
-    f = _load_valid_fan(_load_payload(ns.input), ns.input)
-    sigma = _pick_cone(f, ns.cone)
-    report = verify_k_vanishing(sigma, ns.box)
-    payload = {
-        "cone_rays": [list(r) for r in report.cone_rays],
-        "star_ray": list(report.star_ray),
-        "box": report.box_radius,
-        "window_rank": report.window_rank,
-        "torsion": list(report.torsion)
-        if report.torsion is not None else None,
-        "stabilized": report.stabilized,
-        "matched": report.matched,
-        "identified": report.identified,
-        "failure": report.failure,
-        "conclusion": report.conclusion,
-    }
-    lines = ["cone rays: " + ", ".join(_vec(r) for r in report.cone_rays),
-             "subdivision ray: %s" % _vec(report.star_ray),
-             "box radius: %d" % report.box_radius]
-    if not report.identified:
-        lines.append("identification failed: %s" % report.failure)
-    else:
+    report = verify_k_vanishing(_pick_cone(_load_valid_fan(ns), ns.cone),
+                                ns.box)
+    payload = report._asdict()
+    payload["box"] = payload.pop("box_radius")
+    lines = _report_head(report, "box radius: %d" % report.box_radius)
+    if report.identified:
         lines.append("window rank: %d" % report.window_rank)
-        lines.append("window torsion: %s" % _torsion_text(report.torsion))
+        lines.append("window torsion: %s" % (", ".join(
+            "Z/%d" % d for d in report.torsion) or "none"))
         lines.append("stabilized: %s" % ("yes" if report.stabilized
                                          else "no"))
         matched = {True: "yes", False: "no", None: "undetermined"}
@@ -349,7 +318,7 @@ def _cmd_strongness(ns):
         raise InputError("--bound must be at least 1")
     from .cox import cox, strong_divisor_check
     payload_in = _load_payload(ns.input)
-    f = _load_valid_fan(payload_in, ns.input)
+    f = _load_valid_fan(ns, payload_in)
     if ns.ray is not None:
         divisor_ray = ns.ray
     elif "divisor_ray" in payload_in:
@@ -361,41 +330,34 @@ def _cmd_strongness(ns):
         raise InputError("divisor ray %d out of range; the fan has %d rays"
                          % (divisor_ray, len(f.rays)))
     if "weights" in payload_in:
-        weights = _integer_rows(payload_in["weights"], "weights",
-                                "weights row")
-        if any(len(row) != len(f.rays) for row in weights):
-            raise InputError("weights rows must have one entry per ray")
+        weights = payload_in["weights"]
     else:
         cd = cox(f)
         if cd.char_group.torsion:
             raise InputError("the character group has torsion; pass an "
                              "explicit free weight matrix in the input")
-        weights = [list(row) for row in zip(*cd.weights)] \
-            if cd.weights else []
-    reports = strong_divisor_check(weights, f, divisor_ray, bound=ns.bound)
-    charts = [{"max_cone": list(r.max_cone),
-               "invertible": list(r.invertible),
-               "in_span": r.in_span,
-               "min_power": r.min_power} for r in reports]
-    strong = all(c["in_span"] for c in charts)
-    minima = [c["min_power"] for c in charts]
+        weights = transpose(cd.weights)
+    charts = strong_divisor_check(weights, f, divisor_ray, bound=ns.bound)
+    strong = all(c.in_span for c in charts)
+    minima = [c.min_power for c in charts]
     power = lcm(*minima) if minima and None not in minima else None
     payload = {"divisor_ray": divisor_ray, "bound": ns.bound,
-               "charts": charts, "strong": strong, "power_lcm": power}
+               "charts": [c._asdict() for c in charts], "strong": strong,
+               "power_lcm": power}
     lines = ["divisor: x%d" % (divisor_ray + 1)]
     for c in charts:
         mp = "unknown (bound %d exhausted)" % ns.bound \
-            if c["min_power"] is None else str(c["min_power"])
+            if c.min_power is None else str(c.min_power)
         lines.append("chart D(%s): in span: %s; minimal power: %s"
-                     % (_monomial(c["invertible"], "x"),
-                        "yes" if c["in_span"] else "no", mp))
+                     % (_monomial(c.invertible, "x"),
+                        "yes" if c.in_span else "no", mp))
     if strong:
         lines.append("divisor x%d is strong on every chart"
                      % (divisor_ray + 1))
     else:
-        bad = next(c for c in charts if not c["in_span"])
+        bad = next(c for c in charts if not c.in_span)
         lines.append("divisor x%d is NOT strong (fails on chart D(%s))"
-                     % (divisor_ray + 1, _monomial(bad["invertible"], "x")))
+                     % (divisor_ray + 1, _monomial(bad.invertible, "x")))
     if power is not None:
         lines.append("x%d^%d is locally generated on every chart (lcm of "
                      "chart minima)" % (divisor_ray + 1, power))

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fan import Fan, UserError, _integer, _integer_rows, \
-    primitive_collections
+from .fan import Fan, GeometryError, UserError, _integer, \
+    _integer_rows, primitive_collections
 from .intlinalg import (
     AbelianGroup,
     Matrix,
@@ -125,7 +125,7 @@ def strong_divisor_check(weights, f: Fan, m: int,
     weights is a matrix of ints with one column per ray of f (any
     coefficient group presented by free coordinates will do; rows are
     coordinates); a bool, a float or a non-array row raises GeometryError
-    naming the entry.  m is a 0-based ray index.  For each maximal cone
+    naming the entry, and so does a row of the wrong length.  m is a 0-based ray index.  For each maximal cone
     the chart inverts the coordinates of the rays outside it; the divisor
     x_m is cut out by an invariant function on that chart iff some power
     of w_m lies in the span of those columns.  The least such power is the
@@ -135,10 +135,8 @@ def strong_divisor_check(weights, f: Fan, m: int,
     weights = _integer_rows(weights, "weights", "weights row")
     m = _integer(m, "ray index")
     r = len(f.rays)
-    for row in weights:
-        if len(row) != r:
-            raise ValueError("weight matrix has a row of length %d, fan "
-                             "has %d rays" % (len(row), r))
+    if any(len(row) != r for row in weights):
+        raise GeometryError("weights rows must have one entry per ray")
     if not 0 <= m < r:
         raise ValueError("ray index %d out of range" % m)
     if bound < 1:

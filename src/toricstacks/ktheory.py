@@ -40,7 +40,6 @@ from .intlinalg import (
     from_columns,
     hnf_form,
     solve_in_span,
-    transpose,
 )
 
 
@@ -67,8 +66,6 @@ def k_ring_stack(f: Fan) -> GroupAlgebraPresentation:
     cd = cox(f)
     group = cd.char_group
     zero = group.reduce((0,) * group.coord_rank)
-    assert group.kills(transpose(cd.kernel)), \
-        "exponent-lattice relation does not vanish in X(G)"
     gens = []
     for coll in cd.primitive_collections:
         total = zero

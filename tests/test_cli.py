@@ -78,7 +78,16 @@ def test_strongness_bound_exhaustion(capsys):
     assert "no common power found" in text
 
 
-def test_json_reports_match_schemas(capsys):
+def test_json_reports_match_schemas(tmp_path, capsys):
+    # The cone of test_verify_vanishing_failure_exit (K unidentified, Chow
+    # not verified) and one whose Chow identification fails as well.
+    unidentified = tmp_path / "unidentified.json"
+    unidentified.write_text(json.dumps(
+        {"rank": 2, "rays": [[1, 0], [1, 4]], "max_cones": [[0, 1]]}))
+    no_chow = tmp_path / "no_chow.json"
+    no_chow.write_text(json.dumps(
+        {"rank": 3, "rays": [[3, 1, -1], [-1, -1, 0], [-1, -2, 3]],
+         "max_cones": [[0, 1, 2]]}))
     cases = [
         ["validate", SQUARE],
         ["subdivide", SQUARE],
@@ -90,11 +99,23 @@ def test_json_reports_match_schemas(capsys):
         ["verify-k-vanishing", SQUARE],
         ["strongness", STRONG],
         ["validate", BAD],
+        # the failure shapes
+        ["verify-vanishing", str(unidentified)],
+        ["verify-vanishing", str(no_chow)],
+        ["verify-k-vanishing", str(unidentified)],
+        ["strongness", STRONG, "--bound", "2"],
     ]
+    payloads = []
     for argv in cases:
         run(argv + ["--json"])
-        payload = json.loads(out_of(capsys))
-        jsonschema.validate(payload, VERB_SCHEMAS[argv[0]])
+        payloads.append(json.loads(out_of(capsys)))
+        jsonschema.validate(payloads[-1], VERB_SCHEMAS[argv[0]])
+    chow, no_chow, k, strong = payloads[-4:]
+    assert chow["identified"] and not chow["conclusion"]
+    assert no_chow["extra_row"] is None and no_chow["verdicts"] == []
+    assert k["window_rank"] is None and k["torsion"] is None
+    assert None in [c["min_power"] for c in strong["charts"]]
+    assert strong["power_lcm"] is None
 
 
 def test_subdivide_json_round_trips(capsys):
@@ -191,6 +212,8 @@ def test_non_integer_fan_entries_exit_2(payload, message, verb, tmp_path,
      "weights row 1 entry 4 is not an integer: 1.5"),
     ("weights", [[3, -2, 1, -2, 0], [2, -3, 0, -3, True]],
      "weights row 1 entry 4 is not an integer: true"),
+    ("weights", [[3, -2, 1, -2, 0], [2, -3, 0, -3]],
+     "weights rows must have one entry per ray"),
     ("divisor_ray", 4.7, "divisor_ray is not an integer: 4.7"),
     ("divisor_ray", True, "divisor_ray is not an integer: true"),
 ])
