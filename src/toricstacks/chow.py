@@ -1,14 +1,13 @@
 """Intersection-theoretic verification pipeline.
 
-Three layers: graded presentations of the quotient rings attached to a fan
-(chow_ring_stack), cycle-class groups of the underlying variety assembled
-from divisor-of-character relations (chow_groups), and the end-to-end
-comparison that star-subdivides a full-dimensional cone, projects onto the
-exceptional stratum, and decides whether the induced ring map is an
-isomorphism with torsion-free pieces (verify_vanishing).  The subdivision
-Delta = v * (boundary of sigma) and its ray matching with the stratum's fan
-L = pi(boundary of sigma), pi the projection along the star ray v, are the
-reduction the K-theory verifier in ktheory starts from too.
+Two layers: graded presentations of the quotient rings attached to a fan
+(chow_ring_stack), and the end-to-end comparison that star-subdivides a
+full-dimensional cone, projects onto the exceptional stratum, and decides
+whether the induced ring map is an isomorphism with torsion-free pieces
+(verify_vanishing).  The subdivision Delta = v * (boundary of sigma) and
+its ray matching with the stratum's fan L = pi(boundary of sigma), pi the
+projection along the star ray v, are the reduction the K-theory verifier
+in ktheory starts from too.
 
 No inverse map or induced matrix is needed: pi maps the boundary of sigma
 bijectively onto L, so the ray matching is a bijection and the certified
@@ -33,8 +32,8 @@ from .fan import (
     Cone,
     ExceptionalStratum,
     Fan,
+    chow_groups,  # bound here: the benchmark reads chow.chow_groups
     exceptional_stratum,
-    orbit_relation_data,
     preimage_orbit_closure,
     primitive_collections,
 )
@@ -46,8 +45,8 @@ from .graded import (
     make_presentation,
     ring_map,
 )
-from .intlinalg import AbelianGroup, Vector, cokernel, from_columns, \
-    identity
+from .intlinalg import Vector, identity
+from .intlinalg import cokernel  # bound here: the benchmark reads it
 
 POINT_CLASS = "Z"  # degree-0 group of the zero-dimensional stratum, assumed
 
@@ -68,41 +67,6 @@ def chow_presentation(n: int, kernel, collections) -> GradedPresentation:
     return make_presentation(n, kernel, [
         (len(c), {tuple(int(i in c) for i in range(n)): 1})
         for c in collections])
-
-
-def chow_relation_data(f: Fan, k: int):
-    """Generators and relation columns for the dimension-k class group.
-
-    Generators are the dimension (rank - k) cones in canonical order;
-    every dimension (rank - k - 1) cone tau contributes one column per
-    basis vector u of its perp lattice, with entry <u, n_gen> at each cone
-    having tau as a facet.
-    """
-    n = f.ambient_rank
-    if not 0 <= k <= n:
-        raise ValueError("class dimension %d out of range 0..%d" % (k, n))
-    gens = [frozenset(s) for s in f.cones_of_dim(n - k)]
-    gen_index = {s: i for i, s in enumerate(gens)}
-    columns = []
-    for tau_set in f.cones_of_dim(n - k - 1):
-        data = orbit_relation_data(f, f.cone(tau_set))
-        if not data:
-            continue
-        for u in data[0].m_tau_basis:
-            col = [0] * len(gens)
-            for datum in data:
-                sigma_set = frozenset(f.rays.index(r)
-                                      for r in datum.sigma_rays)
-                col[gen_index[sigma_set]] += sum(
-                    a * b for a, b in zip(u, datum.n_gen))
-            columns.append(tuple(col))
-    return tuple(tuple(sorted(s)) for s in gens), tuple(columns)
-
-
-def chow_groups(f: Fan, k: int) -> AbelianGroup:
-    """The dimension-k cycle class group of the fan's variety."""
-    gens, cols = chow_relation_data(f, k)
-    return cokernel(from_columns(cols, len(gens)))
 
 
 class Comparison(NamedTuple):

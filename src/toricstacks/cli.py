@@ -11,11 +11,12 @@ Output is deterministic: identical inputs produce identical bytes.
 
 A process is one verb, and most of its time is start-up, so each handler
 imports the layers it runs in its own body: at top level only fan (and
-with it intlinalg) is loaded.  validate and subdivide run on those; cox
-and strongness add cox; the Chow verbs add graded and chow; the two K
-verbs add ktheory, which reads the exceptional reduction from fan and
-loads no Chow layer.  A JSON payload is its record's own fields (the
-NamedTuple's _asdict()), reshaped only where schemas.py asks for it.
+with it intlinalg) is loaded.  validate, subdivide and chow-groups run on
+those; cox and strongness add cox; chow-stack and verify-vanishing add
+graded and chow; the two K verbs add ktheory, which reads the exceptional
+reduction from fan and loads no Chow layer.  A JSON payload is its
+record's own fields (the NamedTuple's _asdict()), reshaped only where
+schemas.py asks for it.
 `python -X importtime -m toricstacks validate fixtures/sigma_square.json`
 shows what a process loads.
 """
@@ -214,7 +215,7 @@ def _cmd_chow_stack(ns):
 
 
 def _cmd_chow_groups(ns):
-    from .chow import chow_groups
+    from .fan import chow_groups
     f = _load_valid_fan(ns)
     if ns.k is not None and not 0 <= ns.k <= f.ambient_rank:
         raise InputError("--k must be in 0..%d" % f.ambient_rank)

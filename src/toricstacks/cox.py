@@ -45,15 +45,13 @@ class TorusFactorError(UserError):
 class CoxData(NamedTuple):
     """The quotient presentation attached to a fan.
 
-    beta has one column per ray (the primitive generator).  char_group is
-    the cokernel of its transpose; weights[i] is the class of the i-th unit
-    vector in char_group coordinates (torsion entries first).  kernel is the
-    canonical (HNF-row) basis of the lattice of exponent vectors whose
-    classes vanish, i.e. the row lattice of beta's transpose.
+    char_group is the cokernel of beta's transpose (beta has one column
+    per ray, its primitive generator); weights[i] is the class of the i-th
+    unit vector in char_group coordinates (torsion entries first).  kernel
+    is the canonical (HNF-row) basis of the lattice of exponent vectors
+    whose classes vanish, i.e. the row lattice of beta's transpose.
     """
 
-    fan: Fan
-    beta: Matrix
     char_group: AbelianGroup
     weights: tuple[Vector, ...]
     kernel: Matrix
@@ -90,14 +88,13 @@ def cox(f: Fan) -> CoxData:
     """
     kernel = ray_relations(f)
     r = len(f.rays)
-    beta = from_columns(freeze(f.rays), f.ambient_rank)
     group = cokernel(from_columns(kernel, r))
     # The weight of ray i is the class of the i-th unit vector: column i of
     # the projection, whose torsion rows the normal form keeps reduced.
     weights = transpose(group.projection) or ((),) * r
-    assert group.kills(transpose(beta)), "beta row has nonzero class"
-    return CoxData(fan=f, beta=beta, char_group=group, weights=weights,
-                   kernel=kernel,
+    # f.rays is beta's transpose: its columns are beta's rows.
+    assert group.kills(f.rays), "beta row has nonzero class"
+    return CoxData(char_group=group, weights=weights, kernel=kernel,
                    primitive_collections=primitive_collections(f))
 
 

@@ -1,11 +1,13 @@
 """Rational polyhedral cones and fans over a lattice, with the operations a
 toric intersection-theory pipeline needs: face enumeration, star
 subdivision, primitive collections, refinement and preimage tests, star
-quotients, and facet relation data for orbit closures, plus the reduction
-both vanishing verifiers start from (exceptional_stratum): a cone sigma's
-star subdivision Delta = v * (boundary of sigma), built from its facets,
-and the stratum's fan L = pi(boundary of sigma), pi the projection along
-the interior star ray v, which maps the boundary bijectively onto L.
+quotients, facet relation data for orbit closures and the class groups
+A_k they present (chow_groups: the V(sigma) modulo div(chi^u) over the
+walls, Fulton-Sturmfels), plus the reduction both vanishing verifiers
+start from (exceptional_stratum): a cone sigma's star subdivision
+Delta = v * (boundary of sigma), built from its facets, and the stratum's
+fan L = pi(boundary of sigma), pi the projection along the interior star
+ray v, which maps the boundary bijectively onto L.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
@@ -40,6 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .intlinalg import (
+    AbelianGroup,
     Matrix,
     Vector,
     adjugate,
@@ -833,3 +836,38 @@ def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
             tau_rays=tau.rays, sigma_rays=sigma.rays,
             m_tau_basis=tau.perp_rows, n_gen=n_gen))
     return out
+
+
+def chow_relation_data(f: Fan, k: int):
+    """Generators and relation columns for the dimension-k class group.
+
+    Generators are the dimension (rank - k) cones in canonical order;
+    every dimension (rank - k - 1) cone tau contributes one column per
+    basis vector u of its perp lattice, with entry <u, n_gen> at each cone
+    having tau as a facet.
+    """
+    n = f.ambient_rank
+    if not 0 <= k <= n:
+        raise ValueError("class dimension %d out of range 0..%d" % (k, n))
+    gens = [frozenset(s) for s in f.cones_of_dim(n - k)]
+    gen_index = {s: i for i, s in enumerate(gens)}
+    columns = []
+    for tau_set in f.cones_of_dim(n - k - 1):
+        data = orbit_relation_data(f, f.cone(tau_set))
+        if not data:
+            continue
+        for u in data[0].m_tau_basis:
+            col = [0] * len(gens)
+            for datum in data:
+                sigma_set = frozenset(f.rays.index(r)
+                                      for r in datum.sigma_rays)
+                col[gen_index[sigma_set]] += sum(
+                    a * b for a, b in zip(u, datum.n_gen))
+            columns.append(tuple(col))
+    return tuple(tuple(sorted(s)) for s in gens), tuple(columns)
+
+
+def chow_groups(f: Fan, k: int) -> AbelianGroup:
+    """The dimension-k cycle class group of the fan's variety."""
+    gens, cols = chow_relation_data(f, k)
+    return cokernel(from_columns(cols, len(gens)))

@@ -14,7 +14,6 @@ import pytest
 
 from corpus import CORPUS_DATA, corpus_cones
 from toricstacks.chow import (
-    chow_groups,
     chow_ring_stack,
     exceptional_comparison,
     exceptional_stratum,
@@ -24,6 +23,7 @@ from toricstacks.chow import (
 from toricstacks.cox import cox, strong_divisor_check
 from toricstacks.fan import (
     Fan,
+    chow_groups,
     is_refinement,
     make_cone,
     orbit_relation_data,

@@ -3,16 +3,14 @@ import random
 import pytest
 
 from toricstacks.chow import (
-    chow_groups,
-    chow_relation_data,
     chow_ring_stack,
     exceptional_comparison,
     exceptional_stratum,
     preimage_check,
     verify_vanishing,
 )
-from toricstacks.fan import Fan, GeometryError, make_cone, \
-    orbit_relation_data
+from toricstacks.fan import Fan, GeometryError, chow_groups, \
+    chow_relation_data, make_cone, orbit_relation_data
 from toricstacks.graded import graded_piece, induced_map, ring_map
 from toricstacks.intlinalg import cokernel, matmul
 

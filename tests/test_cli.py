@@ -297,7 +297,7 @@ def test_chow_groups_degree_out_of_range_exits_2(capsys):
 @pytest.mark.parametrize("verb, module, name", [
     ("verify-vanishing", "chow", "verify_vanishing"),
     ("verify-k-vanishing", "ktheory", "verify_k_vanishing"),
-    ("chow-groups", "chow", "chow_groups"),
+    ("chow-groups", "fan", "chow_groups"),
 ])
 def test_bare_value_error_exits_3(verb, module, name, monkeypatch, capsys):
     def broken(*_args):

@@ -46,7 +46,6 @@ def test_square_cone_cox():
     assert [w[1:] for w in cd.weights] == [(1,), (-1,), (1,), (-1,)]
     assert cd.kernel == ((1, 0, 1, 2), (0, 1, 0, -1), (0, 0, 2, 2))
     assert cd.primitive_collections == []
-    assert cd.beta == ((1, 0, -1, 0), (0, -1, 0, 1), (1, 1, 1, 1))
 
 
 def test_square_cone_kernel_is_the_relation_lattice():
@@ -121,7 +120,7 @@ def test_torus_factor_message_names_the_ray_rank():
         cox(Fan.from_data(2, [], [[]]))
     # A rank-0 fan (a point) has no torus factor.
     cd = cox(Fan.from_data(0, [], [[]]))
-    assert cd.beta == () and cd.kernel == () and cd.weights == ()
+    assert cd.kernel == () and cd.weights == ()
     assert cd.char_group.is_trivial
 
 

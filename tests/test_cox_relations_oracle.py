@@ -37,8 +37,7 @@ def reference_cox(f: Fan) -> CoxData:
     weights = tuple(
         group.project(tuple(1 if j == i else 0 for j in range(r)))
         for i in range(r))
-    return CoxData(fan=f, beta=beta, char_group=group, weights=weights,
-                   kernel=kernel,
+    return CoxData(char_group=group, weights=weights, kernel=kernel,
                    primitive_collections=primitive_collections(f))
 
 

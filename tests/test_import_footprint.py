@@ -33,7 +33,7 @@ LOADED = {
     "cox": COX,
     "strongness": COX,
     "chow-stack": CHOW,
-    "chow-groups": CHOW,
+    "chow-groups": BASE,
     "verify-vanishing": CHOW,
     "ktheory-stack": K,
     "verify-k-vanishing": K,
@@ -103,7 +103,7 @@ RECORDS = (
                                "n_gen"),
     }),
     ("cox", {
-        "CoxData": ("fan", "beta", "char_group", "weights", "kernel",
+        "CoxData": ("char_group", "weights", "kernel",
                     "primitive_collections"),
         "ChartReport": ("max_cone", "invertible", "in_span", "min_power"),
     }),

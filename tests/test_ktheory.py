@@ -1,13 +1,12 @@
 import pytest
 
 from toricstacks import chow, ktheory
-from toricstacks.chow import chow_groups
 from toricstacks.chow import (
     ComparisonError,
     ExceptionalStratum,
     exceptional_stratum,
 )
-from toricstacks.fan import Fan, make_cone, star_subdivision
+from toricstacks.fan import Fan, chow_groups, make_cone, star_subdivision
 from toricstacks.intlinalg import cokernel, hnf, identity, solve_in_span, \
     transpose
 from test_k_transport_oracle import transported_presentation

@@ -24,10 +24,9 @@ from itertools import product
 from pathlib import Path
 
 from test_chow_certificate import clear_package_caches
-from toricstacks.chow import chow_groups
 from toricstacks.cli import run
 from toricstacks.cox import cox
-from toricstacks.fan import Fan, is_refinement, make_cone, \
+from toricstacks.fan import Fan, chow_groups, is_refinement, make_cone, \
     star_subdivision, validate_fan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,11 +171,23 @@ def test_kept_traced_names_are_traced():
 
 
 def test_every_traced_name_resolves_in_src():
-    top = {}
+    # A module's name resolves when the module defines it at top level, or
+    # imports it from a package module where it resolves.
+    top, imported = {}, {}
     for path in SRC.glob("*.py"):
-        top[path.stem] = {node.name for node in ast.parse(
-            path.read_text(), str(path)).body if isinstance(
-                node, (ast.FunctionDef, ast.ClassDef))}
+        body = ast.parse(path.read_text(), str(path)).body
+        top[path.stem] = {node.name for node in body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))}
+        imported[path.stem] = {
+            alias.asname or alias.name: node.module for node in body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+    def resolves(module, attr):
+        return attr in top.get(module, ()) or (
+            attr in imported.get(module, ())
+            and resolves(imported[module][attr], attr))
+
     for name in sorted(traced_names()):
         module, _, attr = name.partition(".")
-        assert attr in top.get(module, ()), name
+        assert resolves(module, attr), name
