@@ -9,24 +9,23 @@ its subclasses; every verb checks the fan axioms before computing), 3 for
 an internal error (any other exception, a bare ValueError included).
 Output is deterministic: identical inputs produce identical bytes.
 
-A process is one verb, and most of its time is start-up, so each handler
-imports the layers it runs in its own body: at top level only fan (and
-with it intlinalg) is loaded.  validate, subdivide and chow-groups run on
-those; cox and strongness add cox; chow-stack and verify-vanishing add
-graded and chow; the two K verbs add ktheory, which reads the exceptional
-reduction from fan and loads no Chow layer.  A JSON payload is its
-record's own fields (the NamedTuple's _asdict()), reshaped only where
-schemas.py asks for it.
+A process is one verb, and most of its time is start-up.  So one table,
+VERBS, parses the command line, prints -h and dispatches: argparse's
+import and parser build alone were ~5 % of a process.  Each handler
+imports the layers it runs in its own body: at top level only fan and
+intlinalg are loaded; tests/test_import_footprint.py pins what each verb
+adds.  A JSON payload is its record's own fields (the NamedTuple's
+_asdict()), reshaped only where schemas.py asks for it.
 `python -X importtime -m toricstacks validate fixtures/sigma_square.json`
 shows what a process loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import lcm
+from types import SimpleNamespace
 
 from .fan import Fan, UserError, _integer, primitive_collections, \
     star_subdivision, star_vector, validate_fan
@@ -367,64 +366,82 @@ def _cmd_strongness(ns):
     return payload, lines, 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "subdivide": _cmd_subdivide,
-    "cox": _cmd_cox,
-    "chow-stack": _cmd_chow_stack,
-    "chow-groups": _cmd_chow_groups,
-    "ktheory-stack": _cmd_ktheory_stack,
-    "verify-vanishing": _cmd_verify_vanishing,
-    "verify-k-vanishing": _cmd_verify_k_vanishing,
-    "strongness": _cmd_strongness,
+# verb -> (handler, one-line help, {option: integer default, or None for
+# the handler's own}): the one table that parses, prints -h and dispatches.
+VERBS = {
+    "validate": (_cmd_validate, "check the fan axioms", {}),
+    "subdivide": (_cmd_subdivide, "star subdivision of a cone", {"cone": 0}),
+    "cox": (_cmd_cox, "character group, weights, kernel, collections", {}),
+    "chow-stack": (_cmd_chow_stack, "graded Chow ring", {"max-deg": 4}),
+    "chow-groups": (_cmd_chow_groups, "Chow groups A_k", {"k": None}),
+    "ktheory-stack": (_cmd_ktheory_stack, "group algebra presentation", {}),
+    "verify-vanishing": (_cmd_verify_vanishing, "exceptional comparison "
+                         "for one cone", {"cone": 0, "max-deg": 4}),
+    "verify-k-vanishing": (_cmd_verify_k_vanishing, "boxed K comparison "
+                           "for one cone", {"cone": 0, "box": 3}),
+    "strongness": (_cmd_strongness, "per-chart divisor strongness check",
+                   {"ray": None, "bound": 20}),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricstacks",
-        description="Exact toric intersection theory on fan JSON files.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _usage(verb, error) -> int:
+    """Print the usage line and the error on stderr and return 2, or for -h
+    print the verb table or the verb's options on stdout and return 0."""
+    options = VERBS[verb][2] if verb else {"OPTION": None}
+    text = "usage: toricstacks %s INPUT [--json]%s\n" % (
+        verb or "VERB", "".join(" [--%s N]" % opt for opt in options))
+    if error:
+        print(text + "toricstacks: error: " + error, file=sys.stderr)
+        return 2
+    rows = [(v, entry[1]) for v, entry in VERBS.items() if verb in (None, v)]
+    if verb:
+        rows += [("--json", "emit the JSON report instead of text")] + [
+            ("--%s N" % opt, "default: %s" % ("none" if d is None else d))
+            for opt, d in options.items()]
+    print(text + "\n".join("  %-20s%s" % row for row in rows))
+    return 0
 
-    def add(verb, help_text):
-        p = sub.add_parser(verb, help=help_text)
-        p.add_argument("input", help="fan JSON file")
-        p.add_argument("--json", action="store_true",
-                       help="emit the JSON report instead of text")
-        return p
 
-    add("validate", "check the fan axioms")
-    p = add("subdivide", "star subdivision of one maximal cone")
-    p.add_argument("--cone", type=int, default=0,
-                   help="0-based index into max_cones (default 0)")
-    add("cox", "character group, weights, kernel and collections")
-    p = add("chow-stack", "graded ring presentation and piece structures")
-    p.add_argument("--max-deg", type=int, default=4)
-    p = add("chow-groups", "Chow groups of the toric variety")
-    p.add_argument("--k", type=int, default=None,
-                   help="single degree; omit for all")
-    add("ktheory-stack", "group algebra presentation")
-    p = add("verify-vanishing", "exceptional comparison for one cone")
-    p.add_argument("--cone", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=4)
-    p = add("verify-k-vanishing", "boxed K comparison for one cone")
-    p.add_argument("--cone", type=int, default=0)
-    p.add_argument("--box", type=int, default=3)
-    p = add("strongness", "per-chart divisor strongness check")
-    p.add_argument("--ray", type=int, default=None,
-                   help="0-based divisor ray (default: divisor_ray key)")
-    p.add_argument("--bound", type=int, default=20)
-    return parser
+def _parse(argv: list):
+    """The namespace the verb's handler reads, or _usage's exit code.  argv
+    is the verb, then one input, --json and the verb's --opt N or --opt=N
+    in any order."""
+    verb = argv[0] if argv else None
+    if verb not in VERBS:
+        return _usage(None, None if verb in ("-h", "--help") else
+                      "unknown verb %r" % verb if argv else "no verb")
+    options = VERBS[verb][2]
+    ns = SimpleNamespace(verb=verb, input=None, json=False, **{
+        opt.replace("-", "_"): d for opt, d in options.items()})
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if arg in ("-h", "--help"):
+            return _usage(verb, None)
+        if arg == "--json":
+            ns.json = True
+        elif name.startswith("--") and name[2:] in options:
+            value = value if eq else next(rest, "")
+            try:
+                setattr(ns, name[2:].replace("-", "_"), int(value))
+            except ValueError:
+                return _usage(verb, "%s expects an integer, got %r"
+                              % (name, value))
+        elif (arg.startswith("-") and arg != "-") or ns.input is not None:
+            return _usage(verb, "unrecognized argument %r" % arg)
+        else:
+            ns.input = arg
+    return ns if ns.input is not None else _usage(verb, "no input file")
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    ns = _parse(list(argv))
+    if isinstance(ns, int):
+        return ns
     try:
-        ns = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        payload, lines, code = _HANDLERS[ns.verb](ns)
+        payload, lines, code = VERBS[ns.verb][0](ns)
+        text = json.dumps(payload, indent=2, sort_keys=True) if ns.json \
+            else "\n".join(lines)
     except UserError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -434,10 +451,7 @@ def run(argv) -> int:
         import traceback  # only here: process start does not pay for it
         traceback.print_exc()
         return 3
-    if ns.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    print(text)
     return code
 
 

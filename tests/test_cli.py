@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from toricstacks.cli import run
+from toricstacks.cli import VERBS, run
 from toricstacks.fan import Fan, validate_fan
 from toricstacks.schemas import VERB_SCHEMAS
 
@@ -229,10 +229,33 @@ def test_strongness_non_integer_input_exit_2(field, value, message, tmp_path,
     assert captured.err == "error: %s\n" % message
 
 
-def test_usage_errors_exit_2():
+def assert_usage_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: toricstacks ")
+    assert "\ntoricstacks: error: " in captured.err
+
+
+def test_usage_errors_exit_2(capsys):
     assert run([]) == 2
+    assert_usage_error(capsys)
     assert run(["frobnicate", "x.json"]) == 2
+    assert_usage_error(capsys)
     assert run(["chow-groups"]) == 2
+    assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["cox", SQUARE, "--json"], ({"x": {1, 2}}, [], 0)),
+    (["cox", SQUARE], ({}, ["line", 1], 0)),
+])
+def test_render_failure_exits_3(argv, result, monkeypatch, capsys):
+    # A report that cannot be rendered is an internal error, not a verdict.
+    monkeypatch.setitem(VERBS, "cox", (lambda ns: result, *VERBS["cox"][1:]))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TypeError: ")
 
 
 @pytest.mark.parametrize("verb", ["subdivide", "cox", "chow-stack",

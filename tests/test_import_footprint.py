@@ -1,10 +1,11 @@
 """What a CLI process loads, and the records it builds.
 
 Each verb imports the layers it runs when it runs, so a process loads only
-those modules.  Records are typing.NamedTuple classes (tuples, with their
-field order pinned here), except the one with fields filled on first
-read, which is a plain class; no package module imports dataclasses.
-Only intlinalg builds a matrix with no columns (from_columns).
+those modules, and no verb loads argparse.  Records are typing.NamedTuple
+classes (tuples, with their field order pinned here), except the one with
+fields filled on first read, which is a plain class; no package module
+imports dataclasses.  Only intlinalg builds a matrix with no columns
+(from_columns).
 """
 
 import ast
@@ -39,16 +40,22 @@ LOADED = {
     "verify-k-vanishing": K,
 }
 
-# Run cli.run on argv, then print its exit code and the package modules
-# the process has loaded.
+# Run cli.run on argv, then print its exit code, the package modules the
+# process has loaded and whether it has loaded argparse.
 PROBE = """
 import contextlib, io, json, sys
 from toricstacks import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.partition(".")[0] == "toricstacks")]))
+                               if m.partition(".")[0] == "toricstacks"),
+                  "argparse" in sys.modules]))
 """
+
+
+def src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("verb", sorted(LOADED))
@@ -58,14 +65,21 @@ def test_verb_loads_only_its_layers(verb, tmp_path):
     fan = dict(SQUARE, divisor_ray=0, weights=[[1, -1, 1, -1]])
     path = tmp_path / "sigma_square.json"
     path.write_text(json.dumps(fan))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", PROBE, verb, str(path)],
-                          env=env, capture_output=True, text=True,
+                          env=src_env(), capture_output=True, text=True,
                           check=True)
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    code, modules, has_argparse = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
     assert set(modules) == LOADED[verb]
+    assert not has_argparse
+
+
+def test_help_lists_every_verb():
+    done = subprocess.run([sys.executable, "-m", "toricstacks", "-h"],
+                          env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    listed = {line.split()[0] for line in done.stdout.splitlines()[1:]}
+    assert listed == set(LOADED)
 
 
 def test_no_module_imports_dataclasses():
