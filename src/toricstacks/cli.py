@@ -6,7 +6,8 @@ JSON shape published in schemas.py.  Exit codes: 0 for a successful
 computation (for the verify-* verbs: a true conclusion), 1 for a false or
 inconclusive verification, 2 for input or usage errors (fan.UserError and
 its subclasses; every verb checks the fan axioms before computing), 3 for
-an internal error (any other exception, a bare ValueError included).
+an internal error (any other exception, a bare ValueError included, and a
+report that cannot be written because stdout's reader has gone away).
 Output is deterministic: identical inputs produce identical bytes.
 
 A process is one verb, and most of its time is start-up.  So one table,
@@ -23,6 +24,7 @@ shows what a process loads.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from math import lcm
 from types import SimpleNamespace
@@ -434,14 +436,27 @@ def _parse(argv: list):
     return ns if ns.input is not None else _usage(verb, "no input file")
 
 
+def _emit(text: str) -> None:
+    """Print and flush the report, so that a failed write (its reader gone)
+    raises inside run's guard.  The unwritten bytes then go to devnull:
+    the flush at exit would otherwise fail on them a second time."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def run(argv) -> int:
     ns = _parse(list(argv))
     if isinstance(ns, int):
         return ns
     try:
         payload, lines, code = VERBS[ns.verb][0](ns)
-        text = json.dumps(payload, indent=2, sort_keys=True) if ns.json \
-            else "\n".join(lines)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) if ns.json
+              else "\n".join(lines))
     except UserError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -451,7 +466,6 @@ def run(argv) -> int:
         import traceback  # only here: process start does not pay for it
         traceback.print_exc()
         return 3
-    print(text)
     return code
 
 

@@ -11,20 +11,20 @@ ray v, which maps the boundary bijectively onto L.
 
 Cones carry primitive ray generators in input order; a fan's rays are
 indexed in first-seen order and every report downstream is keyed to that
-order.  All geometry is exact.  n independent rays in rank n read their
-facet normals off one fraction-free adjugate.  Other cones, and the dual
-cone whose facet normals are intersect_cones' rays, enumerate supporting
-hyperplanes over the (d-1)-subsets of rays, adequate at this library's
-scale (rank <= 6, around a dozen rays); each normal is the primitive
-vector of the subset's signed maximal minors (intlinalg.kernel_generator).
+order.  All geometry is exact.  Every cone, and the dual cone whose facet
+normals are intersect_cones' rays, enumerates supporting hyperplanes over
+the (d-1)-subsets of rays (_facet_data), adequate at this library's scale
+(rank <= 6, around a dozen rays); each normal is the primitive vector of
+the subset's signed maximal minors (intlinalg.kernel_generator).  A
+cone's faces are the closure of its facets under intersection.
 
 A cone's span and perp lattices and ray coordinates are computed when it
 is built.  All ray coordinates are solved against one HNF of the span, and
 all normal lifts against one HNF of its transpose; a full-dimensional cone
 needs neither, since its span is the identity.  n rays in rank n are
-checked independent by one determinant, and their adjugate facets are
-built on first read: a verdict that never reads a subdivision cone's
-facets never builds them.  Other cones build their facets at once, since
+checked independent by one determinant, and their facets are built on
+first read: a verdict that never reads a subdivision cone's facets never
+builds them.  Other cones build their facets at once, since
 extremality needs them.  A simplicial cone skips the strong-convexity and
 extremality rank checks, which d independent rays always pass.  A fan's
 face lattice (Fan.cones) is likewise built on first read.  Operations
@@ -45,7 +45,6 @@ from .intlinalg import (
     AbelianGroup,
     Matrix,
     Vector,
-    adjugate,
     cokernel,
     det,
     from_columns,
@@ -97,10 +96,9 @@ class Cone:
     normal, lifted to the ambient lattice; on the cone it vanishes exactly
     on the facet) are read-only.  The ray coordinates come from one HNF of
     the span, the normal lifts from one HNF of its transpose; both are the
-    identity map when the cone is full-dimensional.  n rays in rank n with
-    a nonzero determinant build their facets from one adjugate on first
-    read; every other cone builds them at construction, from the
-    (d-1)-subsets of rays."""
+    identity map when the cone is full-dimensional.  Facets come from the
+    (d-1)-subsets of rays: n rays in rank n with a nonzero determinant
+    build them on first read, every other cone at construction."""
 
     __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
                  "ray_coords", "_facets", "_faces")
@@ -129,7 +127,7 @@ class Cone:
 
         # n independent rays in rank n span a full-dimensional cone: the
         # identity is its span, so its rays are their own coordinates, and
-        # its facets come from an adjugate when first read.
+        # its facets are built when first read.
         if len(gens) == n and det(gens):
             self.rays = self.ray_coords = tuple(gens)
             self.dim = n
@@ -194,7 +192,7 @@ class Cone:
 
     def _facet_pair(self):
         if self._facets is None:
-            self._facets = _simplicial_facets(self.rays)
+            self._facets = _facet_data(self.rays, self.dim)
         return self._facets
 
     @property
@@ -235,14 +233,10 @@ class Cone:
 
     def face_ray_sets(self) -> tuple[frozenset, ...]:
         """All faces as frozensets of local ray indices, by (size, sorted):
-        every subset of a simplicial cone's rays, otherwise the closure of
-        the facet sets under intersection, plus the cone itself."""
-        k = len(self.rays)
-        if self._faces is None and k == self.dim:
-            self._faces = tuple(frozenset(s) for j in range(k + 1)
-                                for s in combinations(range(k), j))
-        elif self._faces is None:
-            everything = frozenset(range(k))
+        the closure of the facet sets under intersection, plus the cone
+        itself."""
+        if self._faces is None:
+            everything = frozenset(range(len(self.rays)))
             found = {everything}
             frontier = {everything}
             while frontier:
@@ -291,23 +285,6 @@ def _facet_data(coords, d):
             frozenset(i for i, p in enumerate(pairings) if p == 0), w)
     sets = tuple(sorted(seen, key=sorted))
     return sets, tuple(seen[s] for s in sets)
-
-
-def _simplicial_facets(coords):
-    """_facet_data of d independent rays in rank d: column i of their
-    adjugate pairs to det with ray i and to 0 with the rest, so sign(det)
-    times it, made primitive, is facet i's normal."""
-    volume, adj = adjugate(coords)
-    assert volume, "rays are dependent"
-    sign, d = (1 if volume > 0 else -1), len(coords)
-    cols = transpose(adj)
-    # Sorted by ray set, the facet without ray d-1 comes first.
-    order = range(d - 1, -1, -1)
-    normals = tuple(primitivize([sign * x for x in cols[i]]) for i in order)
-    for i, w in zip(order, normals):
-        assert all(_dot(w, c) > 0 if j == i else _dot(w, c) == 0
-                   for j, c in enumerate(coords)), "normal is not inward"
-    return tuple(frozenset(range(d)) - {i} for i in order), normals
 
 
 def make_cone(ambient_rank: int, generators) -> Cone:
@@ -424,7 +401,9 @@ class Fan:
         lists.  The rank, every ray entry and every cone index must be an
         int (a bool or a float is refused, not truncated).  Rays must be
         primitive, distinct, each used by some cone, and exactly the
-        extreme rays of their cones."""
+        extreme rays of their cones.  No cone may list a ray twice, repeat
+        another cone or lie in one, so that cone i of the input is maximal
+        cone i of the fan (Fan.__init__ drops such a cone silently)."""
         rank = _integer(rank, "rank")
         if rank < 0:
             raise GeometryError("rank is negative: %d" % rank)
@@ -445,16 +424,28 @@ class Fan:
         for ci, idxs in enumerate(_array(max_cones, "max_cones")):
             idxs = [_integer(x, "cone %d entry %d" % (ci, j))
                     for j, x in enumerate(_array(idxs, "cone %d" % ci))]
-            for i in idxs:
+            for j, i in enumerate(idxs):
                 if not 0 <= i < len(rays):
                     raise GeometryError(
                         "cone %d uses ray index %d, out of range" % (ci, i))
+                if i in idxs[:j]:
+                    raise GeometryError(
+                        "cone %d lists ray %d twice" % (ci, i))
             used.update(idxs)
             cone = Cone(rank, [rays[i] for i in idxs])
             if frozenset(cone.rays) != frozenset(rays[i] for i in idxs):
                 raise GeometryError(
                     "cone %d lists a non-extreme generator" % ci)
             cones.append(cone)
+        sets = [frozenset(c.rays) for c in cones]
+        for ci, a in enumerate(sets):
+            for cj, b in enumerate(sets):
+                if a == b and cj < ci:
+                    raise GeometryError("cone %d repeats cone %d" % (ci, cj))
+                if a < b:
+                    raise GeometryError("cone %d is %s cone %d" % (
+                        ci, "a face of" if a in cones[cj].face_vector_sets()
+                        else "inside", cj))
         if rays and used != set(range(len(rays))):
             missing = sorted(set(range(len(rays))) - used)
             raise GeometryError("rays %s appear in no cone" % missing)

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
-cokernels, and integral linear solving.
+cokernels, determinants, and integral linear solving.
 
 Everything runs on plain Python ints, so there is no overflow and no floating
 point anywhere.  Matrices are sequences of equal-length integer rows; public
@@ -490,35 +490,6 @@ def det(m) -> int:
                 row[j] = (row[j] * pivot - x * row_k[j]) // prev
         prev = pivot
     return sign * a[-1][-1] if a else 1
-
-
-def adjugate(m) -> tuple[int, Matrix | None]:
-    """(det m, adj m), so m * adj = det * I, by fraction-free (Bareiss)
-    Gauss-Jordan elimination of [m | I], where every division is exact;
-    (0, None) for a singular m."""
-    n = len(m)
-    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    if any(len(row) != 2 * n for row in a):
-        raise ValueError("adjugate of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0, None
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a:
-            if row is not row_k:
-                x = row[k]
-                for j in range(k + 1, 2 * n):
-                    row[j] = (row[j] * pivot - x * row_k[j]) // prev
-        prev = pivot
-    # a is now E [m | I] with E m = prev * I and prev = det(P m) for the
-    # row swaps P, so E = sign * adj m.
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def kernel_generator(m) -> Vector | None:

@@ -65,13 +65,12 @@ def k_ring_stack(f: Fan) -> GroupAlgebraPresentation:
     """Group-algebra presentation of a fan's multiplicative invariant ring."""
     cd = cox(f)
     group = cd.char_group
-    zero = group.reduce((0,) * group.coord_rank)
+    zero = (0,) * group.coord_rank
     gens = []
     for coll in cd.primitive_collections:
-        total = zero
-        for i in sorted(coll):
-            total = _group_add(group, total, cd.weights[i])
-        neg = group.reduce(tuple(-x for x in total))
+        # -(sum of the collection's weights): the class of minus its
+        # indicator vector, since weight i is the class of unit vector i.
+        neg = group.project(tuple(-(i in coll) for i in range(len(f.rays))))
         term = {zero: 1}
         term[neg] = term.get(neg, 0) - 1
         gens.append(tuple(sorted((c, v) for c, v in term.items() if v)))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +11,8 @@ from toricstacks.cli import VERBS, run
 from toricstacks.fan import Fan, validate_fan
 from toricstacks.schemas import VERB_SCHEMAS
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 SQUARE = str(FIXTURES / "sigma_square.json")
 STRONG = str(FIXTURES / "strongness_example.json")
 BAD = str(FIXTURES / "bad_fan.json")
@@ -256,6 +260,43 @@ def test_render_failure_exits_3(argv, result, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: TypeError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-vanishing", SQUARE],
+    ["cox", SQUARE, "--json"],
+])
+def test_closed_stdout_exits_3(argv):
+    # A reader that has gone away is an internal error, not a verdict: the
+    # true conclusion on SQUARE must not exit 1.  One stderr line names the
+    # failed write, and the flush at exit adds no second error.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toricstacks", *argv], cwd=ROOT,
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+                str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr.startswith("internal error: BrokenPipeError: ")
+    assert "Exception ignored" not in done.stderr
+    assert done.stderr.count("BrokenPipeError") == 2  # the line, the trace
+
+
+def test_reindexing_max_cones_exit_2(tmp_path, capsys):
+    # Fan.__init__ would drop entry 0, so --cone 1 would run on entry 2.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 2], [0, 1]],
+                                "max_cones": [[0], [0, 1], [1, 2]]}))
+    for argv in (["validate", str(path)],
+                 ["verify-vanishing", str(path), "--cone", "1"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cone 0 is a face of cone 1\n"
 
 
 @pytest.mark.parametrize("verb", ["subdivide", "cox", "chow-stack",

@@ -139,6 +139,38 @@ def test_fan_from_data_rejects_bad_input():
         Fan.from_data(2, [[1, 0], [0, 1]], [[0]])
 
 
+@pytest.mark.parametrize("rays, cones, message", [
+    ([[1, 0], [1, 2], [0, 1]], [[0], [0, 1], [1, 2]],
+     "cone 0 is a face of cone 1"),
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [1, 0]],
+     "cone 2 repeats cone 0"),
+    ([[1, 0], [0, 1]], [[0, 1, 0]], "cone 0 lists ray 0 twice"),
+    ([[1, 0], [0, 1]], [[0, 1], []], "cone 1 is a face of cone 0"),
+    ([[1, 0], [0, 1], [-1, 0]], [[0, 1], [2, 1], [1]],
+     "cone 2 is a face of cone 0"),
+])
+def test_fan_from_data_keeps_the_input_cones(rays, cones, message):
+    # Fan.__init__ would drop such an entry, so cone i of the input would
+    # no longer be maximal cone i of the fan.
+    with pytest.raises(GeometryError) as err:
+        Fan.from_data(2, rays, cones)
+    assert str(err.value) == message
+
+
+def test_fan_from_data_rejects_a_cone_inside_another():
+    # The diagonal (1, 0, 1), (-1, 0, 1) of the square cone is no face.
+    rays = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+    with pytest.raises(GeometryError) as err:
+        Fan.from_data(3, rays, [[0, 2], [0, 1, 2, 3]])
+    assert str(err.value) == "cone 0 is inside cone 1"
+
+
+def test_fan_init_still_drops_repeated_and_contained_cones():
+    a, b = make_cone(2, [(1, 0), (0, 1)]), make_cone(2, [(1, 0)])
+    f = Fan(2, [b, a, a])
+    assert f.maximal_cones == (frozenset({0, 1}),)
+
+
 @pytest.mark.parametrize("rank, rays, cones, message", [
     (2, [[1, 0], [True, 1]], [[0, 1]],
      "ray 1 entry 0 is not an integer: true"),

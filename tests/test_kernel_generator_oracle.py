@@ -4,15 +4,17 @@ kernel_generator is compared with kernel_basis, an HNF computation: it
 must return None exactly when the kernel has more than one basis column,
 and otherwise that column, sign included.  det is compared with cofactor
 expansion and, when sympy is installed, with sympy's determinant.
-adjugate must return det and a matrix with m * adj = det * I, or
-(0, None) for a singular matrix.
+adjugate, the test-local reference kept in test_simplicial_cone_oracle,
+must return det and a matrix with m * adj = det * I, or (0, None) for a
+singular matrix.
 """
 
 import random
 
 import pytest
 
-from toricstacks.intlinalg import adjugate, det, identity, kernel_basis, \
+from test_simplicial_cone_oracle import adjugate
+from toricstacks.intlinalg import det, identity, kernel_basis, \
     kernel_generator, matmul, transpose
 
 N_MATRICES = 300

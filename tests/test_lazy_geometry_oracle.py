@@ -2,11 +2,13 @@
 copies of the code it replaced.
 
 A cone with n independent rays in rank n (a nonzero determinant) builds
-its facet sets and normals from one adjugate when they are first read,
-and a fan builds its face lattice (Fan.cones) when it is first read.
-Before, both were built at construction.  eager_geometry below keeps the
-old Cone.__init__ and face_ray_sets, eager_fan_cones the face enumeration
-of the old Fan.__init__.  Both must agree with the lazy code on every
+its facet sets and normals when they are first read, and a fan builds its
+face lattice (Fan.cones) when it is first read.  Before, both were built
+at construction, such a cone's facets from one adjugate
+(test_simplicial_cone_oracle keeps that reference) and its faces as every
+subset of its rays.  eager_geometry below keeps the old Cone.__init__ and
+face_ray_sets, eager_fan_cones the face enumeration of the old
+Fan.__init__.  Both must agree with the lazy code on every
 stored field, on the faces and on the fan's cones, and must raise
 GeometryError on the same inputs, over three sets of inputs:
 - the seeded generator kinds of test_simplicial_cone_oracle;
@@ -23,20 +25,19 @@ import pytest
 from corpus import corpus_cones
 from test_chow_certificate import clear_package_caches
 from test_negative_corpus import NEGATIVE
-from test_simplicial_cone_oracle import _sets
+from test_simplicial_cone_oracle import _sets, _simplicial_facets
 from toricstacks import fan
 from toricstacks.chow import exceptional_stratum, verify_vanishing
 from toricstacks.fan import (
     Cone,
     Fan,
     GeometryError,
-    _dot,
     _facet_data,
     primitivize,
     star_subdivision,
 )
 from toricstacks.intlinalg import (
-    adjugate,
+    det,
     from_columns,
     identity,
     kernel_basis,
@@ -44,22 +45,6 @@ from toricstacks.intlinalg import (
     solve_many_in_span,
     transpose,
 )
-
-
-def eager_simplicial_facets(coords):
-    """_simplicial_facets as written when it also screened out dependent
-    rays: _facet_data of d rays in rank d from their adjugate, or None."""
-    det, adj = adjugate(coords)
-    if not det:
-        return None
-    sign, d = (1 if det > 0 else -1), len(coords)
-    cols = transpose(adj)
-    order = range(d - 1, -1, -1)
-    normals = tuple(primitivize([sign * x for x in cols[i]]) for i in order)
-    for i, w in zip(order, normals):
-        assert all(_dot(w, c) > 0 if j == i else _dot(w, c) == 0
-                   for j, c in enumerate(coords))
-    return tuple(frozenset(range(d)) - {i} for i in order), normals
 
 
 def eager_faces(k, dim, facet_sets):
@@ -91,7 +76,7 @@ def eager_geometry(n, generators):
     if not gens:
         return ((), 0, from_columns((), n), identity(n), (), (), (),
                 (frozenset(),))
-    found = len(gens) == n and eager_simplicial_facets(gens)
+    found = len(gens) == n and det(gens) and _simplicial_facets(gens)
     perp_rows = () if found else transpose(kernel_basis(gens))
     if perp_rows:
         span = kernel_basis(perp_rows)
@@ -242,17 +227,19 @@ def test_fan_raises_at_construction():
 
 def test_verdict_builds_only_the_input_facets(monkeypatch):
     # verify_vanishing reads the input cone's facets (exceptional_stratum
-    # joins v with them) and no facet of a subdivision or stratum cone.
+    # joins v with them) and no facet of a subdivision or stratum cone.  A
+    # cone whose facets are not lazy builds them at construction, before
+    # the spy is installed.
     calls = []
-    real = fan._simplicial_facets
+    real = fan._facet_data
 
-    def spy(coords):
+    def spy(coords, d):
         calls.append(tuple(coords))
-        return real(coords)
+        return real(coords, d)
 
-    monkeypatch.setattr(fan, "_simplicial_facets", spy)
-    clear_package_caches()
     cones = corpus_cones()
+    monkeypatch.setattr(fan, "_facet_data", spy)
+    clear_package_caches()
     assert calls == []
     for sigma in cones:
         verify_vanishing(sigma, 4)

@@ -1,16 +1,20 @@
-"""Checks the adjugate construction of simplicial cones against the
-enumeration it replaced.
+"""Checks the facet and face construction of simplicial cones against the
+adjugate construction and the enumeration that came before it.
 
-A cone with n independent rays in rank n reads its facet normals off one
-adjugate of its rays, and a simplicial cone's faces are all subsets of its
-rays.  Before that, every cone enumerated its facets over the
-(d-1)-subsets of rays (one kernel_generator each), found its span with two
-kernel_basis calls, and closed its facet sets under intersection.  The
-copies below keep that code.  On seeded generator sets in ranks 1-5
-(square sets with determinants of both signs and |det| > 1, singular square
-sets, non-primitive and duplicate generators, and d rays in rank n > d)
-both must agree on which inputs raise GeometryError and on every stored
-piece of geometry, faces included.
+Every cone now builds its facets over the (d-1)-subsets of its rays
+(_facet_data) and its faces as the closure of its facets under
+intersection.  A cone with n independent rays in rank n once read its
+facet normals off one adjugate of its rays instead, and took every subset
+of its rays as its faces; adjugate and _simplicial_facets below keep that
+code as written, and are the reference test_lazy_geometry_oracle,
+test_kernel_generator_oracle and test_sympy_oracle import.  Before the
+adjugate, every cone enumerated its facets, found its span with two
+kernel_basis calls, and closed its facet sets under intersection; the
+enumerated_* copies keep that code.  On seeded generator sets in ranks
+1-5 (square sets with determinants of both signs and |det| > 1, singular
+square sets, non-primitive and duplicate generators, and d rays in rank
+n > d) all must agree on which inputs raise GeometryError and on every
+stored piece of geometry, faces included.
 """
 
 import random
@@ -21,8 +25,9 @@ from test_chow_certificate import clear_package_caches
 from toricstacks import fan
 from toricstacks.chow import exceptional_stratum, verify_vanishing
 from toricstacks.fan import Cone, Fan, GeometryError, _dot, _facet_data, \
-    _simplicial_facets, primitivize
+    primitivize
 from toricstacks.intlinalg import (
+    Matrix,
     det,
     identity,
     kernel_basis,
@@ -34,6 +39,52 @@ from toricstacks.intlinalg import (
 
 N_SETS = 2500
 KINDS = ("square", "scaled", "duplicate", "singular", "lower-dimensional")
+
+
+def adjugate(m) -> tuple[int, Matrix | None]:
+    """(det m, adj m), so m * adj = det * I, by fraction-free (Bareiss)
+    Gauss-Jordan elimination of [m | I], where every division is exact;
+    (0, None) for a singular m."""
+    n = len(m)
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0, None
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a:
+            if row is not row_k:
+                x = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (row[j] * pivot - x * row_k[j]) // prev
+        prev = pivot
+    # a is now E [m | I] with E m = prev * I and prev = det(P m) for the
+    # row swaps P, so E = sign * adj m.
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def _simplicial_facets(coords):
+    """_facet_data of d independent rays in rank d: column i of their
+    adjugate pairs to det with ray i and to 0 with the rest, so sign(det)
+    times it, made primitive, is facet i's normal."""
+    volume, adj = adjugate(coords)
+    assert volume, "rays are dependent"
+    sign, d = (1 if volume > 0 else -1), len(coords)
+    cols = transpose(adj)
+    # Sorted by ray set, the facet without ray d-1 comes first.
+    order = range(d - 1, -1, -1)
+    normals = tuple(primitivize([sign * x for x in cols[i]]) for i in order)
+    for i, w in zip(order, normals):
+        assert all(_dot(w, c) > 0 if j == i else _dot(w, c) == 0
+                   for j, c in enumerate(coords)), "normal is not inward"
+    return tuple(frozenset(range(d)) - {i} for i in order), normals
 
 
 def enumerated_facet_data(coords, d):
@@ -191,8 +242,9 @@ def test_cone_geometry_matches_enumeration():
 
 
 def test_facet_data_matches_enumeration_on_simplicial_cones():
-    # The adjugate agrees with the enumeration on the span coordinates of
-    # every simplicial cone, lower-dimensional ones included.
+    # The adjugate, the program's _facet_data and the enumeration agree on
+    # the span coordinates of every simplicial cone, lower-dimensional ones
+    # included.
     checked = lower = 0
     for n, gens in _sets():
         try:

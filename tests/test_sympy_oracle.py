@@ -3,18 +3,24 @@
 sympy shares no code with intlinalg, so agreeing invariant factors on a
 few hundred seeded matrices (zero, rank-deficient, wide and tall) is an
 independent check of cokernel and of snf's diagonal.  The same matrices
-check that the transform-free Hermite form agrees with the tracked one.  Seeded square
-matrices check adjugate against sympy's det and adjugate.  Skipped when
-sympy is not installed.
+check that the transform-free Hermite form agrees with the tracked one.
+Seeded square matrices check the test-local adjugate of
+test_simplicial_cone_oracle against sympy's det and adjugate, and the
+facet normals of seeded simplicial cones against sympy's adjugate
+columns: column i of adj pairs to det with ray i and to 0 with the rest,
+so sign(det) times it, made primitive, is the inward normal of the facet
+without ray i.  Skipped when sympy is not installed.
 """
 
 import random
 
 import pytest
 
+from test_simplicial_cone_oracle import adjugate
+from toricstacks.fan import Cone, primitivize
 from toricstacks.intlinalg import (
-    adjugate,
     cokernel,
+    det,
     hnf,
     hnf_form,
     matmul,
@@ -110,3 +116,29 @@ def test_adjugate_matches_sympy():
             assert adj is None, m
         seen["regular" if d else "singular"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def test_facet_normals_match_sympy_adjugate():
+    rng = random.Random(20190429)
+    seen = {"negative det": 0, "|det| > 1": 0, "rank 5": 0}
+    checked = 0
+    for i in range(N_MATRICES):
+        n = 1 + i % 5
+        bound = rng.choice((1, 2, 5))
+        gens = [[rng.randint(-bound, bound) for _ in range(n)]
+                for _ in range(n)]
+        if not det(gens):
+            continue
+        c = Cone(n, gens)
+        adj = sympy.Matrix(c.rays).adjugate()
+        sign = 1 if det(c.rays) > 0 else -1
+        expected = {frozenset(range(n)) - {j}:
+                    primitivize([sign * int(x) for x in adj[:, j]])
+                    for j in range(n)}
+        assert dict(zip(c.facet_sets, c.facet_normals)) == expected, gens
+        assert c.facet_sets == tuple(sorted(expected, key=sorted)), gens
+        checked += 1
+        seen["negative det"] += sign < 0
+        seen["|det| > 1"] += abs(det(c.rays)) > 1
+        seen["rank 5"] += n == 5
+    assert checked >= 150 and min(seen.values()) >= 20, (checked, seen)
