@@ -7,7 +7,7 @@ computation (for the verify-* verbs: a true conclusion), 1 for a false or
 inconclusive verification, 2 for input or usage errors (fan.UserError and
 its subclasses; every verb checks the fan axioms before computing), 3 for
 an internal error (any other exception, a bare ValueError included, and a
-report that cannot be written because stdout's reader has gone away).
+report or help text that cannot be written, its reader gone).
 Output is deterministic: identical inputs produce identical bytes.
 
 A process is one verb, and most of its time is start-up.  So one table,
@@ -400,7 +400,7 @@ def _usage(verb, error) -> int:
         rows += [("--json", "emit the JSON report instead of text")] + [
             ("--%s N" % opt, "default: %s" % ("none" if d is None else d))
             for opt, d in options.items()]
-    print(text + "\n".join("  %-20s%s" % row for row in rows))
+    _emit(text + "\n".join("  %-20s%s" % row for row in rows))
     return 0
 
 
@@ -437,9 +437,9 @@ def _parse(argv: list):
 
 
 def _emit(text: str) -> None:
-    """Print and flush the report, so that a failed write (its reader gone)
-    raises inside run's guard.  The unwritten bytes then go to devnull:
-    the flush at exit would otherwise fail on them a second time."""
+    """Print and flush the report or the -h text, so that a failed write
+    (its reader gone) raises inside run's guard.  The unwritten bytes then
+    go to devnull: the flush at exit would otherwise fail on them again."""
     try:
         print(text, flush=True)
     except OSError:
@@ -450,10 +450,10 @@ def _emit(text: str) -> None:
 
 
 def run(argv) -> int:
-    ns = _parse(list(argv))
-    if isinstance(ns, int):
-        return ns
     try:
+        ns = _parse(list(argv))
+        if isinstance(ns, int):
+            return ns
         payload, lines, code = VERBS[ns.verb][0](ns)
         _emit(json.dumps(payload, indent=2, sort_keys=True) if ns.json
               else "\n".join(lines))

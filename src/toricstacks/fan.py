@@ -18,18 +18,18 @@ the (d-1)-subsets of rays (_facet_data), adequate at this library's scale
 the subset's signed maximal minors (intlinalg.kernel_generator).  A
 cone's faces are the closure of its facets under intersection.
 
-A cone's span and perp lattices and ray coordinates are computed when it
-is built.  All ray coordinates are solved against one HNF of the span, and
-all normal lifts against one HNF of its transpose; a full-dimensional cone
-needs neither, since its span is the identity.  n rays in rank n are
-checked independent by one determinant, and their facets are built on
-first read: a verdict that never reads a subdivision cone's facets never
-builds them.  Other cones build their facets at once, since
-extremality needs them.  A simplicial cone skips the strong-convexity and
-extremality rank checks, which d independent rays always pass.  A fan's
-face lattice (Fan.cones) is likewise built on first read.  Operations
-that need a cone's facets read them from that data and build no cone per
-facet.
+A cone keeps its perp lattice; its span basis and ray coordinates serve
+only to build its facets.  All ray coordinates are solved against one HNF
+of the span, and all normal lifts against one HNF of its transpose; a
+full-dimensional cone needs neither, since its span is the identity.  n
+rays in rank n are checked independent by one determinant, and their
+facets are built on first read: a verdict that never reads a subdivision
+cone's facets never builds them.  Other cones build their facets at once,
+since extremality needs them.  A simplicial cone skips the
+strong-convexity and extremality rank checks, which d independent rays
+always pass.  A fan's face lattice (Fan.cones) is likewise built on first
+read.  Operations that need a cone's facets read them from that data and
+build no cone per facet.
 """
 
 from __future__ import annotations
@@ -89,19 +89,17 @@ class Cone:
     """A strongly convex rational polyhedral cone, stored as its primitive
     extreme rays (deduplicated, input order).
 
-    Precomputed at construction: span_basis (a basis of the saturated span
-    lattice, as columns), perp_rows (a basis of its annihilator) and
-    ray_coords (each ray in span_basis coordinates).  facet_sets (the local
-    ray indices of each facet) and facet_normals (each facet's inward
-    normal, lifted to the ambient lattice; on the cone it vanishes exactly
-    on the facet) are read-only.  The ray coordinates come from one HNF of
-    the span, the normal lifts from one HNF of its transpose; both are the
-    identity map when the cone is full-dimensional.  Facets come from the
-    (d-1)-subsets of rays: n rays in rank n with a nonzero determinant
-    build them on first read, every other cone at construction."""
+    Precomputed at construction: perp_rows (a basis of the annihilator of
+    the span).  facet_sets (the local ray indices of each facet) and
+    facet_normals (each facet's inward normal, lifted to the ambient
+    lattice; on the cone it vanishes exactly on the facet, and it is
+    primitive on the saturated span lattice) are read-only.  They come
+    from the (d-1)-subsets of the rays' coordinates in that lattice: n
+    rays in rank n with a nonzero determinant build them on first read,
+    every other cone at construction."""
 
-    __slots__ = ("ambient_rank", "rays", "dim", "span_basis", "perp_rows",
-                 "ray_coords", "_facets", "_faces")
+    __slots__ = ("ambient_rank", "rays", "dim", "perp_rows", "_facets",
+                 "_faces")
 
     def __init__(self, ambient_rank: int, generators):
         self.ambient_rank = n = int(ambient_rank)
@@ -117,9 +115,7 @@ class Cone:
         if not gens:
             self.rays = ()
             self.dim = 0
-            self.span_basis = from_columns((), n)
             self.perp_rows = identity(n)
-            self.ray_coords = ()
             self._facets = ((), ())
             self._faces = (frozenset(),)
             return
@@ -129,9 +125,8 @@ class Cone:
         # identity is its span, so its rays are their own coordinates, and
         # its facets are built when first read.
         if len(gens) == n and det(gens):
-            self.rays = self.ray_coords = tuple(gens)
+            self.rays = tuple(gens)
             self.dim = n
-            self.span_basis = identity(n)
             self.perp_rows = ()
             self._facets = None
             return
@@ -177,7 +172,6 @@ class Cone:
                     keep.append(i)
             if len(keep) != len(gens):
                 gens = [gens[i] for i in keep]
-                coords = [coords[i] for i in keep]
                 relabel = {old: new for new, old in enumerate(keep)}
                 facet_sets = tuple(
                     frozenset(relabel[i] for i in s if i in relabel)
@@ -185,9 +179,7 @@ class Cone:
 
         self.rays = tuple(gens)
         self.dim = d
-        self.span_basis = span
         self.perp_rows = perp_rows
-        self.ray_coords = tuple(coords)
         self._facets = (facet_sets, facet_normals)
 
     def _facet_pair(self):
@@ -786,46 +778,46 @@ def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
 
 class OrbitRelationDatum(NamedTuple):
     """Facet pair (tau inside sigma) with the data entering divisor-of-
-    character relations: a basis of the characters vanishing on tau, and a
-    lattice point of the span of sigma generating the rank-one quotient of
-    the span lattices, oriented into sigma."""
+    character relations: a basis of the characters u vanishing on tau, and
+    each <u, n>, n the generator of the rank-one quotient of the span
+    lattices of sigma and tau, oriented into sigma."""
     tau_rays: tuple[Vector, ...]
     sigma_rays: tuple[Vector, ...]
     m_tau_basis: tuple[Vector, ...]
-    n_gen: Vector
+    pairings: tuple[int, ...]
 
 
 def orbit_relation_data(f: Fan, tau: Cone) -> list[OrbitRelationDatum]:
     """For every fan cone sigma having tau as a facet: the characters
     conormal to tau (m_tau_basis, tau's stored perp lattice tau.perp_rows)
-    and the oriented generator transverse to tau in sigma."""
+    and their pairings with n = n_{sigma,tau} (Fulton-Sturmfels,
+    Intersection theory on toric varieties, Topology 36, 1997).
+
+    sigma's inward normal w of tau is primitive on sigma's span lattice
+    (a kernel generator in span coordinates, lifted to agree there; a
+    ray's only facet is the origin, with w(r) = 1) and vanishes on tau's,
+    so w(n) = 1.  Each u also vanishes on tau's span, so u = <u, n> w on
+    sigma's span: <u, n> = <u, r> / <w, r> for any ray r of sigma off tau,
+    an exact division."""
     if not f.has_cone(tau):
         raise GeometryError("cone is not a cone of the fan")
     wall = frozenset(tau.rays)
     out = []
     for s in f.cones_of_dim(tau.dim + 1):
         sigma = f.cone(s)
-        # dim sigma = dim tau + 1, so tau is a face of sigma exactly when it
-        # is a facet; its inward normal orients the generator below.
-        w = next((fn for fs, fn in zip(sigma.facet_sets, sigma.facet_normals)
-                  if frozenset(sigma.rays[i] for i in fs) == wall), None)
-        if w is None:
+        # dim sigma = dim tau + 1: tau is a face of sigma iff it is a facet.
+        for fs, w in zip(sigma.facet_sets, sigma.facet_normals):
+            if frozenset(sigma.rays[i] for i in fs) == wall:
+                break
+        else:
             continue
-        # Generator of span(sigma)/span(tau): both span lattices are
-        # saturated, so the quotient is Z and a preferred lift exists.
-        coord_cols = solve_many_in_span(sigma.span_basis,
-                                        transpose(tau.span_basis))
-        assert None not in coord_cols
-        quot = cokernel(from_columns(coord_cols, sigma.dim))
-        assert quot.structure() == (1, ()), "span quotient is not Z"
-        n_gen = matvec(sigma.span_basis, quot.lift_coords((1,)))
-        pairing = _dot(w, n_gen)
-        assert pairing != 0
-        if pairing < 0:
-            n_gen = tuple(-x for x in n_gen)
+        r = next(x for i, x in enumerate(sigma.rays) if i not in fs)
+        w_r = _dot(w, r)
+        u_r = [_dot(u, r) for u in tau.perp_rows]
+        assert all(x % w_r == 0 for x in u_r), "w is not primitive on sigma"
         out.append(OrbitRelationDatum(
             tau_rays=tau.rays, sigma_rays=sigma.rays,
-            m_tau_basis=tau.perp_rows, n_gen=n_gen))
+            m_tau_basis=tau.perp_rows, pairings=tuple(x // w_r for x in u_r)))
     return out
 
 
@@ -834,8 +826,8 @@ def chow_relation_data(f: Fan, k: int):
 
     Generators are the dimension (rank - k) cones in canonical order;
     every dimension (rank - k - 1) cone tau contributes one column per
-    basis vector u of its perp lattice, with entry <u, n_gen> at each cone
-    having tau as a facet.
+    basis vector u of its perp lattice, with entry <u, n_{sigma,tau}> at
+    each cone sigma having tau as a facet.
     """
     n = f.ambient_rank
     if not 0 <= k <= n:
@@ -847,13 +839,12 @@ def chow_relation_data(f: Fan, k: int):
         data = orbit_relation_data(f, f.cone(tau_set))
         if not data:
             continue
-        for u in data[0].m_tau_basis:
+        for j in range(len(data[0].m_tau_basis)):
             col = [0] * len(gens)
             for datum in data:
                 sigma_set = frozenset(f.rays.index(r)
                                       for r in datum.sigma_rays)
-                col[gen_index[sigma_set]] += sum(
-                    a * b for a, b in zip(u, datum.n_gen))
+                col[gen_index[sigma_set]] += datum.pairings[j]
             columns.append(tuple(col))
     return tuple(tuple(sorted(s)) for s in gens), tuple(columns)
 

@@ -163,6 +163,26 @@ from . import ktheory  # noqa: F401
            """        sets = [frozenset(c.rays) for c in cones]""",
            """        sets = []""",
            ("test_fan.py",)),
+    Mutant("orbit pairings skip the division by <w, r>", "fan.py",
+           """pairings=tuple(x // w_r for x in u_r)))""",
+           """pairings=tuple(u_r)))""",
+           ("test_fan.py", "test_fan_combinatorics_oracle.py")),
+    Mutant("orbit pairings read r from inside tau", "fan.py",
+           """        r = next(x for i, x in enumerate(sigma.rays) if i not in fs)""",
+           """        r = next(x for i, x in enumerate(sigma.rays) if i in fs)""",
+           ("test_fan.py", "test_fan_combinatorics_oracle.py")),
+    Mutant("-h is printed outside the guard", "cli.py",
+           """    try:
+        ns = _parse(list(argv))
+        if isinstance(ns, int):
+            return ns
+        payload""",
+           """    ns = _parse(list(argv))
+    if isinstance(ns, int):
+        return ns
+    try:
+        payload""",
+           ("test_cli.py",)),
 )
 
 

@@ -13,6 +13,7 @@ from math import lcm
 import pytest
 
 from corpus import CORPUS_DATA, corpus_cones
+from test_chow import twisted_group
 from toricstacks.chow import (
     chow_ring_stack,
     exceptional_comparison,
@@ -26,7 +27,6 @@ from toricstacks.fan import (
     chow_groups,
     is_refinement,
     make_cone,
-    orbit_relation_data,
     primitive_collections,
     star_subdivision,
     star_vector,
@@ -34,7 +34,6 @@ from toricstacks.fan import (
 )
 from toricstacks.graded import graded_piece
 from toricstacks.intlinalg import (
-    cokernel,
     hnf,
     matmul,
     snf,
@@ -265,44 +264,6 @@ def _suite_vanishing():
     return None
 
 
-def _random_unimodular(rng, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(8):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        q = rng.randint(-3, 3)
-        for col in range(n):
-            m[i][col] += q * m[j][col]
-    if rng.random() < 0.5 and n:
-        m[0] = [-x for x in m[0]]
-    return m
-
-
-def _twisted_class_group(f, k, rng):
-    # chow_groups rebuilt with each tau's character basis replaced by a
-    # random unimodular recombination; the cokernel must not notice.
-    n = f.ambient_rank
-    gens = [frozenset(s) for s in f.cones_of_dim(n - k)]
-    gen_index = {s: i for i, s in enumerate(gens)}
-    columns = []
-    for tau_set in f.cones_of_dim(n - k - 1):
-        data = orbit_relation_data(f, f.cone(tau_set))
-        if not data:
-            continue
-        basis = data[0].m_tau_basis
-        twisted = matmul(_random_unimodular(rng, len(basis)), basis)
-        for u in twisted:
-            col = [0] * len(gens)
-            for datum in data:
-                s = frozenset(f.rays.index(r) for r in datum.sigma_rays)
-                col[gen_index[s]] += sum(a * b
-                                         for a, b in zip(u, datum.n_gen))
-            columns.append(tuple(col))
-    matrix = tuple(zip(*columns)) if columns else tuple(() for _ in gens)
-    return cokernel(matrix)
-
-
 def _suite_basis_invariance():
     rng = random.Random(17)
     for c in corpus_cones():
@@ -310,7 +271,7 @@ def _suite_basis_invariance():
         for k in range(f.ambient_rank + 1):
             expected = chow_groups(f, k).structure()
             for _ in range(2):
-                got = _twisted_class_group(f, k, rng).structure()
+                got = twisted_group(f, k, rng).structure()
                 if got != expected:
                     return "twisted A_%d of %s gave %s, expected %s" \
                         % (k, c.rays, got, expected)

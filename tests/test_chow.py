@@ -12,7 +12,7 @@ from toricstacks.chow import (
 from toricstacks.fan import Fan, GeometryError, chow_groups, \
     chow_relation_data, make_cone, orbit_relation_data
 from toricstacks.graded import graded_piece, induced_map, ring_map
-from toricstacks.intlinalg import cokernel, matmul
+from toricstacks.intlinalg import cokernel
 
 SQUARE_RAYS = [(1, 0, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1)]
 
@@ -105,8 +105,10 @@ def random_unimodular(rng, n):
 
 
 def twisted_group(f, k, rng):
-    """Reassemble the dimension-k relation matrix with each tau's character
-    basis replaced by a random unimodular recombination."""
+    """The dimension-k class group with each tau's character basis B
+    replaced by a random unimodular recombination U B, whose pairings with
+    n_{sigma,tau} are U times the pairings of B; the cokernel must not
+    notice."""
     n = f.ambient_rank
     gens = [frozenset(s) for s in f.cones_of_dim(n - k)]
     gen_index = {s: i for i, s in enumerate(gens)}
@@ -115,14 +117,12 @@ def twisted_group(f, k, rng):
         data = orbit_relation_data(f, f.cone(tau_set))
         if not data:
             continue
-        basis = data[0].m_tau_basis
-        twisted = matmul(random_unimodular(rng, len(basis)), basis)
-        for u in twisted:
+        for row in random_unimodular(rng, len(data[0].m_tau_basis)):
             col = [0] * len(gens)
             for datum in data:
                 s = frozenset(f.rays.index(r) for r in datum.sigma_rays)
                 col[gen_index[s]] += sum(a * b
-                                         for a, b in zip(u, datum.n_gen))
+                                         for a, b in zip(row, datum.pairings))
             columns.append(tuple(col))
     matrix = tuple(zip(*columns)) if columns else tuple(() for _ in gens)
     return cokernel(matrix)

@@ -265,11 +265,14 @@ def test_render_failure_exits_3(argv, result, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify-vanishing", SQUARE],
     ["cox", SQUARE, "--json"],
+    ["-h"],
+    ["cox", "-h"],
 ])
 def test_closed_stdout_exits_3(argv):
     # A reader that has gone away is an internal error, not a verdict: the
-    # true conclusion on SQUARE must not exit 1.  One stderr line names the
-    # failed write, and the flush at exit adds no second error.
+    # true conclusion on SQUARE must not exit 1, and neither may the help
+    # text.  One stderr line names the failed write, and the flush at exit
+    # adds no second error.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

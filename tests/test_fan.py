@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from test_fan_combinatorics_oracle import old_orbit_relation_data
 from toricstacks.fan import (
     Cone,
     Fan,
@@ -319,7 +320,7 @@ def test_star_quotient_isolated_ray():
 
 def test_orbit_relation_data_zero_cone():
     data = orbit_relation_data(quadrant_fan(), make_cone(2, []))
-    assert [(d.sigma_rays, d.n_gen) for d in data] == [
+    assert [(d.sigma_rays, d.pairings) for d in data] == [
         (((1, 0),), (1, 0)), (((0, 1),), (0, 1))]
     assert all(d.m_tau_basis == ((1, 0), (0, 1)) for d in data)
 
@@ -327,33 +328,43 @@ def test_orbit_relation_data_zero_cone():
 def test_orbit_relation_data_ray():
     f = square_fan()
     data = orbit_relation_data(f, f.cone({0}))
-    assert [(d.sigma_rays, d.n_gen) for d in data] == [
-        (((1, 0, 1), (0, -1, 1)), (0, -1, 1)),
-        (((1, 0, 1), (0, 1, 1)), (0, 1, 1))]
+    # The generators into the two cones are (0, -1, 1) and (0, 1, 1).
+    assert [(d.sigma_rays, d.pairings) for d in data] == [
+        (((1, 0, 1), (0, -1, 1)), (-1, -1)),
+        (((1, 0, 1), (0, 1, 1)), (-1, 1))]
     assert all(d.m_tau_basis == ((1, 0, -1), (0, 1, 0)) for d in data)
     with pytest.raises(GeometryError):
         orbit_relation_data(f, make_cone(3, [(1, 1, 1)]))
 
 
+def test_orbit_relation_data_lower_dimensional():
+    # The generator is (1, 0, 0), but the other ray (1, -1, 0) is twice it
+    # modulo (1, 1, 0): the pairing is <u, r> / <w, r> = 2 / 2.
+    f = Fan(3, [make_cone(3, [(1, 1, 0), (1, -1, 0)])])
+    [d] = orbit_relation_data(f, make_cone(3, [(1, 1, 0)]))
+    assert d.m_tau_basis == ((1, -1, 0), (0, 0, 1))
+    assert d.pairings == (1, 0)
+
+
 def test_orbit_relation_orientation_random():
-    # the transverse generator always pairs positively with the facet normal
-    # and is primitive modulo the span of tau
+    # the reference's transverse generator always pairs positively with the
+    # facet normal and is primitive modulo the span of tau
     f = square_fan()
     f2 = star_subdivision(f, f.cone({0, 1, 2, 3}))
     for fan in (f, f2, p2_fan(), quadrant_fan()):
         for s in fan.cones:
             tau = fan.cone(s)
-            for d in orbit_relation_data(fan, tau):
-                sigma = make_cone(fan.ambient_rank, d.sigma_rays)
-                assert not tau.contains(d.n_gen)
+            for _, sigma_rays, _, n_gen in old_orbit_relation_data(fan, tau):
+                sigma = make_cone(fan.ambient_rank, sigma_rays)
+                assert not tau.contains(n_gen)
                 # n_gen plus a deep interior point of tau lands in sigma
                 if tau.rays:
                     depth = tuple(1000 * sum(r[i] for r in tau.rays)
                                   for i in range(fan.ambient_rank))
-                    shifted = tuple(a + b for a, b in zip(d.n_gen, depth))
+                    shifted = tuple(a + b for a, b in zip(n_gen, depth))
                     assert sigma.contains(shifted)
                 else:
-                    assert sigma.contains(d.n_gen)
+                    assert sigma.contains(n_gen)
 
 
 def test_fan_data_roundtrip():

@@ -5,15 +5,19 @@ intersect_cones used to enumerate the (e-1)-subsets of the stacked facet
 inequalities itself, instead of reading the facets of the dual cone;
 primitive_collections tested every subset of rays, instead of growing the
 faces level by level; _tiles built a Cone per facet through facets(); and
-orbit_relation_data tested face membership before looking up the facet.
-The copies below keep that code.  On seeded complete fans (built as the
-fan_complete benchmark builds them), on the subdivision and stratum fans
-of the corpus, on the square-cone fixture and on seeded random cones, the
-new code must return exactly what the old code returned, order included.
+orbit_relation_data tested face membership before looking up the facet,
+and built the generator n of span(sigma)/span(tau) from the span bases by
+a solve, a cokernel, a lift and an orientation flip, where it now reads
+each pairing <u, n> off sigma's facet normal.  The copies below keep that
+code.  On seeded complete fans (built as the fan_complete benchmark
+builds them), on the subdivision and stratum fans of the corpus, on the
+square-cone fixture and on seeded random cones, the new code must return
+exactly what the old code returned, order included.
 """
 
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -42,6 +46,7 @@ from toricstacks.intlinalg import (
 )
 
 from corpus import corpus_cones
+from test_geometry_hnf_oracle import span_coordinates
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -145,11 +150,12 @@ def old_orbit_relation_data(f, tau):
         sigma = f.cone(s)
         if frozenset(tau.rays) not in sigma.face_vector_sets():
             continue
-        coord_cols = solve_many_in_span(sigma.span_basis,
-                                        transpose(tau.span_basis))
+        span, _ = span_coordinates(sigma)
+        coord_cols = solve_many_in_span(span,
+                                        transpose(span_coordinates(tau)[0]))
         rel = transpose(coord_cols) if coord_cols \
             else tuple(() for _ in range(sigma.dim))
-        n_gen = matvec(sigma.span_basis, cokernel(rel).lift_coords((1,)))
+        n_gen = matvec(span, cokernel(rel).lift_coords((1,)))
         w = None
         for fs, fn in zip(sigma.facet_sets, sigma.facet_normals):
             if frozenset(sigma.rays[i] for i in fs) == frozenset(tau.rays):
@@ -160,6 +166,13 @@ def old_orbit_relation_data(f, tau):
             n_gen = tuple(-x for x in n_gen)
         out.append((tau.rays, sigma.rays, m_basis, n_gen))
     return out
+
+
+def old_pairings(f, tau):
+    """old_orbit_relation_data with n_gen replaced by <u, n_gen> for each
+    u of the character basis."""
+    return [(t, s, m, tuple(_dot(u, n_gen) for u in m))
+            for t, s, m, n_gen in old_orbit_relation_data(f, tau)]
 
 
 # -- inputs ------------------------------------------------------------------
@@ -332,13 +345,54 @@ def test_is_refinement_matches_facet_cones():
 
 # -- orbit_relation_data -----------------------------------------------------
 
+def assert_old_pairings(f):
+    """orbit_relation_data against old_pairings at every cone of f; returns
+    the (tau, sigma) pairs seen, with <w, r> (sigma's inward normal of tau
+    on its first ray off tau) and sigma's dimension."""
+    pairs = []
+    for s in sorted(f.cones, key=lambda s: (len(s), sorted(s))):
+        tau = f.cone(s)
+        got = [(d.tau_rays, d.sigma_rays, d.m_tau_basis, d.pairings)
+               for d in orbit_relation_data(f, tau)]
+        assert got == old_pairings(f, tau), (f.rays, tau)
+        for d in got:
+            sigma = Cone(f.ambient_rank, d[1])
+            w = next(fn for fs, fn in zip(sigma.facet_sets,
+                                          sigma.facet_normals)
+                     if {sigma.rays[i] for i in fs} == set(tau.rays))
+            r = next(x for x in sigma.rays if x not in tau.rays)
+            pairs.append((_dot(w, r), sigma.dim))
+    return pairs
+
+
 def test_orbit_relation_data_matches_face_test():
+    # cone((1, 1, 0), (1, -1, 0)) in rank 3 is lower-dimensional, and its
+    # inward normal of the facet (1, 1, 0) is 2 on the other ray.
+    slanted = Fan(3, [Cone(3, [(1, 1, 0), (1, -1, 0)])])
+    assert (2, 2) in assert_old_pairings(slanted)
     data = 0
     for f in corpus_fans() + [square_fan()]:
-        for s in sorted(f.cones, key=lambda s: (len(s), sorted(s))):
-            tau = f.cone(s)
-            got = [(d.tau_rays, d.sigma_rays, d.m_tau_basis, d.n_gen)
-                   for d in orbit_relation_data(f, tau)]
-            assert got == old_orbit_relation_data(f, tau), (f.rays, tau)
-            data += len(got)
+        data += len(assert_old_pairings(f))
     assert data >= 200
+
+
+def test_orbit_relation_data_on_random_cones():
+    # Seeded cones of every dimension in ranks 1-4, their one-cone fans
+    # and their star subdivisions at the cone and at a random face.
+    rng = random.Random(20191104)
+    dims, pairs = Counter(), Counter()
+    for i in range(160):
+        n = 1 + i % 4
+        c = _random_cone(rng, n)
+        if c.is_zero:
+            continue
+        dims[c.dim] += 1
+        f = Fan(n, [c])
+        faces = sorted((s for s in f.cones if s), key=sorted)
+        for g in (f, star_subdivision(f, c),
+                  star_subdivision(f, f.cone(rng.choice(faces)))):
+            for w_r, d in assert_old_pairings(g):
+                pairs["<w, r> > 1" if w_r > 1 else "<w, r> = 1"] += 1
+                pairs["lower, <w, r> > 1"] += w_r > 1 and d < n
+    assert sorted(dims) == [1, 2, 3, 4] and min(dims.values()) >= 10, dims
+    assert min(pairs.values()) >= 50, pairs

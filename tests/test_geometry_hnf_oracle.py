@@ -70,9 +70,8 @@ def hnf_facet_data(coords, d, span):
 
 def hnf_cone_geometry(n, generators):
     """Cone.__init__ as written before the minors construction, with no
-    full-dimensional or simplicial shortcut: (rays, dim, span basis, perp
-    rows, ray coordinates, facet sets, facet normals) of a nonzero cone,
-    or GeometryError."""
+    full-dimensional or simplicial shortcut: (rays, dim, perp rows, facet
+    sets, facet normals) of a nonzero cone, or GeometryError."""
     gens = []
     for v in generators:
         p = primitivize(v)
@@ -92,12 +91,10 @@ def hnf_cone_geometry(n, generators):
             keep.append(i)
     if len(keep) != len(gens):
         gens = [gens[i] for i in keep]
-        coords = [coords[i] for i in keep]
         relabel = {old: new for new, old in enumerate(keep)}
         facet_sets = tuple(frozenset(relabel[i] for i in s if i in relabel)
                            for s in facet_sets)
-    return (tuple(gens), d, span, perp_rows, tuple(coords), facet_sets,
-            facet_normals)
+    return tuple(gens), d, perp_rows, facet_sets, facet_normals
 
 
 def hnf_intersect_cones(a, b):
@@ -182,8 +179,18 @@ def _geometry_or_error(build):
 
 
 def _key(c: Cone):
-    return (c.rays, c.dim, c.span_basis, c.perp_rows, c.ray_coords,
-            c.facet_sets, c.facet_normals)
+    return c.rays, c.dim, c.perp_rows, c.facet_sets, c.facet_normals
+
+
+def span_coordinates(c: Cone):
+    """A basis of c's saturated span lattice (columns) and each ray's
+    coordinates in it, solved as Cone.__init__ solves them; Cone once
+    stored both (the identity and the rays for a full-dimensional cone, n
+    empty rows and no rays for the zero cone)."""
+    if not c.perp_rows:
+        return identity(c.ambient_rank), c.rays
+    span = kernel_basis(c.perp_rows)
+    return span, solve_many_in_span(span, c.rays)
 
 
 def test_cone_geometry_matches_hnf_enumeration():
@@ -210,9 +217,9 @@ def test_facet_data_matches_hnf_enumeration():
             c = Cone(n, gens)
         except GeometryError:
             continue
-        sets, span_normals = _facet_data(c.ray_coords, c.dim)
-        old_sets, old_normals, _ = hnf_facet_data(c.ray_coords, c.dim,
-                                                  c.span_basis)
+        span, coords = span_coordinates(c)
+        sets, span_normals = _facet_data(coords, c.dim)
+        old_sets, old_normals, _ = hnf_facet_data(coords, c.dim, span)
         assert (sets, span_normals) == (old_sets, old_normals), (n, gens)
 
 

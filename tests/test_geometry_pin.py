@@ -4,12 +4,16 @@ star_subdivision against the facet-cone construction it replaced.
 GEOMETRY_DIGEST is a sha256 over, for each corpus cone sigma: sigma's own
 geometry, the rays and maximal cones of the star subdivision f2, the rays,
 maximal cones and ray pairs of the star quotient fan of the new ray, and
-the geometry (rays, dim, span basis, perp rows, ray coordinates, facet
-sets, facet normals) of every cone of both fans.  It was computed on the
-code as it stood before Cone construction solved all right-hand sides
-against one HNF and before star_subdivision read sigma's facet data
-instead of building a cone per facet.  Any change to a canonical basis,
-a facet order or a ray order shows up here.  The digest is taken twice:
+the geometry (rays, dim, perp rows, facet sets, facet normals) of every
+cone of both fans.  The key once held each cone's span basis and ray
+coordinates too, and its digest was computed on the code as it stood
+before Cone construction solved all right-hand sides against one HNF and
+before star_subdivision read sigma's facet data instead of building a
+cone per facet.  When Cone stopped storing those two fields, the digest
+below was taken over the reduced key on the code just before that
+change, where the full-key digest still held; so it pins the same
+geometry.  Any change to a canonical basis, a facet order or a ray order
+shows up here.  The digest is taken twice:
 over the general star_subdivision of the one-cone fan with
 star_quotient_fan, and over the fans exceptional_stratum builds straight
 from sigma's facets.
@@ -33,7 +37,7 @@ from toricstacks.fan import (
 from corpus import corpus_cones
 
 GEOMETRY_DIGEST = \
-    "83fc6bed5fa18fc050253573141ccc874cb4077664730e87a66519110121fe25"
+    "fa5e30670528277183ba407d2685e03b7f12400e0e58c5717bdb851786752a8f"
 
 
 def facets(c):
@@ -48,7 +52,7 @@ def facets(c):
 
 
 def _cone_key(c: Cone) -> tuple:
-    return (c.rays, c.dim, c.span_basis, c.perp_rows, c.ray_coords,
+    return (c.rays, c.dim, c.perp_rows,
             tuple(tuple(sorted(s)) for s in c.facet_sets), c.facet_normals)
 
 

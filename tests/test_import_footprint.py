@@ -114,7 +114,7 @@ RECORDS = (
         "StarQuotient": ("fan", "projection", "ray_index", "pairs",
                          "dropped"),
         "OrbitRelationDatum": ("tau_rays", "sigma_rays", "m_tau_basis",
-                               "n_gen"),
+                               "pairings"),
     }),
     ("cox", {
         "CoxData": ("char_group", "weights", "kernel",

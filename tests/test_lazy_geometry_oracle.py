@@ -38,7 +38,6 @@ from toricstacks.fan import (
 )
 from toricstacks.intlinalg import (
     det,
-    from_columns,
     identity,
     kernel_basis,
     rank,
@@ -63,8 +62,8 @@ def eager_faces(k, dim, facet_sets):
 
 def eager_geometry(n, generators):
     """Cone.__init__ as written when every cone built its facets at
-    construction: (rays, dim, span basis, perp rows, ray coordinates,
-    facet sets, facet normals, faces), or GeometryError."""
+    construction: (rays, dim, perp rows, facet sets, facet normals,
+    faces), or GeometryError."""
     gens = []
     for v in generators:
         if len(v) != n:
@@ -74,8 +73,7 @@ def eager_geometry(n, generators):
         if p not in gens:
             gens.append(p)
     if not gens:
-        return ((), 0, from_columns((), n), identity(n), (), (), (),
-                (frozenset(),))
+        return ((), 0, identity(n), (), (), (frozenset(),))
     found = len(gens) == n and det(gens) and _simplicial_facets(gens)
     perp_rows = () if found else transpose(kernel_basis(gens))
     if perp_rows:
@@ -97,13 +95,12 @@ def eager_geometry(n, generators):
                          if i in s]) == d - 1]
         if len(keep) != len(gens):
             gens = [gens[i] for i in keep]
-            coords = [coords[i] for i in keep]
             relabel = {old: new for new, old in enumerate(keep)}
             facet_sets = tuple(
                 frozenset(relabel[i] for i in s if i in relabel)
                 for s in facet_sets)
-    return (tuple(gens), d, span, perp_rows, tuple(coords), facet_sets,
-            facet_normals, eager_faces(len(gens), d, facet_sets))
+    return (tuple(gens), d, perp_rows, facet_sets, facet_normals,
+            eager_faces(len(gens), d, facet_sets))
 
 
 def eager_fan_cones(f: Fan) -> frozenset:
@@ -119,8 +116,8 @@ def eager_fan_cones(f: Fan) -> frozenset:
 
 
 def lazy_geometry(c: Cone):
-    return (c.rays, c.dim, c.span_basis, c.perp_rows, c.ray_coords,
-            c.facet_sets, c.facet_normals, c.face_ray_sets())
+    return (c.rays, c.dim, c.perp_rows, c.facet_sets, c.facet_normals,
+            c.face_ray_sets())
 
 
 def _or_error(build):
@@ -152,8 +149,8 @@ def test_seeded_generator_kinds():
     assert raised >= 100 and lazy >= 1000
 
 
-FIELDS = ("rays", "dim", "span_basis", "perp_rows", "ray_coords",
-          "facet_sets", "facet_normals", "face_ray_sets")
+FIELDS = ("rays", "dim", "perp_rows", "facet_sets", "facet_normals",
+          "face_ray_sets")
 
 
 def test_fields_read_in_any_order():

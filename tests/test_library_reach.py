@@ -63,6 +63,11 @@ KEPT = {
                                       "ROADMAP item 2 removes the boxed "
                                       "path",
     "cli.main": "the console entry point; it runs only in a fresh process",
+    "intlinalg.AbelianGroup.lift_coords": "its only caller in src/ is "
+                                          "graded.induced_map, which no "
+                                          "verdict calls and TRACED wraps; "
+                                          "it leaves with induced_map "
+                                          "(ROADMAP item 1)",
     "chow.chow_ring_stack": "acceptance criterion 3 reads both rings with "
                             "it, and verify_vanishing's unidentified path "
                             "calls it; no pinned argv is unidentified",

@@ -22,6 +22,7 @@ from itertools import combinations
 
 from corpus import corpus_cones
 from test_chow_certificate import clear_package_caches
+from test_geometry_hnf_oracle import span_coordinates
 from toricstacks import fan
 from toricstacks.chow import exceptional_stratum, verify_vanishing
 from toricstacks.fan import Cone, Fan, GeometryError, _dot, _facet_data, \
@@ -119,9 +120,9 @@ def closed_faces(k, facet_sets):
 
 
 def enumerated_geometry(n, generators):
-    """Cone.__init__ as written before the adjugate: (rays, dim, span
-    basis, perp rows, ray coordinates, facet sets, facet normals, faces)
-    of a nonzero cone, or GeometryError."""
+    """Cone.__init__ as written before the adjugate: (rays, dim, perp
+    rows, facet sets, facet normals, faces) of a nonzero cone, or
+    GeometryError."""
     gens = []
     for v in generators:
         p = primitivize(v)
@@ -147,13 +148,12 @@ def enumerated_geometry(n, generators):
                          if i in s]) == d - 1]
         if len(keep) != len(gens):
             gens = [gens[i] for i in keep]
-            coords = [coords[i] for i in keep]
             relabel = {old: new for new, old in enumerate(keep)}
             facet_sets = tuple(
                 frozenset(relabel[i] for i in s if i in relabel)
                 for s in facet_sets)
-    return (tuple(gens), d, span, perp_rows, tuple(coords), facet_sets,
-            facet_normals, closed_faces(len(gens), facet_sets))
+    return (tuple(gens), d, perp_rows, facet_sets, facet_normals,
+            closed_faces(len(gens), facet_sets))
 
 
 def _random_generators(rng: random.Random, n: int, kind: str):
@@ -208,8 +208,9 @@ def _geometry_or_error(build):
 
 
 def _key(c: Cone):
-    return (c.rays, c.dim, c.span_basis, c.perp_rows, c.ray_coords,
-            c.facet_sets, c.facet_normals, c.face_ray_sets())
+    return (c.rays, c.dim, c.perp_rows, c.facet_sets, c.facet_normals,
+            c.face_ray_sets())
+
 
 
 def test_cone_geometry_matches_enumeration():
@@ -252,9 +253,9 @@ def test_facet_data_matches_enumeration_on_simplicial_cones():
         except GeometryError:
             continue
         if len(c.rays) == c.dim:
-            assert _simplicial_facets(c.ray_coords) == \
-                _facet_data(c.ray_coords, c.dim) == \
-                enumerated_facet_data(c.ray_coords, c.dim), (n, gens)
+            _, coords = span_coordinates(c)
+            assert _simplicial_facets(coords) == _facet_data(coords, c.dim) \
+                == enumerated_facet_data(coords, c.dim), (n, gens)
             checked += 1
             lower += c.dim < n
     assert checked >= 1500 and lower >= 50
