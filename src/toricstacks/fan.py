@@ -325,7 +325,8 @@ class Fan:
     A fan is a value: equality, hash and repr read the rank, the rays in
     order and the set of maximal cones, never the lazily built data."""
 
-    __slots__ = ("ambient_rank", "rays", "maximal_cones", "_cones", "_cache")
+    __slots__ = ("ambient_rank", "rays", "maximal_cones", "_cones",
+                 "_by_dim", "_cache")
 
     def __init__(self, ambient_rank: int, maximal, ray_hint=()):
         self.ambient_rank = n = int(ambient_rank)
@@ -354,7 +355,7 @@ class Fan:
             if s not in dedup and not any(s < t for t in sets):
                 dedup.append(s)
         self.maximal_cones = tuple(dedup) if dedup else (frozenset(),)
-        self._cones = None
+        self._cones = self._by_dim = None
 
     @property
     def cones(self) -> frozenset:
@@ -456,8 +457,14 @@ class Fan:
         return self._cache[s]
 
     def cones_of_dim(self, d: int) -> list[frozenset]:
-        out = [s for s in self.cones if self.cone(s).dim == d]
-        return sorted(out, key=sorted)
+        """The cones of dimension d in canonical order (sorted ray
+        indices); the face lattice is grouped by dimension on first
+        read."""
+        if self._by_dim is None:
+            self._by_dim = {}
+            for s in sorted(self.cones, key=sorted):
+                self._by_dim.setdefault(self.cone(s).dim, []).append(s)
+        return list(self._by_dim.get(d, ()))
 
     def has_cone(self, c: Cone) -> bool:
         if c.ambient_rank != self.ambient_rank:

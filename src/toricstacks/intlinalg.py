@@ -10,13 +10,24 @@ has its rows: it is n_rows empty rows, and from_columns builds it.
 
 Each elimination tracks only the unimodular transforms its caller reads
 (hnf_form and rank track none).  Tracking never changes the operations
-applied to the working matrix, so results do not depend on it.
+applied to the working matrix, so results do not depend on it.  The two
+eliminations, _hnf and _snf, apply every operation inline on one list of
+working rows: a tracked u rides along as extra columns and a tracked v as
+extra rows, so one pass updates the matrix and its transforms.
 
-The lattice kernels are memoised for the life of the process, in
-module-level functools caches: smith_basis's Smith stage on the canonical
-columns (so two presenting matrices of one lattice share it) and
-cokernel's group on its frozen input.  Every cached result is an
-immutable tuple, so callers share it safely.
+The kernels are memoised for the life of the process, in module-level
+functools caches, because one sweep reduces the same small matrices again
+and again:
+- hnf_form, on its frozen input;
+- kernel_basis, on its frozen input;
+- the echelon solve_in_span and solve_many_in_span read (the HNF of the
+  transpose, its transform and its pivots), on the frozen matrix;
+- smith_basis's Smith stage, on the canonical columns (so two presenting
+  matrices of one lattice share it);
+- cokernel's group, on its frozen input;
+- identity(n), on n.
+Every cached result is made of immutable tuples, so callers share it
+safely, and cache_clear() on each cache empties it.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ Vector = tuple[int, ...]
 
 
 def freeze(m) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in m)
+    return tuple([tuple(map(int, row)) for row in m])
 
 
 @lru_cache(maxsize=None)
@@ -71,49 +82,42 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class _RowOps:
-    """A mutable matrix under unimodular row operations, tracking only the
-    transforms asked for: u with work = u * original, u_inv with
-    u * u_inv = 1.  An untracked transform is None and costs nothing."""
-
-    def __init__(self, m, u: bool = False, u_inv: bool = False):
-        self.a = [list(map(int, row)) for row in m]
-        eye = identity(len(self.a))
-        self.u = list(map(list, eye)) if u else None
-        self.u_inv = list(map(list, eye)) if u_inv else None
-        self.row_mats = [self.a] + ([self.u] if u else [])
-
-    def swap(self, i, j):
-        if i == j:
-            return
-        for mat in self.row_mats:
-            mat[i], mat[j] = mat[j], mat[i]
-        for row in self.u_inv or ():
-            row[i], row[j] = row[j], row[i]
-
-    def negate(self, i):
-        for mat in self.row_mats:
-            mat[i] = [-x for x in mat[i]]
-        for row in self.u_inv or ():
-            row[i] = -row[i]
-
-    def submul(self, i, j, q):
-        # row i -= q * row j;  the inverse transform gains col j += q * col i.
-        if not q:
-            return
-        for mat in self.row_mats:
-            mat[i] = [x - q * y for x, y in zip(mat[i], mat[j])]
-        for row in self.u_inv or ():
-            row[j] += q * row[i]
+def _start(m, u: bool, u_inv: bool):
+    """The working rows of an elimination of m, and the transpose of u_inv
+    as rows (None unless u_inv is tracked).  A tracked u rides along as
+    extra columns of the working rows, so each row operation updates it in
+    the same pass.  u_inv takes the inverse column operations, which are
+    row operations on its transpose."""
+    w = [list(map(int, row)) for row in m]
+    if not (u or u_inv):
+        return w, None
+    eye = identity(len(m))
+    if u:
+        for row, e in zip(w, eye):
+            row += e
+    return w, list(map(list, eye)) if u_inv else None
 
 
-def _hnf(m, u: bool = False, u_inv: bool = False) -> _RowOps:
+def _finish(w, t, nr: int, nc: int, u: bool):
+    """(a, u, u_inv) read off the working rows w[:nr] and the transpose t
+    of u_inv, with None for a transform not tracked."""
+    rows, u_inv = w[:nr], None if t is None else transpose(t)
+    if u:
+        return [r[:nc] for r in rows], [r[nc:] for r in rows], u_inv
+    return rows, None, u_inv
+
+
+def _hnf(m, u: bool = False, u_inv: bool = False):
     """Row Hermite normal form (echelon, pivots positive, entries above a
-    pivot reduced into [0, pivot)) with the transforms asked for."""
-    ops = _RowOps(m, u, u_inv)
-    a = ops.a
-    nr = len(a)
-    nc = len(a[0]) if a else 0
+    pivot reduced into [0, pivot)) as (h, u, u_inv), with u * m = h and
+    u * u_inv = 1; a transform not asked for is None and costs nothing.
+
+    Each column's pivot is the first row of least nonzero absolute value
+    at or below the current one; a row operation subtracts the floor
+    quotient times the pivot row."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    w, t = _start(m, u, u_inv)
     r = 0
     for c in range(nc):
         if r == nr:
@@ -121,28 +125,45 @@ def _hnf(m, u: bool = False, u_inv: bool = False) -> _RowOps:
         while True:
             piv = None
             for i in range(r, nr):
-                if a[i][c] and (piv is None or abs(a[i][c]) < abs(a[piv][c])):
-                    piv = i
+                x = abs(w[i][c])
+                if x and (piv is None or x < best):
+                    piv, best = i, x
             if piv is None:
                 break
-            ops.swap(r, piv)
-            p = a[r][c]
+            if piv != r:
+                w[r], w[piv] = w[piv], w[r]
+                if t is not None:
+                    t[r], t[piv] = t[piv], t[r]
+            pr = w[r]
+            p = pr[c]
             clean = True
             for i in range(r + 1, nr):
-                if a[i][c]:
-                    ops.submul(i, r, a[i][c] // p)
-                    if a[i][c]:
+                wi = w[i]
+                if wi[c]:
+                    q = wi[c] // p
+                    if q:
+                        w[i] = wi = [x - q * y for x, y in zip(wi, pr)]
+                        if t is not None:
+                            t[r] = [x + q * y for x, y in zip(t[r], t[i])]
+                    if wi[c]:
                         clean = False
             if clean:
                 break
-        if a[r][c]:
-            if a[r][c] < 0:
-                ops.negate(r)
-            p = a[r][c]
+        pr = w[r]
+        if pr[c]:
+            if pr[c] < 0:
+                w[r] = pr = [-x for x in pr]
+                if t is not None:
+                    t[r] = [-x for x in t[r]]
+            p = pr[c]
             for i in range(r):
-                ops.submul(i, r, a[i][c] // p)
+                q = w[i][c] // p
+                if q:
+                    w[i] = [x - q * y for x, y in zip(w[i], pr)]
+                    if t is not None:
+                        t[r] = [x + q * y for x, y in zip(t[r], t[i])]
             r += 1
-    return ops
+    return _finish(w, t, nr, nc, u)
 
 
 def hnf(m) -> tuple[Matrix, Matrix]:
@@ -151,118 +172,140 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     Returns (h, u) with u unimodular, u * m = h, h in echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
-    ops = _hnf(m, u=True)
-    return tuple(map(tuple, ops.a)), tuple(map(tuple, ops.u))
+    h, u, _ = _hnf(m, u=True)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def hnf_form(m) -> Matrix:
-    """hnf(m)[0], without tracking the transform."""
-    return tuple(map(tuple, _hnf(m).a))
+    """hnf(m)[0], without tracking the transform; memoised on the frozen
+    input."""
+    return _hnf_form(freeze(m))
 
 
-class _SnfState:
-    """Mutable Smith reduction state, a = u * original * v: row operations
-    go through a _RowOps, and the column transform v is tracked (or None)
-    on request.  Nothing tracks the inverse of v."""
-
-    def __init__(self, m, u: bool = False, u_inv: bool = False,
-                 v: bool = False):
-        self.rows = _RowOps(m, u, u_inv)
-        self.v = list(map(list, identity(len(m[0]) if len(m) else 0))) \
-            if v else None
-
-    @property
-    def a(self):
-        return self.rows.a
-
-    def cswap(self, i, j):
-        if i != j:
-            for row in self.a + (self.v or []):
-                row[i], row[j] = row[j], row[i]
-
-    def csubmul(self, j, k, q):
-        # col j -= q * col k
-        if q:
-            for row in self.a + (self.v or []):
-                row[j] -= q * row[k]
-
-    def two_by_two(self, i, j, p, p_inv, q):
-        # a <- P*a*Q on rows/cols {i, j}, for 2x2 unimodular P, Q.
-        rows = self.rows
-        for mat in rows.row_mats:
-            ri, rj = mat[i], mat[j]
-            mat[i] = [p[0][0] * x + p[0][1] * y for x, y in zip(ri, rj)]
-            mat[j] = [p[1][0] * x + p[1][1] * y for x, y in zip(ri, rj)]
-        for row in rows.u_inv or ():
-            ci, cj = row[i], row[j]
-            row[i] = ci * p_inv[0][0] + cj * p_inv[1][0]
-            row[j] = ci * p_inv[0][1] + cj * p_inv[1][1]
-        for row in self.a + (self.v or []):
-            ci, cj = row[i], row[j]
-            row[i] = ci * q[0][0] + cj * q[1][0]
-            row[j] = ci * q[0][1] + cj * q[1][1]
+@lru_cache(maxsize=None)
+def _hnf_form(m: Matrix) -> Matrix:
+    return tuple(map(tuple, _hnf(m)[0]))
 
 
-def _snf(m, u: bool = False, u_inv: bool = False,
-         v: bool = False) -> _SnfState:
-    st = _SnfState(m, u, u_inv, v)
-    a = st.a
-    nr = len(a)
-    nc = len(a[0]) if a else 0
+def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
+    """Smith normal form as (d, u, u_inv, v), with u * m * v = d and
+    u * u_inv = 1; a transform not asked for is None.
+
+    u rides along as extra columns of the working rows (see _start), and
+    v as extra rows below them, so each column operation on the rows of
+    the working list updates the matrix and v together."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
     n = min(nr, nc)
+    w, t = _start(m, u, u_inv)
+    if v:
+        w += map(list, identity(nc))
+
+    def row_swap(i, j):
+        if i != j:
+            w[i], w[j] = w[j], w[i]
+            if t is not None:
+                t[i], t[j] = t[j], t[i]
+
+    def col_swap(i, j):
+        if i != j:
+            for row in w:
+                row[i], row[j] = row[j], row[i]
 
     for k in range(n):
         # Global minimum pivot keeps entry growth tame and pushes zeros to
         # the tail of the diagonal.
         piv = None
         for i in range(k, nr):
+            row = w[i]
             for j in range(k, nc):
-                if a[i][j] and (piv is None
-                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
         if piv is None:
             break
-        st.rows.swap(k, piv[0])
-        st.cswap(k, piv[1])
+        row_swap(k, piv[0])
+        col_swap(k, piv[1])
         while True:
-            # Clear column k, then row k; column ops cannot dirty a cleared
-            # column k, but row remainders restart the loop.
-            while any(a[i][k] for i in range(k + 1, nr)):
-                i = min((x for x in range(k, nr) if a[x][k]),
-                        key=lambda x: abs(a[x][k]))
-                st.rows.swap(k, i)
-                p = a[k][k]
+            # Clear column k, then row k; column operations cannot dirty a
+            # cleared column k, but a column swap can, which restarts the
+            # loop.  Each scan finds the least entry of the line (the first
+            # one on a tie; the corner is never 0) and whether anything
+            # beside the corner is left.
+            while True:
+                pi, least, left = k, abs(w[k][k]), False
                 for i in range(k + 1, nr):
-                    st.rows.submul(i, k, a[i][k] // p)
-            while any(a[k][j] for j in range(k + 1, nc)):
-                j = min((x for x in range(k, nc) if a[k][x]),
-                        key=lambda x: abs(a[k][x]))
-                st.cswap(k, j)
-                p = a[k][k]
+                    x = abs(w[i][k])
+                    if x:
+                        left = True
+                        if x < least:
+                            pi, least = i, x
+                if not left:
+                    break
+                row_swap(k, pi)
+                wk = w[k]
+                p = wk[k]
+                for i in range(k + 1, nr):
+                    q = w[i][k] // p
+                    if q:
+                        w[i] = [x - q * y for x, y in zip(w[i], wk)]
+                        if t is not None:
+                            t[k] = [x + q * y for x, y in zip(t[k], t[i])]
+            moved = False
+            while True:
+                wk = w[k]
+                pj, least, left = k, abs(wk[k]), False
                 for j in range(k + 1, nc):
-                    st.csubmul(j, k, a[k][j] // p)
-            if not any(a[i][k] for i in range(k + 1, nr)):
+                    x = abs(wk[j])
+                    if x:
+                        left = True
+                        if x < least:
+                            pj, least = j, x
+                if not left:
+                    break
+                moved = True
+                col_swap(k, pj)
+                p = wk[k]
+                qs = [(j, q) for j in range(k + 1, nc) if (q := wk[j] // p)]
+                for row in w:
+                    x = row[k]
+                    if x:
+                        for j, q in qs:
+                            row[j] -= q * x
+            if not moved:
                 break
-        if a[k][k] < 0:
-            st.rows.negate(k)
+        if w[k][k] < 0:
+            w[k] = [-x for x in w[k]]
+            if t is not None:
+                t[k] = [-x for x in t[k]]
 
     # Fix the divisibility chain by gcd/lcm-merging adjacent diagonal pairs:
-    # diag(a, b) -> diag(g, a*b/g) via explicit 2x2 unimodular P, Q.
-    rank = sum(1 for k in range(n) if a[k][k])
+    # diag(a, b) -> diag(g, a*b/g) via explicit 2x2 unimodular P (rows k,
+    # k+1; P^-1 on u_inv) and Q (columns k, k+1).
+    rank = sum(1 for k in range(n) if w[k][k])
     done = False
     while not done:
         done = True
         for k in range(rank - 1):
-            da, db = a[k][k], a[k + 1][k + 1]
+            da, db = w[k][k], w[k + 1][k + 1]
             if db % da == 0:
                 continue
             done = False
             g, x, y = _xgcd(da, db)
-            p = ((x, y), (-db // g, da // g))
-            p_inv = ((da // g, -y), (db // g, x))
-            q = ((1, -y * db // g), (1, x * da // g))
-            st.two_by_two(k, k + 1, p, p_inv, q)
-    return st
+            p10, p11 = -db // g, da // g
+            ri, rj = w[k], w[k + 1]
+            w[k] = [x * a + y * b for a, b in zip(ri, rj)]
+            w[k + 1] = [p10 * a + p11 * b for a, b in zip(ri, rj)]
+            if t is not None:
+                ti, tj = t[k], t[k + 1]
+                t[k] = [a * (da // g) + b * (db // g) for a, b in zip(ti, tj)]
+                t[k + 1] = [a * -y + b * x for a, b in zip(ti, tj)]
+            q01, q11 = -y * db // g, x * da // g
+            for row in w:
+                a, b = row[k], row[k + 1]
+                row[k] = a + b
+                row[k + 1] = a * q01 + b * q11
+    return (*_finish(w, t, nr, nc, u), w[nr:] if v else None)
 
 
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
@@ -271,8 +314,8 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     Returns (d, u, v) with u, v unimodular, u * m * v = d, and d diagonal
     with non-negative entries satisfying d_1 | d_2 | ... .
     """
-    st = _snf(m, u=True, v=True)
-    return freeze(st.a), freeze(st.rows.u), freeze(st.v)
+    d, u, _, v = _snf(m, u=True, v=True)
+    return freeze(d), freeze(u), freeze(v)
 
 
 def structure_text(free_rank: int, torsion) -> str:
@@ -393,15 +436,14 @@ def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
 def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
         -> tuple[Vector, Matrix, Matrix]:
     """smith_basis of the lattice in Z^nr spanned by canon_cols."""
-    m = from_columns(canon_cols, nr)
-    st = _snf(m, u=True, u_inv=True)
+    d, u, u_inv, _ = _snf(from_columns(canon_cols, nr), u=True, u_inv=True)
     nc = len(canon_cols)
-    diag = [st.a[i][i] if i < nc else 0 for i in range(nr)]
+    diag = [d[i][i] if i < nc else 0 for i in range(nr)]
     # The invariant factors run 1, ..., 1, torsion, 0, ..., 0.
     keep = [i for i in range(nr) if diag[i] != 1]
-    u_inv_cols = transpose(st.rows.u_inv)
+    u_inv_cols = transpose(u_inv)
     return (tuple(diag[i] for i in keep if diag[i]),
-            freeze(st.rows.u[i] for i in keep),
+            freeze(u[i] for i in keep),
             tuple(u_inv_cols[i] for i in keep))
 
 
@@ -418,10 +460,8 @@ def normal_form_group(ambient_rank: int, torsion, rows,
     free_rows = list(rows[nt:])
     tor_lift, free_lift = list(lift_cols[:nt]), list(lift_cols[nt:])
     if free_rows:
-        canon = _hnf(free_rows, u_inv=True)
-        free_rows = canon.a
-        free_lift = list(transpose(matmul(transpose(free_lift),
-                                          canon.u_inv)))
+        free_rows, _, u_inv = _hnf(free_rows, u_inv=True)
+        free_lift = list(transpose(matmul(transpose(free_lift), u_inv)))
     return AbelianGroup(ambient_rank=ambient_rank,
                         free_rank=len(free_rows), torsion=torsion,
                         projection=freeze(tor_rows + free_rows),
@@ -452,9 +492,14 @@ def kernel_basis(m) -> Matrix:
     """A canonical basis of the integer kernel of m, as matrix columns.
 
     The kernel of an integer matrix is saturated by construction; the basis
-    is HNF-reduced so equal kernels compare equal.
+    is HNF-reduced so equal kernels compare equal.  Memoised on the frozen
+    input.
     """
-    m = freeze(m)
+    return _kernel_basis(freeze(m))
+
+
+@lru_cache(maxsize=None)
+def _kernel_basis(m: Matrix) -> Matrix:
     nc = len(m[0]) if m else 0
     h, u = hnf(transpose(m))
     rows = [u[i] for i in range(len(h)) if not any(h[i])]
@@ -464,7 +509,7 @@ def kernel_basis(m) -> Matrix:
 def rank(m) -> int:
     """Rank of m: the number of nonzero rows of its HNF, with no transform
     tracked."""
-    return sum(1 for row in _hnf(m).a if any(row))
+    return sum(1 for row in _hnf(m)[0] if any(row))
 
 
 def det(m) -> int:
@@ -539,10 +584,7 @@ def solve_many_in_span(m, bs) -> tuple[Vector | None, ...]:
     nc = len(m[0]) if m else 0
     if nc == 0:
         return tuple(() if not any(b) else None for b in bs)
-    ops = _hnf(transpose(m), u=True)
-    h, u = ops.a, ops.u
-    # The nonzero rows of an HNF come first; zip(h, pivots) stops there.
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
+    h, u, pivots = _solve_echelon(m)
 
     def solve(b):
         res = list(b)
@@ -560,3 +602,14 @@ def solve_many_in_span(m, bs) -> tuple[Vector | None, ...]:
                      for j in range(nc))
 
     return tuple(solve(b) for b in bs)
+
+
+@lru_cache(maxsize=None)
+def _solve_echelon(m: Matrix) -> tuple[Matrix, Matrix, Vector]:
+    """The nonzero rows of the HNF of m's transpose, the matching rows of
+    its transform and their pivot columns: what solve_many_in_span reads."""
+    h, u, _ = _hnf(transpose(m), u=True)
+    pivots = tuple(next(j for j, x in enumerate(row) if x)
+                   for row in h if any(row))
+    return (tuple(map(tuple, h[:len(pivots)])),
+            tuple(map(tuple, u[:len(pivots)])), pivots)

@@ -55,6 +55,23 @@ MUTANTS = (
         "projection does not kill a relation"
 """,
            ("test_lattice_memo_oracle.py",)),
+    Mutant("_hnf breaks a pivot tie toward the last row", "intlinalg.py",
+           """                if x and (piv is None or x < best):
+                    piv, best = i, x""",
+           """                if x and (piv is None or x <= best):
+                    piv, best = i, x""",
+           ("test_elimination_kernel_oracle.py",)),
+    Mutant("_snf breaks a pivot tie toward the last entry", "intlinalg.py",
+           """                if x and (piv is None or x < best):
+                    piv, best = (i, j), x""",
+           """                if x and (piv is None or x <= best):
+                    piv, best = (i, j), x""",
+           ("test_elimination_kernel_oracle.py",)),
+    Mutant("the cached solve echelon stores lists", "intlinalg.py",
+           """    return (tuple(map(tuple, h[:len(pivots)])),
+            tuple(map(tuple, u[:len(pivots)])), pivots)""",
+           """    return h[:len(pivots)], u[:len(pivots)], pivots""",
+           ("test_elimination_kernel_oracle.py",)),
     Mutant("kills ignores the torsion rows", "intlinalg.py",
            """        return all(x % d == 0 for row, d in zip(image, self.torsion)
                    for x in row) and not any(map(any, image[nt:]))""",

@@ -40,13 +40,13 @@ def uncached_smith_basis(m):
     nr = len(m)
     col_canon = hnf_form(transpose(m))
     m = from_columns([row for row in col_canon if any(row)], nr)
-    st = _snf(m, u=True, u_inv=True)
+    d, u, u_inv, _ = _snf(m, u=True, u_inv=True)
     nc = len(m[0]) if m else 0
-    diag = [st.a[i][i] if i < nc else 0 for i in range(nr)]
+    diag = [d[i][i] if i < nc else 0 for i in range(nr)]
     keep = [i for i in range(nr) if diag[i] != 1]
-    u_inv_cols = transpose(st.rows.u_inv)
+    u_inv_cols = transpose(u_inv)
     return (tuple(diag[i] for i in keep if diag[i]),
-            freeze(st.rows.u[i] for i in keep),
+            freeze(u[i] for i in keep),
             tuple(u_inv_cols[i] for i in keep))
 
 

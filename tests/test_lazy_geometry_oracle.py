@@ -9,7 +9,8 @@ at construction, such a cone's facets from one adjugate
 subset of its rays.  eager_geometry below keeps the old Cone.__init__ and
 face_ray_sets, eager_fan_cones the face enumeration of the old
 Fan.__init__.  Both must agree with the lazy code on every
-stored field, on the faces and on the fan's cones, and must raise
+stored field, on the faces and on the fan's cones (and their grouping by
+dimension, Fan.cones_of_dim), and must raise
 GeometryError on the same inputs, over three sets of inputs:
 - the seeded generator kinds of test_simplicial_cone_oracle;
 - every cone of the subdivision and stratum fans of the corpus and the
@@ -133,6 +134,11 @@ def assert_same_fan(f: Fan):
         c = f.cone(s)
         assert lazy_geometry(c) == eager_geometry(f.ambient_rank, c.rays)
     assert f.cones == eager_fan_cones(f)
+    # Fan.cones_of_dim groups the face lattice once; before, each call
+    # scanned and sorted every cone.
+    for d in range(f.ambient_rank + 2):
+        assert f.cones_of_dim(d) == sorted(
+            (s for s in f.cones if f.cone(s).dim == d), key=sorted)
 
 
 def test_seeded_generator_kinds():
