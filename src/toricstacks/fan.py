@@ -29,7 +29,10 @@ since extremality needs them.  A simplicial cone skips the
 strong-convexity and extremality rank checks, which d independent rays
 always pass.  A fan's face lattice (Fan.cones) is likewise built on first
 read.  Operations that need a cone's facets read them from that data and
-build no cone per facet.
+build no cone per facet.  exceptional_stratum builds Delta and L as index
+data (Fan._indexed), whose maximal cones are built on first read too: v
+pairs positively with every facet normal, so each is a pyramid over a
+facet, or that facet's injective image under pi, with all rays extreme.
 """
 
 from __future__ import annotations
@@ -326,7 +329,7 @@ class Fan:
     order and the set of maximal cones, never the lazily built data."""
 
     __slots__ = ("ambient_rank", "rays", "maximal_cones", "_cones",
-                 "_by_dim", "_cache")
+                 "_by_dim", "_cache", "_order")
 
     def __init__(self, ambient_rank: int, maximal, ray_hint=()):
         self.ambient_rank = n = int(ambient_rank)
@@ -356,6 +359,21 @@ class Fan:
                 dedup.append(s)
         self.maximal_cones = tuple(dedup) if dedup else (frozenset(),)
         self._cones = self._by_dim = None
+        self._order = {}
+
+    @classmethod
+    def _indexed(cls, ambient_rank: int, rays, maximal) -> "Fan":
+        """A fan from its rays and its maximal cones as ray-index tuples;
+        Fan.cone builds each cone on first read, its rays in tuple order.
+        The caller vouches for what __init__ would derive: the tuples are
+        distinct, none lies in another, and each lists the extreme rays of
+        a pointed cone."""
+        f = cls.__new__(cls)
+        f.ambient_rank, f.rays = ambient_rank, tuple(rays)
+        f.maximal_cones = tuple(map(frozenset, maximal))
+        f._order = dict(zip(f.maximal_cones, maximal))
+        f._cache, f._cones, f._by_dim = {}, None, None
+        return f
 
     @property
     def cones(self) -> frozenset:
@@ -452,8 +470,8 @@ class Fan:
     def cone(self, index_set) -> Cone:
         s = frozenset(index_set)
         if s not in self._cache:
-            self._cache[s] = Cone(self.ambient_rank,
-                                  [self.rays[i] for i in sorted(s)])
+            self._cache[s] = Cone(self.ambient_rank, [
+                self.rays[i] for i in self._order.get(s) or sorted(s)])
         return self._cache[s]
 
     def cones_of_dim(self, d: int) -> list[frozenset]:
@@ -543,18 +561,19 @@ def star_subdivision(f: Fan, c: Cone) -> Fan:
             new_max.append(sigma)
             continue
         assert sigma.contains(v), "star vector escapes a cone containing c"
-        new_max += _joins(sigma, v)
+        new_max += [Cone(f.ambient_rank, [sigma.rays[i] for i in t] + [v])
+                    for t in _joins(sigma, v)]
     return Fan(f.ambient_rank, new_max, ray_hint=f.rays)
 
 
-def _joins(sigma: Cone, v: Vector) -> list[Cone]:
-    """v joined with every facet of sigma not containing v, in facet order,
-    each cone listing the facet's rays then v.  The facets are read off
-    sigma's facet data, with no cone built per facet: v lies in sigma, so
-    it lies in a facet exactly when that facet's inward normal vanishes on
-    it.  A one-dimensional sigma has the origin as its only facet (facet
-    set empty), which gives the single cone [v]."""
-    return [Cone(sigma.ambient_rank, [sigma.rays[i] for i in sorted(fs)] + [v])
+def _joins(sigma: Cone, v: Vector) -> list[tuple[int, ...]]:
+    """The facets of sigma not containing v, in facet order, as sorted
+    local ray indices; v joins each.  They are read off sigma's facet data,
+    with no cone built per facet: v lies in sigma, so it lies in a facet
+    exactly when that facet's inward normal vanishes on it.  A
+    one-dimensional sigma has the origin as its only facet (facet set
+    empty), which gives the single cone [v]."""
+    return [tuple(sorted(fs))
             for fs, w in zip(sigma.facet_sets, sigma.facet_normals)
             if _dot(w, v) != 0]
 
@@ -754,13 +773,18 @@ class ExceptionalStratum(NamedTuple):
 def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
     """The reduction both vanishing verifiers start from.
 
-    v is interior to sigma, so no facet normal vanishes on it and Delta is
-    v joined with every facet.  Each proper face of sigma lies in a
-    supporting hyperplane positive on v, so pi is injective on its span,
-    and every line x + Rv leaves sigma once, so pi maps the boundary of
-    sigma bijectively onto N_R/Rv (Cox-Little-Schenck, Toric Varieties,
-    3.1-3.2).  So L's maximal cones are the facets' images and its rays the
-    primitive images of sigma's rays, one each: dst is a bijection.
+    v, the primitive sum of sigma's rays, is interior: it pairs positively
+    with every facet normal (asserted), so Delta is v joined with every
+    facet F, a pyramid with apex off F's hyperplane.  So pi is injective on
+    F's span, and every line x + Rv leaves sigma once, so pi maps the
+    boundary of sigma bijectively onto N_R/Rv (Cox-Little-Schenck, Toric
+    Varieties, 3.1-3.2): L's maximal cones are the facets' images and its
+    rays the primitive images of sigma's rays, one each, and dst is a
+    bijection.  Each cone v + F or pi(F) is pointed, simplicial wherever F
+    is, and all its rays are extreme, so both fans are index data
+    (Fan._indexed) that build a cone only when one is read.  Delta lists
+    sigma's rays then v (sigma's own ray in rank 1), L its rays first-seen
+    over the facets; a cone lists F's rays, or their images, then v.
     """
     if sigma.dim != sigma.ambient_rank:
         raise GeometryError("cone has dimension %d in rank %d; the "
@@ -768,12 +792,30 @@ def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
                             % (sigma.dim, sigma.ambient_rank))
     if sigma.is_zero:
         raise GeometryError("cannot subdivide at the zero cone")
+    n = sigma.ambient_rank
     v = star_vector(sigma)
-    f2 = Fan(sigma.ambient_rank, _joins(sigma, v), ray_hint=sigma.rays)
-    v_idx = f2.rays.index(v)
-    quotient = star_quotient_fan(f2, v)
+    assert all(_dot(w, v) > 0 for w in sigma.facet_normals), \
+        "the star ray is not interior to the cone"
+    joins = _joins(sigma, v)
+    rays = sigma.rays if v in sigma.rays else sigma.rays + (v,)
+    v_idx = rays.index(v)
+    f2 = Fan._indexed(n, rays, [t + (v_idx,) for t in joins])
+    q = transpose(kernel_basis((v,)))  # rows: saturated perp of v
+    images: dict[Vector, int] = {}  # L's rays, first-seen
+    to_l: dict[int, tuple[int, int]] = {}  # source -> (L index, content)
+    for t in joins:
+        for i in t:
+            if i not in to_l:
+                img = matvec(q, rays[i])
+                to_l[i] = (images.setdefault(primitivize(img), len(images)),
+                           content(img))
+    quotient = StarQuotient(
+        fan=Fan._indexed(n - 1, images,
+                         [tuple(to_l[i][0] for i in t) for t in joins]),
+        projection=q, ray_index=v_idx,
+        pairs=tuple((i,) + to_l[i] for i in sorted(to_l)), dropped=())
     dst = {src: d for src, d, _mult in quotient.pairs}
-    surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
+    surviving = tuple(i for i in range(len(rays)) if i != v_idx)
     # Every surviving ray matched (so none dropped), onto L's rays.
     assert sorted(dst) == list(surviving) \
         and sorted(dst.values()) == list(range(len(quotient.fan.rays))), \

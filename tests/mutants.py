@@ -113,14 +113,37 @@ MUTANTS = (
            """    matched = True if comp.stabilized else None""",
            """    matched = True""",
            ("test_ktheory.py",)),
-    Mutant("exceptional_stratum without ray_hint", "fan.py",
-           """    f2 = Fan(sigma.ambient_rank, _joins(sigma, v), ray_hint=sigma.rays)""",
-           """    f2 = Fan(sigma.ambient_rank, _joins(sigma, v))""",
+    Mutant("exceptional_stratum lists v before sigma's rays", "fan.py",
+           """    rays = sigma.rays if v in sigma.rays else sigma.rays + (v,)""",
+           """    rays = sigma.rays if v in sigma.rays else (v,) + sigma.rays""",
            ("test_stratum_oracle.py",)),
     Mutant("exceptional_stratum with reversed facets", "fan.py",
-           """    f2 = Fan(sigma.ambient_rank, _joins(sigma, v), ray_hint=sigma.rays)""",
-           """    f2 = Fan(sigma.ambient_rank, _joins(sigma, v)[::-1],
-             ray_hint=sigma.rays)""",
+           """    joins = _joins(sigma, v)
+""",
+           """    joins = _joins(sigma, v)[::-1]
+""",
+           ("test_stratum_oracle.py",)),
+    Mutant("L's rays in source order, not first-seen", "fan.py",
+           """    for t in joins:
+        for i in t:
+            if i not in to_l:""",
+           """    for t in [sorted({i for t in joins for i in t})]:
+        for i in t:
+            if i not in to_l:""",
+           ("test_stratum_oracle.py",)),
+    Mutant("L's images not primitivized", "fan.py",
+           """                to_l[i] = (images.setdefault(primitivize(img), len(images)),""",
+           """                to_l[i] = (images.setdefault(img, len(images)),""",
+           ("test_stratum_oracle.py",)),
+    Mutant("Fan.cone ignores the stored per-cone order", "fan.py",
+           """                self.rays[i] for i in self._order.get(s) or sorted(s)])""",
+           """                self.rays[i] for i in sorted(s)])""",
+           ("test_stratum_oracle.py",)),
+    Mutant("exceptional_stratum skips the facet-pairing assert", "fan.py",
+           """    assert all(_dot(w, v) > 0 for w in sigma.facet_normals), \\
+        "the star ray is not interior to the cone"
+""",
+           "",
            ("test_stratum_oracle.py",)),
     Mutant("weights read off the projection's rows", "cox.py",
            """    weights = transpose(group.projection) or ((),) * r""",

@@ -159,17 +159,18 @@ def _not_surjective(dst):
 @pytest.mark.parametrize("corrupt", [_not_injective, _not_surjective])
 def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
                                                      corrupt):
-    # exceptional_stratum owns the bijection assert: a quotient whose ray
-    # pairs are corrupted stops it, and both verbs report an internal error.
-    real = fan.star_quotient_fan
+    # exceptional_stratum owns the bijection assert: when the ray pairs it
+    # reads off the facets' images are corrupted as it builds the quotient,
+    # the assert stops it, and both verbs report an internal error.
+    real = fan.StarQuotient
 
-    def corrupted(f, ray):
-        q = real(f, ray)
-        dst = corrupt({s: d for s, d, _mult in q.pairs})
-        return q._replace(pairs=tuple((s, dst[s], mult)
-                                      for s, _d, mult in q.pairs))
+    def corrupted(**fields):
+        dst = corrupt({s: d for s, d, _mult in fields["pairs"]})
+        fields["pairs"] = tuple((s, dst[s], mult)
+                                for s, _d, mult in fields["pairs"])
+        return real(**fields)
 
-    monkeypatch.setattr(fan, "star_quotient_fan", corrupted)
+    monkeypatch.setattr(fan, "StarQuotient", corrupted)
     for cone in corpus_cones():
         with pytest.raises(AssertionError):
             exceptional_stratum(cone)

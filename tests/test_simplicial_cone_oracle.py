@@ -285,5 +285,5 @@ def test_corpus_verdict_builds_no_enumerated_facet(monkeypatch):
 
         monkeypatch.setattr(fan, name, counting)
     assert verify_vanishing(sigma, 4).conclusion
-    # Only star_quotient_fan's projection needs a kernel.
+    # Only the stratum's projection along v needs a kernel.
     assert calls == {"kernel_generator": 0, "kernel_basis": 1}

@@ -12,20 +12,33 @@ per-cone ray order too, on the corpus, the negative corpus, 800 seeded
 cones in ranks 2-3, the rank-1 cones and 180 seeded rank-4 cones, some of
 them with a non-simplicial Delta.  The build searches nothing: it runs no
 face lattice and no containment test.
+
+Both fans are built as index data, so neither the stratum nor a verdict on
+it constructs a Cone; every cone of both fans, built when first read, must
+equal the searched construction's eager cone field by field.  The star ray
+must pair positively with every facet normal of sigma: a star ray on a
+facet or outside sigma is an internal error.
 """
 
+import pytest
+
 from corpus import corpus_cones
-from test_chow_certificate import NEGATIVE_DATA, random_cones, \
-    random_rank4_cones
+from test_chow_certificate import NEGATIVE_DATA, clear_package_caches, \
+    random_cones, random_rank4_cones
+from toricstacks import fan
+from toricstacks.chow import verify_vanishing
 from toricstacks.fan import (
     Cone,
     Fan,
+    UserError,
     exceptional_stratum,
     make_cone,
+    primitivize,
     star_quotient_fan,
     star_subdivision,
     star_vector,
 )
+from toricstacks.ktheory import verify_k_vanishing
 
 
 def searched_stratum(sigma) -> tuple:
@@ -78,3 +91,66 @@ def test_stratum_runs_no_search(monkeypatch):
     monkeypatch.setattr(Cone, "contains", searching)
     for sigma in cones:
         exceptional_stratum(sigma)
+
+
+def _fields(c: Cone) -> tuple:
+    return (c.ambient_rank, c.rays, c.dim, c.perp_rows, c.facet_sets,
+            c.facet_normals, c.face_ray_sets())
+
+
+def test_verdicts_build_no_cone(monkeypatch):
+    rank4 = [c for seed in (5, 7, 11) for c in random_rank4_cones(seed, 60)
+             if len(c.rays) > 4]
+    cones = corpus_cones() + rank4
+    cones += [make_cone(rank, rays) for rank, rays in NEGATIVE_DATA]
+    for sigma in cones:
+        sigma.facet_normals  # inputs and their facets exist before the spy
+    built = []
+    real = Cone.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    clear_package_caches()
+    monkeypatch.setattr(Cone, "__init__", spy)
+    for sigma in cones:
+        verify_vanishing(sigma, 2)
+        try:
+            verify_k_vanishing(sigma, 2)
+        except UserError:  # the box cannot hold the cone
+            pass
+    strata = [exceptional_stratum(sigma) for sigma in cones]
+    assert built == []
+    monkeypatch.undo()
+    non_simplicial = 0
+    for sigma, stratum in zip(cones, strata):
+        searched = searched_stratum(sigma)
+        for lazy, eager in ((stratum.subdivision, searched[0]),
+                            (stratum.quotient.fan, searched[3].fan)):
+            for s in lazy.cones:
+                assert _fields(lazy.cone(s)) == _fields(eager.cone(s)), \
+                    (sigma, s)
+        delta = stratum.subdivision
+        non_simplicial += any(len(s) != delta.cone(s).dim
+                              for s in delta.maximal_cones)
+    assert non_simplicial > 0
+
+
+def _on_a_facet(sigma, v):
+    return primitivize(tuple(map(sum, zip(*(
+        sigma.rays[i] for i in sigma.facet_sets[0])))))
+
+
+def _outside(sigma, v):
+    return tuple(-x for x in v)
+
+
+@pytest.mark.parametrize("move", [_on_a_facet, _outside])
+def test_star_ray_off_the_interior_is_an_internal_error(monkeypatch, move):
+    real = fan.star_vector
+    monkeypatch.setattr(fan, "star_vector",
+                        lambda sigma: move(sigma, real(sigma)))
+    for sigma in corpus_cones():
+        with pytest.raises(AssertionError, match="not interior"):
+            exceptional_stratum(sigma)
