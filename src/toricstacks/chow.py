@@ -41,8 +41,8 @@ from .graded import (
     GradedPresentation,
     RingMap,
     certify_well_defined,
-    graded_piece,
     make_presentation,
+    piece_structure,
     ring_map,
 )
 from .intlinalg import Vector, identity
@@ -82,7 +82,9 @@ class Comparison(NamedTuple):
 
 
 def piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
-    """The structures of the pieces of degree 0..max_deg.
+    """The structures of the pieces of degree 0..max_deg, each read off
+    its relation lattice's Hermite rows (graded.piece_structure), with no
+    group built.
 
     Every variable of a GradedPresentation has degree 1, so the ring is
     generated in degree 1: once a piece of degree K >= 1 is 0,
@@ -92,7 +94,7 @@ def piece_structures(p: GradedPresentation, max_deg: int) -> tuple:
     out = []
     for k in range(max_deg + 1):
         zero = k >= 2 and out[-1] == (0, ())
-        out.append((0, ()) if zero else graded_piece(p, k).structure())
+        out.append((0, ()) if zero else piece_structure(p, k))
     return tuple(out)
 
 

@@ -12,11 +12,15 @@ out, so degree k is expanded over monomials in the len(torsion) + free_rank
 remaining variables rather than in one variable per generator of Z^n (for a
 fan's Chow ring: roughly rays minus rank, instead of one per ray).  A piece
 (graded_piece) is the cokernel over those reduced monomials, and every
-coordinate this module reads or returns is a coordinate of it: the
-well-definedness check projects generator images into it, and induced_map
-maps piece coordinates to piece coordinates.  An element in the original
-variables enters through _reduction's phi; a coordinate's lift leaves
-through its psi.  Monomials of a fixed degree are ordered descending-lex
+coordinate this module reads or returns is a coordinate of it: the linear
+leg of the well-definedness check projects generator images into the
+degree-1 piece, and induced_map maps piece coordinates to piece
+coordinates.  What is only counted or tested is read off the canonical
+Hermite rows of the piece's relation lattice (_piece_lattice), with no
+group built: piece_structure reads the piece's structure there, and the
+homogeneous leg of the check tests membership there.  An element in the
+original variables enters through _reduction's phi; a coordinate's lift
+leaves through its psi.  Monomials of a fixed degree are ordered descending-lex
 in the variable order, which makes every piece reproducible bit for bit.
 Every substitution of linear forms into a polynomial goes through
 _expand, straight into a coefficient vector over the target's degree-k
@@ -29,8 +33,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
-                        from_columns, identity, matmul, smith_basis,
-                        transpose)
+                        from_columns, hnf_form, identity,
+                        lattice_coefficients, lattice_structure, matmul,
+                        smith_basis, transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -184,6 +189,27 @@ def graded_piece(p: GradedPresentation, k: int) -> AbelianGroup:
     return cokernel(_relation_matrix(_reduction(p)[0].target, k))
 
 
+@lru_cache(maxsize=None)
+def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
+    """The degree-k relation lattice in the reduced variables, as the
+    number of reduced degree-k monomials and the lattice's canonical
+    Hermite rows: the nonzero rows of hnf_form of the relation matrix's
+    transpose, the memo smith_basis fills when graded_piece builds the
+    group."""
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    m = _relation_matrix(_reduction(p)[0].target, k)
+    return len(m), tuple(row for row in hnf_form(transpose(m)) if any(row))
+
+
+@lru_cache(maxsize=None)
+def piece_structure(p: GradedPresentation, k: int) \
+        -> tuple[int, tuple[int, ...]]:
+    """graded_piece(p, k).structure(), read off the piece's Hermite rows
+    (lattice_structure): no projection, lift or Smith transform."""
+    return lattice_structure(*_piece_lattice(p, k))
+
+
 class RingMap(NamedTuple):
     """A substitution t_i -> linear form between two presentations."""
 
@@ -250,14 +276,16 @@ def certify_well_defined(rm: RingMap) -> Certification:
 
     Every generator is carried to the target's reduced variables by the
     composite substitution * phi (phi of _reduction(target)), formed once,
-    and its image must project to zero in the piece of its degree.
+    and its image must lie in the target's relation lattice of its degree.
     The linear generators are carried together by one matrix product,
     linear_gens * composite (a degree-1 element is its own coordinate
-    vector), and checked by one more (kills).  Each homogeneous generator
-    is expanded once under the composite (_expand), straight into the
-    reduced degree-k monomial coordinates.  The witness is the first
-    generator that fails, linear generators first, as (degree, generator
-    as sorted item tuple).
+    vector), and checked by one more: the degree-1 piece kills them.  Each
+    homogeneous generator is expanded once under the composite (_expand),
+    straight into the reduced degree-d monomial coordinates, and must
+    reduce to 0 against the degree-d Hermite rows (lattice_coefficients),
+    the memo piece_structure reads too, so no group is built for it.  The
+    witness is the first generator that fails, linear generators first, as
+    (degree, generator as sorted item tuple).
     """
     phi = _reduction(rm.target)[0]
     composite = matmul(rm.substitution, phi.substitution)
@@ -271,7 +299,8 @@ def certify_well_defined(rm: RingMap) -> Certification:
             return _failure(1, {unit[i]: c for i, c in enumerate(row) if c})
     for degree, items in rm.source.homogeneous_gens:
         image = _expand(items, composite, phi.target.n_vars, degree)
-        if any(graded_piece(rm.target, degree).project(image)):
+        if lattice_coefficients(_piece_lattice(rm.target, degree)[1],
+                                image) is None:
             return _failure(degree, dict(items))
     return Certification(ok=True, witness=None)
 

@@ -24,6 +24,8 @@ and again:
   transpose, its transform and its pivots), on the frozen matrix;
 - smith_basis's Smith stage, on the canonical columns (so two presenting
   matrices of one lattice share it);
+- lattice_structure, the invariant factors alone, on the same canonical
+  columns;
 - cokernel's group, on its frozen input;
 - identity(n), on n.
 Every cached result is made of immutable tuples, so callers share it
@@ -447,6 +449,33 @@ def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
             tuple(u_inv_cols[i] for i in keep))
 
 
+@lru_cache(maxsize=None)
+def lattice_structure(nr: int, canon_cols: Matrix) \
+        -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of the quotient of Z^nr by the lattice spanned
+    by canon_cols, its canonical Hermite rows (the nonzero rows of
+    hnf_form(transpose(m)) for any m presenting it): cokernel(m).structure()
+    with no transform computed.  Memoised on the rows, as
+    _lattice_smith_basis is.
+
+    When every pivot is 1 the quotient is free of rank nr - rank, with no
+    elimination at all: projecting onto the pivot coordinates maps the
+    lattice unitriangularly onto Z^rank, so if n * x lies in the lattice,
+    its coefficients are n times the projection of x, and x lies in it too.
+    The lattice is saturated, the quotient torsion-free, and a finitely
+    generated torsion-free group is free.  Otherwise the invariant factors
+    are the Smith diagonal of the rows; the rows are independent, so
+    exactly rank of them are nonzero.
+    """
+    rank = len(canon_cols)
+    if all(next(filter(None, row)) == 1 for row in canon_cols):
+        return nr - rank, ()
+    d = _snf(canon_cols)[0]
+    diag = [d[i][i] for i in range(rank)]
+    assert all(diag), "Smith diagonal shorter than the Hermite rank"
+    return nr - rank, tuple(x for x in diag if x != 1)
+
+
 def normal_form_group(ambient_rank: int, torsion, rows,
                       lift_cols) -> AbelianGroup:
     """The AbelianGroup whose projection has the given rows (one per
@@ -584,24 +613,40 @@ def solve_many_in_span(m, bs) -> tuple[Vector | None, ...]:
     nc = len(m[0]) if m else 0
     if nc == 0:
         return tuple(() if not any(b) else None for b in bs)
-    h, u, pivots = _solve_echelon(m)
+    h, u, _ = _solve_echelon(m)
 
     def solve(b):
-        res = list(b)
-        z = []
-        for row, p in zip(h, pivots):
-            q, r = divmod(res[p], row[p])
-            if r:
-                return None
-            z.append(q)
-            if q:
-                res = [x - q * y for x, y in zip(res, row)]
-        if any(res):
-            return None
-        return tuple(sum(q * row[j] for q, row in zip(z, u))
-                     for j in range(nc))
+        z = lattice_coefficients(h, b)
+        return None if z is None else tuple(
+            sum(q * row[j] for q, row in zip(z, u)) for j in range(nc))
 
     return tuple(solve(b) for b in bs)
+
+
+def lattice_coefficients(rows, b) -> list[int] | None:
+    """The coefficients z with sum(z_i * rows[i]) = b, for echelon rows
+    (each row's first nonzero entry, its pivot, right of the one before),
+    or None when b is outside their integer span: the back-substitution
+    solve_many_in_span runs on its echelon, and a membership test in a
+    lattice given by its canonical Hermite rows (as lattice_structure
+    reads them), with no transform.
+
+    Each coordinate of b is read once, as the reduction passes it: one
+    left of the first pivot, between two pivots or right of the last must
+    be 0 by then, and at a pivot the division must be exact."""
+    res, start, z = list(b), 0, []
+    for row in rows:
+        p = start
+        while not row[p]:
+            p += 1
+        q, r = divmod(res[p], row[p])
+        if r or any(res[start:p]):
+            return None
+        z.append(q)
+        if q:
+            res = [x - q * y for x, y in zip(res, row)]
+        start = p + 1
+    return None if any(res[start:]) else z
 
 
 @lru_cache(maxsize=None)

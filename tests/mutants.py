@@ -211,6 +211,21 @@ from . import ktheory  # noqa: F401
            """        r = next(x for i, x in enumerate(sigma.rays) if i not in fs)""",
            """        r = next(x for i, x in enumerate(sigma.rays) if i in fs)""",
            ("test_fan.py", "test_fan_combinatorics_oracle.py")),
+    Mutant("lattice_structure takes the unit-pivot shortcut on any pivot",
+           "intlinalg.py",
+           """    if all(next(filter(None, row)) == 1 for row in canon_cols):""",
+           """    if True:""",
+           ("test_piece_structure_oracle.py",)),
+    Mutant("membership ignores the division remainder", "intlinalg.py",
+           """        if r or any(res[start:p]):""",
+           """        if any(res[start:p]):""",
+           ("test_piece_structure_oracle.py",)),
+    Mutant("lattice_structure drops the invariant-factor assert",
+           "intlinalg.py",
+           """    assert all(diag), "Smith diagonal shorter than the Hermite rank"
+""",
+           "",
+           ("test_piece_structure_oracle.py",)),
     Mutant("-h is printed outside the guard", "cli.py",
            """    try:
         ns = _parse(list(argv))
