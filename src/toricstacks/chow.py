@@ -104,7 +104,8 @@ def exceptional_comparison(stratum: ExceptionalStratum,
 
     Each surviving variable goes to its matched stratum variable, and the
     star ray's variable to the integral expression of its class in the
-    surviving classes (solved in the character group, torsion included).
+    surviving classes (solved in the character group, torsion included;
+    one exists, since v is primitive, so the expression is asserted).
     The substitution is certified well-defined first.  The matching is a
     bijection onto the stratum's rays (asserted), so the map hits every
     target variable and, the target being generated in degree 1, is onto
@@ -130,12 +131,12 @@ def exceptional_comparison(stratum: ExceptionalStratum,
     target = chow_presentation(n_target, ray_relations(quotient), sorted(
         (frozenset(dst[i] for i in c) for c in cd.primitive_collections),
         key=sorted))
+    # v is primitive, so some m has <m, v> = 1, and the kernel row
+    # (<m, r_i>)_i gives w_v = -sum over i != v of <m, r_i> w_i in X(G).
     sol = cd.char_group.express([cd.weights[i] for i in stratum.surviving],
                                 cd.weights[v_idx])
-    if sol is None:
-        raise ComparisonError(
-            "the class of the subdivision ray has no integral expression "
-            "in the surviving ray classes")
+    assert sol is not None, \
+        "the star ray's class is outside the span of the surviving classes"
 
     extra = [0] * n_target
     for i, x in zip(stratum.surviving, sol):

@@ -19,20 +19,23 @@ the subset's signed maximal minors (intlinalg.kernel_generator).  A
 cone's faces are the closure of its facets under intersection.
 
 A cone keeps its perp lattice; its span basis and ray coordinates serve
-only to build its facets.  All ray coordinates are solved against one HNF
-of the span, and all normal lifts against one HNF of its transpose; a
-full-dimensional cone needs neither, since its span is the identity.  n
-rays in rank n are checked independent by one determinant, and their
-facets are built on first read: a verdict that never reads a subdivision
-cone's facets never builds them.  Other cones build their facets at once,
-since extremality needs them.  A simplicial cone skips the
-strong-convexity and extremality rank checks, which d independent rays
-always pass.  A fan's face lattice (Fan.cones) is likewise built on first
-read.  Operations that need a cone's facets read them from that data and
-build no cone per facet.  exceptional_stratum builds Delta and L as index
-data (Fan._indexed), whose maximal cones are built on first read too: v
-pairs positively with every facet normal, so each is a pyramid over a
-facet, or that facet's injective image under pi, with all rays extreme.
+only to build its facets, at construction, on one path.  All ray
+coordinates are solved against one HNF of the span, and all normal lifts
+against one HNF of its transpose; a full-dimensional cone needs neither,
+since its span is the identity, and n rays in rank n with a nonzero
+determinant are known full-dimensional with no kernel computed.  A
+simplicial cone skips the strong-convexity and extremality rank checks,
+which d independent rays always pass.  A cone's faces and a fan's face
+lattice (Fan.cones) are built on first read.  Operations that need a
+cone's facets read them from that data and build no cone per facet.
+
+The orbit fan of a ray (star_quotient_fan, and L in exceptional_stratum)
+has one builder, _orbit_fan: each cone at the ray maps to the cone spanned
+by the images of the rays that span a 2-face with it, and the fan is index
+data (Fan._indexed) whose maximal cones are built on first read.
+exceptional_stratum builds Delta as index data too: v pairs positively
+with every facet normal, so each cone is a pyramid over a facet, or that
+facet's injective image under pi, with all rays extreme.
 """
 
 from __future__ import annotations
@@ -92,17 +95,16 @@ class Cone:
     """A strongly convex rational polyhedral cone, stored as its primitive
     extreme rays (deduplicated, input order).
 
-    Precomputed at construction: perp_rows (a basis of the annihilator of
-    the span).  facet_sets (the local ray indices of each facet) and
+    Built at construction: perp_rows (a basis of the annihilator of the
+    span), facet_sets (the local ray indices of each facet) and
     facet_normals (each facet's inward normal, lifted to the ambient
     lattice; on the cone it vanishes exactly on the facet, and it is
-    primitive on the saturated span lattice) are read-only.  They come
-    from the (d-1)-subsets of the rays' coordinates in that lattice: n
-    rays in rank n with a nonzero determinant build them on first read,
-    every other cone at construction."""
+    primitive on the saturated span lattice), the last two from the
+    (d-1)-subsets of the rays' coordinates in that lattice.  The faces
+    (face_ray_sets) are built on first read."""
 
-    __slots__ = ("ambient_rank", "rays", "dim", "perp_rows", "_facets",
-                 "_faces")
+    __slots__ = ("ambient_rank", "rays", "dim", "perp_rows", "facet_sets",
+                 "facet_normals", "_faces")
 
     def __init__(self, ambient_rank: int, generators):
         self.ambient_rank = n = int(ambient_rank)
@@ -119,25 +121,18 @@ class Cone:
             self.rays = ()
             self.dim = 0
             self.perp_rows = identity(n)
-            self._facets = ((), ())
+            self.facet_sets = self.facet_normals = ()
             self._faces = (frozenset(),)
             return
         self._faces = None
 
-        # n independent rays in rank n span a full-dimensional cone: the
-        # identity is its span, so its rays are their own coordinates, and
-        # its facets are built when first read.
-        if len(gens) == n and det(gens):
-            self.rays = tuple(gens)
-            self.dim = n
-            self.perp_rows = ()
-            self._facets = None
-            return
-
         # Saturated span lattice: perp of the rays, then perp of the perp.
-        # A full-dimensional cone has the identity as its span, so its rays
-        # are their own coordinates and its normals their own lifts.
-        perp_rows = transpose(kernel_basis(gens))
+        # n rays with a nonzero determinant span everything, with no
+        # kernel to compute.  A full-dimensional cone has the identity as
+        # its span, so its rays are their own coordinates and its normals
+        # their own lifts.
+        perp_rows = () if len(gens) == n and det(gens) \
+            else transpose(kernel_basis(gens))
         if perp_rows:
             span = kernel_basis(perp_rows)
             coords = list(solve_many_in_span(span, gens))
@@ -183,20 +178,8 @@ class Cone:
         self.rays = tuple(gens)
         self.dim = d
         self.perp_rows = perp_rows
-        self._facets = (facet_sets, facet_normals)
-
-    def _facet_pair(self):
-        if self._facets is None:
-            self._facets = _facet_data(self.rays, self.dim)
-        return self._facets
-
-    @property
-    def facet_sets(self) -> tuple[frozenset, ...]:
-        return self._facet_pair()[0]
-
-    @property
-    def facet_normals(self) -> tuple[Vector, ...]:
-        return self._facet_pair()[1]
+        self.facet_sets = facet_sets
+        self.facet_normals = facet_normals
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
@@ -714,27 +697,53 @@ class StarQuotient(NamedTuple):
 def star_quotient_fan(f: Fan, ray) -> StarQuotient:
     """The fan of the orbit closure of a ray: every cone containing the ray,
     projected to the quotient of the ambient lattice by the ray's
-    generator."""
+    generator.  Each projected cone is spanned by the images of the rays
+    that span a 2-face with the ray (_orbit_fan), read off the cone's
+    faces; a ray of the star adjacent to the ray in no cone is dropped.
+    f must pass validate_fan: two overlapping cones at the ray may project
+    to one cone, which is then listed twice."""
     ray = tuple(int(x) for x in ray)
     if ray not in f.rays:
         raise GeometryError("%s is not a ray of the fan" % (ray,))
     ri = f.rays.index(ray)
-    n = f.ambient_rank
-    q = transpose(kernel_basis((ray,)))  # rows: saturated perp of the ray
-    star_max = [s for s in f.maximal_cones if ri in s]
-    image = {i: matvec(q, f.rays[i])
-             for i in sorted({j for s in star_max for j in s if j != ri})}
-    quotient = Fan(n - 1, [Cone(n - 1, [image[i] for i in sorted(s - {ri})])
-                           for s in star_max])
-    pairs, dropped = [], []
-    for i, img in image.items():
-        prim = primitivize(img)
-        if prim in quotient.rays:
-            pairs.append((i, quotient.rays.index(prim), content(img)))
-        else:
-            dropped.append(i)
-    return StarQuotient(fan=quotient, projection=q, ray_index=ri,
-                        pairs=tuple(pairs), dropped=tuple(dropped))
+    index = {r: i for i, r in enumerate(f.rays)}
+    star, adjacent = set(), []
+    for s in f.maximal_cones:
+        if ri in s:
+            star |= s
+            c = f.cone(s)
+            at = c.rays.index(ray)
+            adjacent.append(tuple(sorted(
+                index[c.rays[j]] for face in c.face_ray_sets()
+                if len(face) == 2 and at in face for j in face - {at})))
+    return _orbit_fan(f.ambient_rank, f.rays, ri, adjacent,
+                      sorted(star - {ri}))
+
+
+def _orbit_fan(n: int, rays, ri: int, adjacent, star) -> StarQuotient:
+    """The orbit fan of ray ri as index data (Fan._indexed): cone j is
+    spanned by the images of the rays adjacent[j], those that span a
+    2-face with ray ri in the j-th star cone, which are exactly the rays of
+    its image (Cox-Little-Schenck, Toric Varieties, 3.2).  The images are
+    projected along ray ri, L's rays are their primitive vectors in
+    first-seen order, and pairs carry each image's content as its
+    multiplicity.  A ray of star (the other rays of the star cones) that is
+    adjacent in no cone is dropped."""
+    q = transpose(kernel_basis((rays[ri],)))  # rows: saturated perp of ri
+    images: dict[Vector, int] = {}  # L's rays, first-seen
+    to_l: dict[int, tuple[int, int]] = {}  # source -> (L index, content)
+    for t in adjacent:
+        for i in t:
+            if i not in to_l:
+                img = matvec(q, rays[i])
+                to_l[i] = (images.setdefault(primitivize(img), len(images)),
+                           content(img))
+    return StarQuotient(
+        fan=Fan._indexed(n - 1, images,
+                         [tuple(to_l[i][0] for i in t) for t in adjacent]),
+        projection=q, ray_index=ri,
+        pairs=tuple((i,) + to_l[i] for i in sorted(to_l)),
+        dropped=tuple(i for i in star if i not in to_l))
 
 
 class ComparisonError(ValueError):
@@ -743,8 +752,6 @@ class ComparisonError(ValueError):
     The ray matching itself cannot fail: it is a bijection by construction
     (exceptional_stratum).  Both vanishing verifiers raise this error, with
     the reason verbatim, when a later step fails:
-    - Chow: the class of the subdivision ray has no integral expression
-      in the surviving ray classes;
     - Chow: the substitution fails its well-definedness certificate;
     - K: the stratum's exponent lattice does not map to zero in X(G);
     - K: the two character groups have different structures;
@@ -800,22 +807,10 @@ def exceptional_stratum(sigma: Cone) -> ExceptionalStratum:
     rays = sigma.rays if v in sigma.rays else sigma.rays + (v,)
     v_idx = rays.index(v)
     f2 = Fan._indexed(n, rays, [t + (v_idx,) for t in joins])
-    q = transpose(kernel_basis((v,)))  # rows: saturated perp of v
-    images: dict[Vector, int] = {}  # L's rays, first-seen
-    to_l: dict[int, tuple[int, int]] = {}  # source -> (L index, content)
-    for t in joins:
-        for i in t:
-            if i not in to_l:
-                img = matvec(q, rays[i])
-                to_l[i] = (images.setdefault(primitivize(img), len(images)),
-                           content(img))
-    quotient = StarQuotient(
-        fan=Fan._indexed(n - 1, images,
-                         [tuple(to_l[i][0] for i in t) for t in joins]),
-        projection=q, ray_index=v_idx,
-        pairs=tuple((i,) + to_l[i] for i in sorted(to_l)), dropped=())
-    dst = {src: d for src, d, _mult in quotient.pairs}
     surviving = tuple(i for i in range(len(rays)) if i != v_idx)
+    # Every ray of v + F spans a 2-face with v.
+    quotient = _orbit_fan(n, rays, v_idx, joins, surviving)
+    dst = {src: d for src, d, _mult in quotient.pairs}
     # Every surviving ray matched (so none dropped), onto L's rays.
     assert sorted(dst) == list(surviving) \
         and sorted(dst.values()) == list(range(len(quotient.fan.rays))), \

@@ -182,11 +182,12 @@ def graded_piece(p: GradedPresentation, k: int) -> AbelianGroup:
     The linear relations are eliminated once per presentation (_reduction):
     in the reduced variables the relation lattice is spanned by g*m over
     the reduced generators g of degree d and monomials m of degree k-d, and
-    the piece is its cokernel over the reduced degree-k monomials.
+    the piece is its cokernel over the reduced degree-k monomials,
+    presented by the lattice's canonical Hermite rows (_piece_lattice): the
+    normal form of a cokernel depends only on the lattice.
     """
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    return cokernel(_relation_matrix(_reduction(p)[0].target, k))
+    n_rows, rows = _piece_lattice(p, k)
+    return cokernel(from_columns(rows, n_rows))
 
 
 @lru_cache(maxsize=None)
@@ -194,8 +195,8 @@ def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
     """The degree-k relation lattice in the reduced variables, as the
     number of reduced degree-k monomials and the lattice's canonical
     Hermite rows: the nonzero rows of hnf_form of the relation matrix's
-    transpose, the memo smith_basis fills when graded_piece builds the
-    group."""
+    transpose, built once per (p, k) for graded_piece, piece_structure
+    and the certificate."""
     if k < 0:
         raise ValueError("degree must be non-negative")
     m = _relation_matrix(_reduction(p)[0].target, k)

@@ -613,7 +613,7 @@ def solve_many_in_span(m, bs) -> tuple[Vector | None, ...]:
     nc = len(m[0]) if m else 0
     if nc == 0:
         return tuple(() if not any(b) else None for b in bs)
-    h, u, _ = _solve_echelon(m)
+    h, u = _solve_echelon(m)
 
     def solve(b):
         z = lattice_coefficients(h, b)
@@ -650,11 +650,9 @@ def lattice_coefficients(rows, b) -> list[int] | None:
 
 
 @lru_cache(maxsize=None)
-def _solve_echelon(m: Matrix) -> tuple[Matrix, Matrix, Vector]:
-    """The nonzero rows of the HNF of m's transpose, the matching rows of
-    its transform and their pivot columns: what solve_many_in_span reads."""
+def _solve_echelon(m: Matrix) -> tuple[Matrix, Matrix]:
+    """The nonzero rows of the HNF of m's transpose and the matching rows
+    of its transform: what solve_many_in_span reads."""
     h, u, _ = _hnf(transpose(m), u=True)
-    pivots = tuple(next(j for j, x in enumerate(row) if x)
-                   for row in h if any(row))
-    return (tuple(map(tuple, h[:len(pivots)])),
-            tuple(map(tuple, u[:len(pivots)])), pivots)
+    r = sum(map(any, h))
+    return tuple(map(tuple, h[:r])), tuple(map(tuple, u[:r]))

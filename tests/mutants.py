@@ -68,9 +68,8 @@ MUTANTS = (
                     piv, best = (i, j), x""",
            ("test_elimination_kernel_oracle.py",)),
     Mutant("the cached solve echelon stores lists", "intlinalg.py",
-           """    return (tuple(map(tuple, h[:len(pivots)])),
-            tuple(map(tuple, u[:len(pivots)])), pivots)""",
-           """    return h[:len(pivots)], u[:len(pivots)], pivots""",
+           """    return tuple(map(tuple, h[:r])), tuple(map(tuple, u[:r]))""",
+           """    return h[:r], u[:r]""",
            ("test_elimination_kernel_oracle.py",)),
     Mutant("kills ignores the torsion rows", "intlinalg.py",
            """        return all(x % d == 0 for row, d in zip(image, self.torsion)
@@ -124,10 +123,10 @@ MUTANTS = (
 """,
            ("test_stratum_oracle.py",)),
     Mutant("L's rays in source order, not first-seen", "fan.py",
-           """    for t in joins:
+           """    for t in adjacent:
         for i in t:
             if i not in to_l:""",
-           """    for t in [sorted({i for t in joins for i in t})]:
+           """    for t in [sorted({i for t in adjacent for i in t})]:
         for i in t:
             if i not in to_l:""",
            ("test_stratum_oracle.py",)),
@@ -139,6 +138,16 @@ MUTANTS = (
            """                self.rays[i] for i in self._order.get(s) or sorted(s)])""",
            """                self.rays[i] for i in sorted(s)])""",
            ("test_stratum_oracle.py",)),
+    Mutant("star_quotient_fan treats every ray as adjacent", "fan.py",
+           """            adjacent.append(tuple(sorted(
+                index[c.rays[j]] for face in c.face_ray_sets()
+                if len(face) == 2 and at in face for j in face - {at})))""",
+           """            adjacent.append(tuple(sorted(s - {ri})))""",
+           ("test_fan.py",)),
+    Mutant("the full-dimensional shortcut skips the determinant", "fan.py",
+           """        perp_rows = () if len(gens) == n and det(gens) \\""",
+           """        perp_rows = () if len(gens) == n \\""",
+           ("test_lazy_geometry_oracle.py",)),
     Mutant("exceptional_stratum skips the facet-pairing assert", "fan.py",
            """    assert all(_dot(w, v) > 0 for w in sigma.facet_normals), \\
         "the star ray is not interior to the cone"

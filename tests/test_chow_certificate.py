@@ -180,6 +180,21 @@ def test_non_bijective_matching_is_an_internal_error(monkeypatch, capsys,
         assert "internal error: AssertionError" in capsys.readouterr().err
 
 
+def test_star_ray_class_outside_the_span_is_an_internal_error(monkeypatch,
+                                                               capsys):
+    # v is primitive, so its class in X(G) is always an integral
+    # combination of the surviving classes: a missing expression is a bug,
+    # asserted, never a negative verdict.
+    monkeypatch.setattr(intlinalg.AbelianGroup, "express",
+                        lambda self, cols, target: None)
+    clear_package_caches()
+    with pytest.raises(AssertionError, match="outside the span"):
+        verify_vanishing(corpus_cones()[0], 2)
+    assert cli.run(["verify-vanishing",
+                    str(FIXTURES / "sigma_square.json")]) == 3
+    assert "internal error: AssertionError" in capsys.readouterr().err
+
+
 def _rings():
     """Source and target rings of every corpus and negative-corpus cone."""
     out = []

@@ -279,10 +279,8 @@ def old_kernel_basis(m):
 
 def old_echelon(m):
     ops = _hnf(transpose(m), u=True)
-    pivots = tuple(next(j for j, x in enumerate(row) if x)
-                   for row in ops.a if any(row))
-    return (freeze(ops.a[:len(pivots)]), freeze(ops.u[:len(pivots)]),
-            pivots)
+    r = len([row for row in ops.a if any(row)])
+    return freeze(ops.a[:r]), freeze(ops.u[:r])
 
 
 MEMOS = ("_hnf_form", "_kernel_basis", "_solve_echelon")

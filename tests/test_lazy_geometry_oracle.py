@@ -1,17 +1,17 @@
 """Checks the cone and fan geometry built on first read against eager
 copies of the code it replaced.
 
-A cone with n independent rays in rank n (a nonzero determinant) builds
-its facet sets and normals when they are first read, and a fan builds its
-face lattice (Fan.cones) when it is first read.  Before, both were built
-at construction, such a cone's facets from one adjugate
-(test_simplicial_cone_oracle keeps that reference) and its faces as every
-subset of its rays.  eager_geometry below keeps the old Cone.__init__ and
-face_ray_sets, eager_fan_cones the face enumeration of the old
-Fan.__init__.  Both must agree with the lazy code on every
-stored field, on the faces and on the fan's cones (and their grouping by
-dimension, Fan.cones_of_dim), and must raise
-GeometryError on the same inputs, over three sets of inputs:
+A cone builds its facet sets and normals at construction, on one path, and
+its faces (Cone.face_ray_sets) when they are first read; a fan builds its
+face lattice (Fan.cones) when it is first read.  Before, a cone built its
+faces at construction too, as every subset of its rays when simplicial,
+and n independent rays in rank n built their facets from one adjugate
+(test_simplicial_cone_oracle keeps that reference).  eager_geometry below
+keeps that Cone.__init__ and face_ray_sets, eager_fan_cones the face
+enumeration of the old Fan.__init__.  Both must agree with the code on
+every stored field, on the faces and on the fan's cones (and their
+grouping by dimension, Fan.cones_of_dim), and must raise GeometryError on
+the same inputs, over three sets of inputs:
 - the seeded generator kinds of test_simplicial_cone_oracle;
 - every cone of the subdivision and stratum fans of the corpus and the
   negative corpus;
@@ -142,7 +142,7 @@ def assert_same_fan(f: Fan):
 
 
 def test_seeded_generator_kinds():
-    raised = lazy = 0
+    raised = 0
     for n, gens in _sets():
         new = _or_error(lambda: Cone(n, gens))
         old = _or_error(lambda: eager_geometry(n, gens))
@@ -150,9 +150,8 @@ def test_seeded_generator_kinds():
             assert new is old, (n, gens)
             raised += 1
             continue
-        lazy += new._facets is None
         assert lazy_geometry(new) == old, (n, gens)
-    assert raised >= 100 and lazy >= 1000
+    assert raised >= 100
 
 
 FIELDS = ("rays", "dim", "perp_rows", "facet_sets", "facet_normals",
@@ -230,9 +229,9 @@ def test_fan_raises_at_construction():
 
 def test_verdict_builds_only_the_input_facets(monkeypatch):
     # verify_vanishing reads the input cone's facets (exceptional_stratum
-    # joins v with them) and no facet of a subdivision or stratum cone.  A
-    # cone whose facets are not lazy builds them at construction, before
-    # the spy is installed.
+    # joins v with them), which the cone built at construction, before the
+    # spy is installed, and no facet of a subdivision or stratum cone: it
+    # runs no facet enumeration at all.
     calls = []
     real = fan._facet_data
 
@@ -243,9 +242,6 @@ def test_verdict_builds_only_the_input_facets(monkeypatch):
     cones = corpus_cones()
     monkeypatch.setattr(fan, "_facet_data", spy)
     clear_package_caches()
-    assert calls == []
     for sigma in cones:
         verify_vanishing(sigma, 4)
-    simplicial = [c.rays for c in cones if len(c.rays) == c.ambient_rank]
-    assert len(simplicial) >= 15
-    assert calls == simplicial
+    assert calls == []

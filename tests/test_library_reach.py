@@ -35,9 +35,9 @@ SPANS = ROOT / "bench" / "spans.py"
 
 # Names the traced benchmark pass wraps by name (TRACED in bench/spans.py),
 # though no verdict calls them; ROADMAP item 1 drops them from TRACED.
-# exceptional_stratum builds its quotient fan itself, so star_quotient_fan
-# serves only general fans and the tests' reference construction; once
-# TRACED no longer names it, ROADMAP item 4 deletes it.
+# star_quotient_fan is the orbit fan of any fan's ray, built by the one
+# builder exceptional_stratum builds L with; no verdict reads a general
+# fan's orbit fan yet, and ROADMAP item 14 is its first caller.
 TRACED_ONLY = ("graded.induced_map", "graded.is_iso_up_to",
                "fan.star_quotient_fan")
 
@@ -45,12 +45,15 @@ KEPT = {
     "intlinalg.snf": "acceptance criterion 8 and the sympy oracle check the "
                      "full Smith elimination through it; smith_basis runs "
                      "the same _snf",
-    "chow.preimage_check": "acceptance criterion 5 checks the paper's "
-                           "claim about the preimage with it",
-    "fan.preimage_orbit_closure": "acceptance criterion 5 checks the "
-                                  "preimage with it",
-    "fan.minimal_containing_cone": "acceptance criterion 5 checks the "
-                                   "preimage with it",
+    "chow.preimage_check": "acceptance criterion 8's property suites "
+                           "check the paper's claim about the preimage "
+                           "with it",
+    "fan.preimage_orbit_closure": "acceptance criterion 8's property "
+                                  "suites check the preimage with it, "
+                                  "through preimage_check",
+    "fan.minimal_containing_cone": "acceptance criterion 8's property "
+                                   "suites check the preimage with it, "
+                                   "through preimage_orbit_closure",
     "fan.h_vector": "the free-rank oracle of every Chow piece; ROADMAP "
                     "item 7 prints it",
     "ktheory.BoxedQuotient.monomials": "the traced boxed_quotient span "

@@ -1,4 +1,5 @@
-"""exceptional_stratum against the general construction it replaced.
+"""exceptional_stratum and star_quotient_fan against the general
+constructions they replaced.
 
 For a full-dimensional cone sigma with interior star vector v, the star
 subdivision is Delta = v * (boundary of sigma) and the projection along v
@@ -6,18 +7,26 @@ maps the boundary bijectively onto the stratum's fan L, so
 exceptional_stratum builds Delta straight from sigma's facets.  The oracle
 below is the construction it replaced: the general star_subdivision of the
 one-cone fan (a face lattice, containment tests) and the star quotient fan
-of v, with the ray matching read off the quotient's pairs.  Every field of
-the stratum must agree, the fans in ray order, maximal-cone order and
-per-cone ray order too, on the corpus, the negative corpus, 800 seeded
-cones in ranks 2-3, the rank-1 cones and 180 seeded rank-4 cones, some of
-them with a non-simplicial Delta.  The build searches nothing: it runs no
-face lattice and no containment test.
+of v as cone_star_quotient_fan builds it, one Cone per star cone, with the
+ray matching read off the quotient's pairs.  Every field of the stratum
+must agree, the fans in ray order, maximal-cone order and per-cone ray
+order too, on the corpus, the negative corpus, 800 seeded cones in ranks
+2-3, the rank-1 cones and 180 seeded rank-4 cones, some of them with a
+non-simplicial Delta.  The build searches nothing: it runs no face lattice
+and no containment test.
 
-Both fans are built as index data, so neither the stratum nor a verdict on
-it constructs a Cone; every cone of both fans, built when first read, must
-equal the searched construction's eager cone field by field.  The star ray
-must pair positively with every facet normal of sigma: a star ray on a
-facet or outside sigma is an internal error.
+star_quotient_fan builds every orbit fan as exceptional_stratum builds L,
+from the rays that span a 2-face with the ray in each star cone.  It must
+equal cone_star_quotient_fan field by field, dropped rays included, at
+every ray of thousands of seeded fans, hundreds of them with a
+non-pyramidal star, where some ray spans a 2-face with the ray in no cone
+and is dropped.
+
+Both fans of the stratum are built as index data, so neither the stratum
+nor a verdict on it constructs a Cone; every cone of both fans, built when
+first read, must equal the searched construction's cone field by field.
+The star ray must pair positively with every facet normal of sigma: a star
+ray on a facet or outside sigma is an internal error.
 """
 
 import pytest
@@ -25,12 +34,16 @@ import pytest
 from corpus import corpus_cones
 from test_chow_certificate import NEGATIVE_DATA, clear_package_caches, \
     random_cones, random_rank4_cones
+from test_lazy_geometry_oracle import grown_fans
 from toricstacks import fan
 from toricstacks.chow import verify_vanishing
 from toricstacks.fan import (
     Cone,
     Fan,
+    GeometryError,
+    StarQuotient,
     UserError,
+    content,
     exceptional_stratum,
     make_cone,
     primitivize,
@@ -38,7 +51,36 @@ from toricstacks.fan import (
     star_subdivision,
     star_vector,
 )
+from toricstacks.intlinalg import kernel_basis, matvec, transpose
 from toricstacks.ktheory import verify_k_vanishing
+
+
+def cone_star_quotient_fan(f: Fan, ray) -> StarQuotient:
+    """star_quotient_fan as written with one Cone per star cone: each
+    maximal cone containing the ray, its other rays projected along the
+    ray in sorted index order, and a Fan over those cones, which keeps
+    only the extreme images.  A source ray whose primitive image is a ray
+    of no projected cone is dropped."""
+    ray = tuple(int(x) for x in ray)
+    if ray not in f.rays:
+        raise GeometryError("%s is not a ray of the fan" % (ray,))
+    ri = f.rays.index(ray)
+    n = f.ambient_rank
+    q = transpose(kernel_basis((ray,)))
+    star_max = [s for s in f.maximal_cones if ri in s]
+    image = {i: matvec(q, f.rays[i])
+             for i in sorted({j for s in star_max for j in s if j != ri})}
+    quotient = Fan(n - 1, [Cone(n - 1, [image[i] for i in sorted(s - {ri})])
+                           for s in star_max])
+    pairs, dropped = [], []
+    for i, img in image.items():
+        prim = primitivize(img)
+        if prim in quotient.rays:
+            pairs.append((i, quotient.rays.index(prim), content(img)))
+        else:
+            dropped.append(i)
+    return StarQuotient(fan=quotient, projection=q, ray_index=ri,
+                        pairs=tuple(pairs), dropped=tuple(dropped))
 
 
 def searched_stratum(sigma) -> tuple:
@@ -47,7 +89,7 @@ def searched_stratum(sigma) -> tuple:
     f2 = star_subdivision(Fan(sigma.ambient_rank, [sigma]), sigma)
     v = star_vector(sigma)
     v_idx = f2.rays.index(v)
-    quotient = star_quotient_fan(f2, v)
+    quotient = cone_star_quotient_fan(f2, v)
     dst = {src: d for src, d, _mult in quotient.pairs}
     surviving = tuple(i for i in range(len(f2.rays)) if i != v_idx)
     assert not quotient.dropped
@@ -91,6 +133,38 @@ def test_stratum_runs_no_search(monkeypatch):
     monkeypatch.setattr(Cone, "contains", searching)
     for sigma in cones:
         exceptional_stratum(sigma)
+
+
+def _quotient_key(q: StarQuotient) -> tuple:
+    return (q.fan, _order(q.fan), q.projection, q.ray_index, q.pairs,
+            q.dropped)
+
+
+def test_star_quotient_fan_matches_the_cone_construction():
+    # The orbit fan of every ray of: the one-cone fan of each corpus,
+    # negative-corpus and seeded cone, its stratum's Delta and L, and its
+    # star subdivision at each proper face; and the seeded star
+    # subdivisions of complete fans.  A ray adjacent to another in no
+    # cone (a non-pyramidal star) is dropped.
+    cones = corpus_cones()
+    cones += [make_cone(rank, rays) for rank, rays in NEGATIVE_DATA]
+    cones += random_cones(59, 150) + random_rank4_cones(13, 30)
+    fans = grown_fans()
+    for sigma in cones:
+        one = Fan(sigma.ambient_rank, [sigma])
+        stratum = exceptional_stratum(sigma)
+        fans += [one, stratum.subdivision, stratum.quotient.fan]
+        fans += [star_subdivision(one, one.cone(s)) for s in one.cones
+                 if s and s != one.maximal_cones[0]]
+    pairs = non_empty = 0
+    for f in fans:
+        for ray in f.rays:
+            new = star_quotient_fan(f, ray)
+            assert _quotient_key(new) == \
+                _quotient_key(cone_star_quotient_fan(f, ray)), (f, ray)
+            pairs += 1
+            non_empty += bool(new.dropped)
+    assert pairs >= 5000 and non_empty >= 200, (pairs, non_empty)
 
 
 def _fields(c: Cone) -> tuple:

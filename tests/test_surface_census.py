@@ -17,8 +17,9 @@ with k * k' = 1 mod d are one cone up to swapping the rays, a GL2(Z) map,
 and a seeded unimodular image of each cone is the same cone in another
 basis; both must give the same tuples.
 
-Every input cone here is simplicial and full-dimensional, so each verdict
-reads its facets through the lazy _facet_data path.
+Every input cone here is simplicial and full-dimensional, so each is
+known full-dimensional by its determinant and builds its facets over the
+identity span, with no kernel computed.
 """
 
 import hashlib
