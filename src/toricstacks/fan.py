@@ -700,8 +700,9 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
     generator.  Each projected cone is spanned by the images of the rays
     that span a 2-face with the ray (_orbit_fan), read off the cone's
     faces; a ray of the star adjacent to the ray in no cone is dropped.
-    f must pass validate_fan: two overlapping cones at the ray may project
-    to one cone, which is then listed twice."""
+    Raises GeometryError, naming the ray, when two projected cones repeat
+    or nest, as two overlapping cones at the ray can: f fails
+    validate_fan then."""
     ray = tuple(int(x) for x in ray)
     if ray not in f.rays:
         raise GeometryError("%s is not a ray of the fan" % (ray,))
@@ -716,8 +717,14 @@ def star_quotient_fan(f: Fan, ray) -> StarQuotient:
             adjacent.append(tuple(sorted(
                 index[c.rays[j]] for face in c.face_ray_sets()
                 if len(face) == 2 and at in face for j in face - {at})))
-    return _orbit_fan(f.ambient_rank, f.rays, ri, adjacent,
-                      sorted(star - {ri}))
+    sq = _orbit_fan(f.ambient_rank, f.rays, ri, adjacent,
+                    sorted(star - {ri}))
+    cones = sq.fan.maximal_cones
+    if any(a <= b for i, a in enumerate(cones)
+           for j, b in enumerate(cones) if i != j):
+        raise GeometryError("the cones at ray %s project to repeated or "
+                            "nested cones: the fan is not valid" % (ray,))
+    return sq
 
 
 def _orbit_fan(n: int, rays, ri: int, adjacent, star) -> StarQuotient:
@@ -754,8 +761,7 @@ class ComparisonError(ValueError):
     the reason verbatim, when a later step fails:
     - Chow: the substitution fails its well-definedness certificate;
     - K: the stratum's exponent lattice does not map to zero in X(G);
-    - K: the two character groups have different structures;
-    - K: the stratum's ray classes do not generate X(G).
+    - K: the two character groups have different structures.
     Nothing is rescaled rationally.
     """
 

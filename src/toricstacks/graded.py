@@ -19,9 +19,11 @@ coordinates.  What is only counted or tested is read off the canonical
 Hermite rows of the piece's relation lattice (_piece_lattice), with no
 group built: piece_structure reads the piece's structure there, and the
 homogeneous leg of the check tests membership there.  An element in the
-original variables enters through _reduction's phi; a coordinate's lift
-leaves through its psi.  Monomials of a fixed degree are ordered descending-lex
-in the variable order, which makes every piece reproducible bit for bit.
+original variables enters through _reduction's phi.  No inverse of phi
+and no lift of a coordinate is kept: induced_map, the one reader of
+both, solves for them.  Monomials of a fixed degree are ordered
+descending-lex in the variable order, which makes every piece
+reproducible bit for bit.
 Every substitution of linear forms into a polynomial goes through
 _expand, straight into a coefficient vector over the target's degree-k
 monomials.
@@ -35,7 +37,7 @@ from typing import NamedTuple
 from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
                         from_columns, hnf_form, identity,
                         lattice_coefficients, lattice_structure, matmul,
-                        smith_basis, transpose)
+                        smith_basis, solve_many_in_span, transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -199,7 +201,7 @@ def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
     and the certificate."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    m = _relation_matrix(_reduction(p)[0].target, k)
+    m = _relation_matrix(_reduction(p).target, k)
     return len(m), tuple(row for row in hnf_form(transpose(m)) if any(row))
 
 
@@ -207,7 +209,7 @@ def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
 def piece_structure(p: GradedPresentation, k: int) \
         -> tuple[int, tuple[int, ...]]:
     """graded_piece(p, k).structure(), read off the piece's Hermite rows
-    (lattice_structure): no projection, lift or Smith transform."""
+    (lattice_structure): no projection or Smith transform."""
     return lattice_structure(*_piece_lattice(p, k))
 
 
@@ -234,19 +236,17 @@ def ring_map(source: GradedPresentation, target: GradedPresentation,
 
 
 @lru_cache(maxsize=None)
-def _reduction(p: GradedPresentation) -> tuple:
+def _reduction(p: GradedPresentation) -> RingMap:
     """The linear relations eliminated by a unimodular change of variables.
 
-    With (torsion, rows, cols) the Smith basis of the linear lattice, the
+    With (torsion, rows) the Smith basis of the linear lattice, the
     variables s_i = sum_j rows[i][j] t_j turn the linear relations into
     d_i s_i, and those with d_i = 1 are already dropped: the kept s_i carry
     only d_i s_i for d_i = torsion[i] (the free ones, past the torsion,
-    none) and the images of the homogeneous generators.  Returns
-    (phi, psi): phi maps p into that reduced presentation by
-    t_j -> sum_i rows[i][j] s_i, and psi maps it back by
-    s_i -> sum_j cols[i][j] t_j; phi o psi is the identity.
+    none) and the images of the homogeneous generators.  Returns phi, the
+    map of p into that reduced presentation by t_j -> sum_i rows[i][j] s_i.
     """
-    torsion, rows, cols = smith_basis(from_columns(p.linear_gens, p.n_vars))
+    torsion, rows = smith_basis(from_columns(p.linear_gens, p.n_vars))
     n = len(rows)
     lin = [tuple(d if j == i else 0 for j in range(n))
            for i, d in enumerate(torsion)]
@@ -256,10 +256,8 @@ def _reduction(p: GradedPresentation) -> tuple:
         image = _expand(items, phi_rows, n, degree)
         if any(image):
             homs.append((degree, zip(monomials(n, degree), image)))
-    reduced = make_presentation(n, lin, homs)
-    phi = RingMap(source=p, target=reduced, substitution=phi_rows)
-    psi = RingMap(source=reduced, target=p, substitution=cols)
-    return phi, psi
+    return RingMap(source=p, target=make_presentation(n, lin, homs),
+                   substitution=phi_rows)
 
 
 class Certification(NamedTuple):
@@ -288,7 +286,7 @@ def certify_well_defined(rm: RingMap) -> Certification:
     witness is the first generator that fails, linear generators first, as
     (degree, generator as sorted item tuple).
     """
-    phi = _reduction(rm.target)[0]
+    phi = _reduction(rm.target)
     composite = matmul(rm.substitution, phi.substitution)
     lin = rm.source.linear_gens
     if lin:
@@ -314,22 +312,30 @@ def _failure(degree: int, gen: Poly) -> Certification:
 
 def induced_map(rm: RingMap, k: int) -> Matrix:
     """Matrix of the degree-k induced map on piece coordinates (target
-    coordinates by source coordinates).
+    coordinates by source coordinates), for a well-defined rm.
 
     Each source coordinate's lift is expanded once under the composite
-    psi_source * substitution * phi_target, from the source's reduced
-    monomials straight to the target's, and projected there.
+    psi * substitution * phi_target, from the source's reduced monomials
+    straight to the target's, and projected there.  Both psi and the
+    lifts are solved for.  psi sends each reduced source variable s_i to
+    a linear form x with phi_source's rows taking x to e_i, and a lift of
+    a coordinate vector is an ambient vector the projection sends to it
+    (express on the projection's columns).  Neither choice changes the
+    result.  Two choices of x differ by the kernel of phi's rows, which is
+    spanned by linear relations, the directions of invariant factor 1.
+    Two lifts differ by relations of the source piece.  A well-defined
+    map sends relations to relations, so it sends both differences to 0.
     """
     src = graded_piece(rm.source, k)
     tgt = graded_piece(rm.target, k)
-    psi, phi = _reduction(rm.source)[1], _reduction(rm.target)[0]
-    composite = matmul(matmul(psi.substitution, rm.substitution),
-                       phi.substitution)
-    basis = monomials(psi.source.n_vars, k)
+    phi_source, phi = _reduction(rm.source), _reduction(rm.target)
+    n = phi_source.target.n_vars
+    psi = solve_many_in_span(transpose(phi_source.substitution), identity(n))
+    composite = matmul(matmul(psi, rm.substitution), phi.substitution)
+    basis, columns = monomials(n, k), transpose(src.projection)
     cols = []
-    for i in range(src.coord_rank):
-        unit = identity(src.coord_rank)[i]
-        image = _expand(zip(basis, src.lift_coords(unit)), composite,
+    for unit in identity(src.coord_rank):
+        image = _expand(zip(basis, src.express(columns, unit)), composite,
                         phi.target.n_vars, k)
         cols.append(tgt.project(image))
     return from_columns(cols, tgt.coord_rank)

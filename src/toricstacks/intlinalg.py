@@ -8,9 +8,12 @@ pivots, entries above a pivot reduced into [0, pivot)), which lets callers
 compare lattices by comparing matrices.  A matrix with no columns still
 has its rows: it is n_rows empty rows, and from_columns builds it.
 
-Each elimination tracks only the unimodular transforms its caller reads
-(hnf_form and rank track none).  Tracking never changes the operations
-applied to the working matrix, so results do not depend on it.  The two
+Each elimination tracks only the unimodular transforms its caller reads:
+the row transform u, and for snf the column transform v (hnf_form, rank
+and normal_form_group track none).  No elimination tracks an inverse
+transform; a caller that needs a preimage solves for it (solve_in_span,
+AbelianGroup.express).  Tracking never changes the operations applied to
+the working matrix, so results do not depend on it.  The two
 eliminations, _hnf and _snf, apply every operation inline on one list of
 working rows: a tracked u rides along as extra columns and a tracked v as
 extra rows, so one pass updates the matrix and its transforms.
@@ -21,7 +24,7 @@ and again:
 - hnf_form, on its frozen input;
 - kernel_basis, on its frozen input;
 - the echelon solve_in_span and solve_many_in_span read (the HNF of the
-  transpose, its transform and its pivots), on the frozen matrix;
+  transpose and its transform), on the frozen matrix;
 - smith_basis's Smith stage, on the canonical columns (so two presenting
   matrices of one lattice share it);
 - lattice_structure, the invariant factors alone, on the same canonical
@@ -84,42 +87,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _start(m, u: bool, u_inv: bool):
-    """The working rows of an elimination of m, and the transpose of u_inv
-    as rows (None unless u_inv is tracked).  A tracked u rides along as
+def _start(m, u: bool):
+    """The working rows of an elimination of m.  A tracked u rides along as
     extra columns of the working rows, so each row operation updates it in
-    the same pass.  u_inv takes the inverse column operations, which are
-    row operations on its transpose."""
+    the same pass."""
     w = [list(map(int, row)) for row in m]
-    if not (u or u_inv):
-        return w, None
-    eye = identity(len(m))
     if u:
-        for row, e in zip(w, eye):
+        for row, e in zip(w, identity(len(m))):
             row += e
-    return w, list(map(list, eye)) if u_inv else None
+    return w
 
 
-def _finish(w, t, nr: int, nc: int, u: bool):
-    """(a, u, u_inv) read off the working rows w[:nr] and the transpose t
-    of u_inv, with None for a transform not tracked."""
-    rows, u_inv = w[:nr], None if t is None else transpose(t)
+def _finish(w, nr: int, nc: int, u: bool):
+    """(a, u) read off the working rows w[:nr], with None for u when it is
+    not tracked."""
+    rows = w[:nr]
     if u:
-        return [r[:nc] for r in rows], [r[nc:] for r in rows], u_inv
-    return rows, None, u_inv
+        return [r[:nc] for r in rows], [r[nc:] for r in rows]
+    return rows, None
 
 
-def _hnf(m, u: bool = False, u_inv: bool = False):
+def _hnf(m, u: bool = False):
     """Row Hermite normal form (echelon, pivots positive, entries above a
-    pivot reduced into [0, pivot)) as (h, u, u_inv), with u * m = h and
-    u * u_inv = 1; a transform not asked for is None and costs nothing.
+    pivot reduced into [0, pivot)) as (h, u), with u * m = h; u is None
+    when not asked for and costs nothing.
 
     Each column's pivot is the first row of least nonzero absolute value
     at or below the current one; a row operation subtracts the floor
     quotient times the pivot row."""
     nr = len(m)
     nc = len(m[0]) if m else 0
-    w, t = _start(m, u, u_inv)
+    w = _start(m, u)
     r = 0
     for c in range(nc):
         if r == nr:
@@ -134,8 +132,6 @@ def _hnf(m, u: bool = False, u_inv: bool = False):
                 break
             if piv != r:
                 w[r], w[piv] = w[piv], w[r]
-                if t is not None:
-                    t[r], t[piv] = t[piv], t[r]
             pr = w[r]
             p = pr[c]
             clean = True
@@ -145,8 +141,6 @@ def _hnf(m, u: bool = False, u_inv: bool = False):
                     q = wi[c] // p
                     if q:
                         w[i] = wi = [x - q * y for x, y in zip(wi, pr)]
-                        if t is not None:
-                            t[r] = [x + q * y for x, y in zip(t[r], t[i])]
                     if wi[c]:
                         clean = False
             if clean:
@@ -155,17 +149,13 @@ def _hnf(m, u: bool = False, u_inv: bool = False):
         if pr[c]:
             if pr[c] < 0:
                 w[r] = pr = [-x for x in pr]
-                if t is not None:
-                    t[r] = [-x for x in t[r]]
             p = pr[c]
             for i in range(r):
                 q = w[i][c] // p
                 if q:
                     w[i] = [x - q * y for x, y in zip(w[i], pr)]
-                    if t is not None:
-                        t[r] = [x + q * y for x, y in zip(t[r], t[i])]
             r += 1
-    return _finish(w, t, nr, nc, u)
+    return _finish(w, nr, nc, u)
 
 
 def hnf(m) -> tuple[Matrix, Matrix]:
@@ -174,7 +164,7 @@ def hnf(m) -> tuple[Matrix, Matrix]:
     Returns (h, u) with u unimodular, u * m = h, h in echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     """
-    h, u, _ = _hnf(m, u=True)
+    h, u = _hnf(m, u=True)
     return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
@@ -189,9 +179,9 @@ def _hnf_form(m: Matrix) -> Matrix:
     return tuple(map(tuple, _hnf(m)[0]))
 
 
-def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
-    """Smith normal form as (d, u, u_inv, v), with u * m * v = d and
-    u * u_inv = 1; a transform not asked for is None.
+def _snf(m, u: bool = False, v: bool = False):
+    """Smith normal form as (d, u, v), with u * m * v = d; a transform not
+    asked for is None.
 
     u rides along as extra columns of the working rows (see _start), and
     v as extra rows below them, so each column operation on the rows of
@@ -199,15 +189,9 @@ def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
     nr = len(m)
     nc = len(m[0]) if m else 0
     n = min(nr, nc)
-    w, t = _start(m, u, u_inv)
+    w = _start(m, u)
     if v:
         w += map(list, identity(nc))
-
-    def row_swap(i, j):
-        if i != j:
-            w[i], w[j] = w[j], w[i]
-            if t is not None:
-                t[i], t[j] = t[j], t[i]
 
     def col_swap(i, j):
         if i != j:
@@ -226,7 +210,7 @@ def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
                     piv, best = (i, j), x
         if piv is None:
             break
-        row_swap(k, piv[0])
+        w[k], w[piv[0]] = w[piv[0]], w[k]
         col_swap(k, piv[1])
         while True:
             # Clear column k, then row k; column operations cannot dirty a
@@ -244,15 +228,13 @@ def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
                             pi, least = i, x
                 if not left:
                     break
-                row_swap(k, pi)
+                w[k], w[pi] = w[pi], w[k]
                 wk = w[k]
                 p = wk[k]
                 for i in range(k + 1, nr):
                     q = w[i][k] // p
                     if q:
                         w[i] = [x - q * y for x, y in zip(w[i], wk)]
-                        if t is not None:
-                            t[k] = [x + q * y for x, y in zip(t[k], t[i])]
             moved = False
             while True:
                 wk = w[k]
@@ -278,12 +260,10 @@ def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
                 break
         if w[k][k] < 0:
             w[k] = [-x for x in w[k]]
-            if t is not None:
-                t[k] = [-x for x in t[k]]
 
     # Fix the divisibility chain by gcd/lcm-merging adjacent diagonal pairs:
     # diag(a, b) -> diag(g, a*b/g) via explicit 2x2 unimodular P (rows k,
-    # k+1; P^-1 on u_inv) and Q (columns k, k+1).
+    # k+1) and Q (columns k, k+1).
     rank = sum(1 for k in range(n) if w[k][k])
     done = False
     while not done:
@@ -298,16 +278,12 @@ def _snf(m, u: bool = False, u_inv: bool = False, v: bool = False):
             ri, rj = w[k], w[k + 1]
             w[k] = [x * a + y * b for a, b in zip(ri, rj)]
             w[k + 1] = [p10 * a + p11 * b for a, b in zip(ri, rj)]
-            if t is not None:
-                ti, tj = t[k], t[k + 1]
-                t[k] = [a * (da // g) + b * (db // g) for a, b in zip(ti, tj)]
-                t[k + 1] = [a * -y + b * x for a, b in zip(ti, tj)]
             q01, q11 = -y * db // g, x * da // g
             for row in w:
                 a, b = row[k], row[k + 1]
                 row[k] = a + b
                 row[k + 1] = a * q01 + b * q11
-    return (*_finish(w, t, nr, nc, u), w[nr:] if v else None)
+    return (*_finish(w, nr, nc, u), w[nr:] if v else None)
 
 
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
@@ -316,7 +292,7 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     Returns (d, u, v) with u, v unimodular, u * m * v = d, and d diagonal
     with non-negative entries satisfying d_1 | d_2 | ... .
     """
-    d, u, _, v = _snf(m, u=True, v=True)
+    d, u, v = _snf(m, u=True, v=True)
     return freeze(d), freeze(u), freeze(v)
 
 
@@ -333,15 +309,14 @@ class AbelianGroup(NamedTuple):
     Coordinates are (torsion part, free part): the first len(torsion)
     coordinates are valued mod the matching d_i, the remaining free_rank are
     unconstrained.  `projection` maps ambient vectors to coordinates (one row
-    per coordinate); `lift` is a right inverse of it, giving an ambient
-    representative for each coordinate vector.
+    per coordinate).  An ambient representative of given coordinates is
+    express(transpose(projection), coords).
     """
 
     ambient_rank: int
     free_rank: int
     torsion: tuple[int, ...]
     projection: Matrix
-    lift: Matrix
 
     @property
     def coord_rank(self) -> int:
@@ -369,12 +344,6 @@ class AbelianGroup(NamedTuple):
                              % (self.coord_rank, len(coords)))
         return tuple(x % d for x, d in zip(coords, self.torsion)) \
             + tuple(coords[len(self.torsion):])
-
-    def lift_coords(self, coords) -> Vector:
-        if len(coords) != self.coord_rank:
-            raise ValueError("expected %d coordinates, got %d"
-                             % (self.coord_rank, len(coords)))
-        return matvec(self.lift, coords)
 
     def kills(self, m) -> bool:
         """Is every column of m, in the ambient space, 0 in the group?  One
@@ -417,17 +386,16 @@ class AbelianGroup(NamedTuple):
         return lcm(*(d // gcd(c, d) for c, d in zip(coords, self.torsion)))
 
 
-def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
+def smith_basis(m) -> tuple[Vector, Matrix]:
     """Coordinates on Z^rows adapted to the column lattice of m, without
     the ones that lattice kills outright.
 
-    With u unimodular and u * m in Smith form, returns (torsion, rows, cols):
+    With u unimodular and u * m in Smith form, returns (torsion, rows):
     rows are the rows of u whose invariant factor is not 1 (torsion ones
-    first, their factors listed in torsion; then the free ones, factor 0),
-    and cols are the matching columns of u^-1, so rows * cols = 1.  Depends
-    only on the column lattice, not on the presenting matrix: the columns
-    are HNF-canonicalized first, and the Smith stage is memoised on the
-    canonical columns.
+    first, their factors listed in torsion; then the free ones, factor 0).
+    Depends only on the column lattice, not on the presenting matrix: the
+    columns are HNF-canonicalized first, and the Smith stage is memoised
+    on the canonical columns.
     """
     col_canon = hnf_form(transpose(m))
     return _lattice_smith_basis(len(m),
@@ -436,17 +404,15 @@ def smith_basis(m) -> tuple[Vector, Matrix, Matrix]:
 
 @lru_cache(maxsize=None)
 def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
-        -> tuple[Vector, Matrix, Matrix]:
+        -> tuple[Vector, Matrix]:
     """smith_basis of the lattice in Z^nr spanned by canon_cols."""
-    d, u, u_inv, _ = _snf(from_columns(canon_cols, nr), u=True, u_inv=True)
+    d, u, _ = _snf(from_columns(canon_cols, nr), u=True)
     nc = len(canon_cols)
     diag = [d[i][i] if i < nc else 0 for i in range(nr)]
     # The invariant factors run 1, ..., 1, torsion, 0, ..., 0.
     keep = [i for i in range(nr) if diag[i] != 1]
-    u_inv_cols = transpose(u_inv)
     return (tuple(diag[i] for i in keep if diag[i]),
-            freeze(u[i] for i in keep),
-            tuple(u_inv_cols[i] for i in keep))
+            freeze(u[i] for i in keep))
 
 
 @lru_cache(maxsize=None)
@@ -476,25 +442,18 @@ def lattice_structure(nr: int, canon_cols: Matrix) \
     return nr - rank, tuple(x for x in diag if x != 1)
 
 
-def normal_form_group(ambient_rank: int, torsion, rows,
-                      lift_cols) -> AbelianGroup:
+def normal_form_group(ambient_rank: int, torsion, rows) -> AbelianGroup:
     """The AbelianGroup whose projection has the given rows (one per
-    torsion coordinate, then one per free coordinate) and whose lift has
-    the given columns, put in normal form: torsion rows are reduced mod
-    their d_i, and the free rows are HNF-canonicalized with the lift
-    carried along, so that projection o lift stays the identity."""
+    torsion coordinate, then one per free coordinate), put in normal form:
+    torsion rows are reduced mod their d_i, and the free rows are
+    HNF-canonicalized, with no transform tracked."""
     torsion = tuple(torsion)
     nt = len(torsion)
     tor_rows = [tuple(x % d for x in row) for row, d in zip(rows, torsion)]
-    free_rows = list(rows[nt:])
-    tor_lift, free_lift = list(lift_cols[:nt]), list(lift_cols[nt:])
-    if free_rows:
-        free_rows, _, u_inv = _hnf(free_rows, u_inv=True)
-        free_lift = list(transpose(matmul(transpose(free_lift), u_inv)))
+    free_rows = _hnf(rows[nt:])[0]
     return AbelianGroup(ambient_rank=ambient_rank,
                         free_rank=len(free_rows), torsion=torsion,
-                        projection=freeze(tor_rows + free_rows),
-                        lift=from_columns(tor_lift + free_lift, ambient_rank))
+                        projection=freeze(tor_rows + free_rows))
 
 
 def cokernel(m) -> AbelianGroup:
@@ -503,7 +462,7 @@ def cokernel(m) -> AbelianGroup:
     Depends only on the column lattice, not on the presenting matrix: the
     columns are HNF-canonicalized first, and the free block of the projection
     is HNF-canonicalized too, so equal quotients of the same ambient space
-    get identical projections and lifts.  The group is memoised on the
+    get identical projections.  The group is memoised on the
     frozen matrix; the check that every relation dies runs on each call.
     """
     m = freeze(m)
@@ -653,6 +612,6 @@ def lattice_coefficients(rows, b) -> list[int] | None:
 def _solve_echelon(m: Matrix) -> tuple[Matrix, Matrix]:
     """The nonzero rows of the HNF of m's transpose and the matching rows
     of its transform: what solve_many_in_span reads."""
-    h, u, _ = _hnf(transpose(m), u=True)
+    h, u = _hnf(transpose(m), u=True)
     r = sum(map(any, h))
     return tuple(map(tuple, h[:r])), tuple(map(tuple, u[:r]))

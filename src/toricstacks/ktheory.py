@@ -238,8 +238,9 @@ def k_exceptional_comparison(stratum: ExceptionalStratum,
     The identification sends each stratum ray class to the class of its
     matched subdivision ray.  It must be well defined (the stratum's kernel
     rows, carried onto the subdivision's rays with 0 at v, die in X(G)) and
-    an isomorphism (equal structures, and the surviving ray classes
-    generate X(G)); otherwise ComparisonError says which part failed.
+    an isomorphism (equal structures; the surviving ray classes always
+    generate X(G), which is asserted); otherwise ComparisonError says
+    which part failed.
     The stratum's primitive collections are the subdivision's carried
     across dst (chow.exceptional_comparison), so each transported
     generator 1 - e^{-(w'_{dst(i)}+...)} is the subdivision's
@@ -260,10 +261,11 @@ def k_exceptional_comparison(stratum: ExceptionalStratum,
     if group.structure() != tgt_group.structure():
         raise ComparisonError("character groups differ: %s vs %s"
                               % (group.describe(), tgt_group.describe()))
-    if not group.generated_by([p_src.generator_images[i]
-                               for i in stratum.surviving]):
-        raise ComparisonError("stratum ray classes do not generate the "
-                              "character group")
+    # v is primitive, so some m has <m, v> = 1, and the kernel row
+    # (<m, r_i>)_i gives e_v = -sum over i != v of <m, r_i> e_i in X(G).
+    assert group.generated_by([p_src.generator_images[i]
+                               for i in stratum.surviving]), \
+        "stratum ray classes do not generate the character group"
 
     bq = boxed_quotient(p_src, box_radius)
     return KComparison(stratum=stratum, box_radius=box_radius, source=p_src,

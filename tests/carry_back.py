@@ -4,11 +4,12 @@ oracle for graded's reduced coordinates.
 graded_piece(p, k) is the cokernel over the degree-k monomials in the
 reduced variables of _reduction(p).  carried_back(p, k) is the same group
 over monomials(p.n_vars, k): its projection is the reduced projection
-composed with Sym^k(phi), its lift is Sym^k(psi) composed with the reduced
-lift, and the free block is put back in normal form.  Free rank and torsion
-pass through unchanged.  Sym^k is built here from dict polynomials, one
-product of linear forms per monomial, sharing no code with graded._expand.
-coords, canonical_rep and induced_map read coordinates in that basis.
+composed with Sym^k(phi), and the free block is put back in normal form.
+Free rank and torsion pass through unchanged.  Sym^k is built here from
+dict polynomials, one product of linear forms per monomial, sharing no
+code with graded._expand.  coords, canonical_rep and induced_map read
+coordinates in that basis; a coordinate's representative is solved for
+with express on the projection's columns.
 """
 
 from toricstacks.graded import _reduction, graded_piece, monomials
@@ -55,14 +56,12 @@ def sym_power(rm, k):
 
 
 def carried_back(p, k) -> AbelianGroup:
-    phi, psi = _reduction(p)
     reduced = graded_piece(p, k)
-    projection, lift_cols = (), ()
+    projection = ()
     if not reduced.is_trivial:
-        projection = matmul(reduced.projection, sym_power(phi, k))
-        lift_cols = transpose(matmul(sym_power(psi, k), reduced.lift))
+        projection = matmul(reduced.projection, sym_power(_reduction(p), k))
     return normal_form_group(len(monomials(p.n_vars, k)), reduced.torsion,
-                             projection, lift_cols)
+                             projection)
 
 
 def coords(p, k, element: dict):
@@ -72,7 +71,8 @@ def coords(p, k, element: dict):
 
 
 def canonical_rep(p, k, coordinates) -> dict:
-    amb = carried_back(p, k).lift_coords(coordinates)
+    group = carried_back(p, k)
+    amb = group.express(transpose(group.projection), coordinates)
     return {m: c for m, c in zip(monomials(p.n_vars, k), amb) if c}
 
 

@@ -104,9 +104,12 @@ MUTANTS = (
            """    if group.structure() != tgt_group.structure():""",
            """    if False:""",
            ("test_ktheory.py",)),
-    Mutant("K identification: no generation check", "ktheory.py",
-           """    if not group.generated_by([""",
-           """    if False and not group.generated_by([""",
+    Mutant("K identification: the generation assert dropped", "ktheory.py",
+           """    assert group.generated_by([p_src.generator_images[i]
+                               for i in stratum.surviving]), \\
+        "stratum ray classes do not generate the character group"
+""",
+           "",
            ("test_ktheory.py",)),
     Mutant("matched is always True", "ktheory.py",
            """    matched = True if comp.stabilized else None""",
@@ -143,6 +146,10 @@ MUTANTS = (
                 index[c.rays[j]] for face in c.face_ray_sets()
                 if len(face) == 2 and at in face for j in face - {at})))""",
            """            adjacent.append(tuple(sorted(s - {ri})))""",
+           ("test_fan.py",)),
+    Mutant("star_quotient_fan skips the repeated-or-nested check", "fan.py",
+           """    if any(a <= b for i, a in enumerate(cones)""",
+           """    if False and any(a <= b for i, a in enumerate(cones)""",
            ("test_fan.py",)),
     Mutant("the full-dimensional shortcut skips the determinant", "fan.py",
            """        perp_rows = () if len(gens) == n and det(gens) \\""",
@@ -220,6 +227,10 @@ from . import ktheory  # noqa: F401
            """        r = next(x for i, x in enumerate(sigma.rays) if i not in fs)""",
            """        r = next(x for i, x in enumerate(sigma.rays) if i in fs)""",
            ("test_fan.py", "test_fan_combinatorics_oracle.py")),
+    Mutant("induced_map takes psi as phi's transpose", "graded.py",
+           """    psi = solve_many_in_span(transpose(phi_source.substitution), identity(n))""",
+           """    psi = transpose(phi_source.substitution)""",
+           ("test_induced_map_pin.py",)),
     Mutant("lattice_structure takes the unit-pivot shortcut on any pivot",
            "intlinalg.py",
            """    if all(next(filter(None, row)) == 1 for row in canon_cols):""",

@@ -308,6 +308,22 @@ def test_star_quotient_drops_a_ray_adjacent_in_no_cone():
     assert sq.dropped == (2,)
 
 
+def test_star_quotient_rejects_repeated_or_nested_images():
+    # Two overlapping cones at (1, 0) both project to the ray (1,): the
+    # quotient would list one cone twice.
+    f = Fan(2, [Cone(2, [(1, 0), (1, 2)]), Cone(2, [(1, 0), (1, 1)])])
+    with pytest.raises(GeometryError, match=r"ray \(1, 0\) project"):
+        star_quotient_fan(f, (1, 0))
+    # A 2-cone inside a 3-cone at (0, 0, 1): its image is a face of the
+    # 3-cone's image.
+    g = Fan(3, [Cone(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1)]),
+                Cone(3, [(0, 0, 1), (1, 0, 2)])])
+    with pytest.raises(GeometryError, match=r"ray \(0, 0, 1\) project"):
+        star_quotient_fan(g, (0, 0, 1))
+    for bad in (f, g):
+        assert not validate_fan(bad).ok
+
+
 def test_star_quotient_multiplicities():
     # the projected generators need not stay primitive
     f = Fan.from_data(2, [[1, 0], [1, 4]], [[0, 1]])

@@ -155,7 +155,9 @@ def old_orbit_relation_data(f, tau):
                                         transpose(span_coordinates(tau)[0]))
         rel = transpose(coord_cols) if coord_cols \
             else tuple(() for _ in range(sigma.dim))
-        n_gen = matvec(span, cokernel(rel).lift_coords((1,)))
+        quotient = cokernel(rel)
+        n_gen = matvec(span, quotient.express(transpose(quotient.projection),
+                                              (1,)))
         w = None
         for fs, fn in zip(sigma.facet_sets, sigma.facet_normals):
             if frozenset(sigma.rays[i] for i in fs) == frozenset(tau.rays):

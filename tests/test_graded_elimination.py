@@ -6,12 +6,14 @@ k, linear ones included, expanded over all degree-k monomials in the
 original variables, then one cokernel.  Each piece, carried back to those
 monomials, must have the same structure and the same (canonical) free
 block of the projection, its projection must kill every direct relation
-column, and its lift must be a right inverse of its projection modulo
-torsion.  The projection of an element's phi-expansion, which
-certify_well_defined applies to each generator image, is checked against
-the same expansion through a local normal_form: it is zero exactly on the
-direct relation lattice, and it commutes with induced_map on the certified
-comparison maps.
+column, and every coordinate vector must have an ambient representative,
+solved for with express on the projection's columns, that the projection
+sends back to it modulo torsion (groups carry no lift).  The projection
+of an element's phi-expansion, which certify_well_defined applies to each
+generator image, is checked against the same expansion through a local
+normal_form: it is zero exactly on the direct relation lattice, and it
+commutes with induced_map, which solves for its own lifts, on the
+certified comparison maps.
 """
 
 import random
@@ -26,7 +28,7 @@ from toricstacks.chow import (ComparisonError, exceptional_comparison,
                               exceptional_stratum)
 from toricstacks.graded import (_expand, _reduction, graded_piece,
                                 induced_map, make_presentation, monomials)
-from toricstacks.intlinalg import cokernel, from_columns, matvec
+from toricstacks.intlinalg import cokernel, from_columns, matvec, transpose
 
 
 def exponents(n_vars, degree):
@@ -42,7 +44,7 @@ def exponents(n_vars, degree):
 def normal_form(p, k, element):
     """Coordinates in graded_piece(p, k) of a degree-k element: its
     expansion through _reduction's phi, projected."""
-    phi = _reduction(p)[0]
+    phi = _reduction(p)
     vec = _expand(element.items(), phi.substitution, phi.target.n_vars, k)
     return graded_piece(p, k).project(vec)
 
@@ -82,9 +84,11 @@ def check_against_direct(p, k):
     assert g.projection[nt:] == ref.projection[nt:]
     for col in columns:
         assert not any(g.project(col))
+    columns = transpose(g.projection)
     for i in range(g.coord_rank):
         e = tuple(int(i == j) for j in range(g.coord_rank))
-        assert g.project(g.lift_coords(e)) == g.reduce(e)
+        rep = g.express(columns, e)
+        assert rep is not None and g.project(rep) == g.reduce(e)
     return g
 
 
@@ -181,8 +185,9 @@ def _rings():
 def _sample_elements(rng, basis, columns, ref) -> list:
     """Degree-k elements as coefficient dicts: zero, a random combination
     of relation columns, the same off by one monomial, a generic element,
-    and per torsion coordinate of the direct cokernel the lift of its unit
-    (not a relation) and d times it (a relation)."""
+    and per torsion coordinate of the direct cokernel a representative of
+    its unit (not a relation) and d times it (a relation), solved for with
+    express on the projection's columns."""
     vecs = []
     if basis and columns:
         relation = [0] * len(basis)
@@ -194,11 +199,11 @@ def _sample_elements(rng, basis, columns, ref) -> list:
         vecs += [relation, off]
     if basis:
         vecs.append([rng.randint(-3, 3) for _ in basis])
-    n = ref.coord_rank
+    n, ref_columns = ref.coord_rank, transpose(ref.projection)
     for i, d in enumerate(ref.torsion):
         for scale in (1, d):
-            vecs.append(ref.lift_coords(tuple(scale if j == i else 0
-                                              for j in range(n))))
+            vecs.append(ref.express(ref_columns, tuple(scale if j == i else 0
+                                                       for j in range(n))))
     return [{}] + [{m: c for m, c in zip(basis, v) if c} for v in vecs]
 
 

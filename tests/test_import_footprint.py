@@ -106,7 +106,7 @@ def test_only_intlinalg_builds_empty_matrices():
 RECORDS = (
     ("intlinalg", {
         "AbelianGroup": ("ambient_rank", "free_rank", "torsion",
-                         "projection", "lift"),
+                         "projection"),
     }),
     ("fan", {
         "FanViolation": ("first", "second", "reason"),

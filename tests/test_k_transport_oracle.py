@@ -21,6 +21,7 @@ from test_chow_certificate import NEGATIVE_DATA, random_cones, \
 from toricstacks import ktheory
 from toricstacks.cox import cox
 from toricstacks.fan import ComparisonError, exceptional_stratum, make_cone
+from toricstacks.intlinalg import transpose
 from toricstacks.ktheory import GroupAlgebraPresentation, boxed_quotient, \
     k_ring_stack
 
@@ -59,11 +60,12 @@ def transported_presentation(stratum):
     if not src_group.generated_by(images):
         raise ComparisonError("stratum ray classes do not generate the "
                               "character group")
-    gens = []
+    gens, columns = [], transpose(tgt_group.projection)
     for gen in p_tgt.ideal_gens:
         term: dict = {}
         for coords, coeff in gen:
-            c = combine(src_group, images, tgt_group.lift_coords(coords))
+            c = combine(src_group, images,
+                        tgt_group.express(columns, coords))
             term[c] = term.get(c, 0) + coeff
         gens.append(tuple(sorted((c, v) for c, v in term.items() if v)))
     return p_src, GroupAlgebraPresentation(group=src_group,

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from toricstacks import chow, ktheory
+from toricstacks import chow, cli, ktheory
 from toricstacks.chow import (
     ComparisonError,
     ExceptionalStratum,
@@ -19,6 +21,8 @@ from toricstacks.ktheory import (
     window_lattice,
 )
 
+SQUARE = str(Path(__file__).resolve().parent.parent / "fixtures"
+             / "sigma_square.json")
 SQUARE_RAYS = [(1, 0, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1)]
 
 
@@ -262,9 +266,9 @@ def test_comparison_failure_is_reported_by_both_verifiers(monkeypatch):
 
 
 def test_unreached_identification_reasons_are_reported(monkeypatch):
-    # The character-group and generation checks never fail on the oracle
-    # cones, so inject each failure: verify_k_vanishing must report the
-    # reason verbatim as an unidentified cone.
+    # The character-group checks never fail on the oracle cones, so inject
+    # each failure: verify_k_vanishing must report the reason verbatim as
+    # an unidentified cone.
     with monkeypatch.context() as m:
         # An empty stratum kernel: it maps to zero, but X(G) of the stratum
         # becomes Z^4 against the subdivision's Z^2.
@@ -275,6 +279,11 @@ def test_unreached_identification_reasons_are_reported(monkeypatch):
     assert not report.identified and not report.conclusion
     assert report.matched is None and report.window_rank is None
 
+
+def test_ungenerated_character_group_is_an_internal_error(monkeypatch,
+                                                          capsys):
+    # v is primitive, so the surviving ray classes always generate X(G):
+    # classes that do not are a bug, asserted, never a negative verdict.
     real = ktheory.k_ring_stack
 
     def zero_images(f):
@@ -283,13 +292,11 @@ def test_unreached_identification_reasons_are_reported(monkeypatch):
         return p._replace(generator_images=tuple(
             (0,) * p.group.coord_rank for _ in p.generator_images))
 
-    with monkeypatch.context() as m:
-        m.setattr(ktheory, "k_ring_stack", zero_images)
-        report = verify_k_vanishing(square_cone(), 3)
-    assert report.failure == \
-        "stratum ray classes do not generate the character group"
-    assert not report.identified and not report.conclusion
-    assert report.matched is None and report.window_rank is None
+    monkeypatch.setattr(ktheory, "k_ring_stack", zero_images)
+    with pytest.raises(AssertionError, match="do not generate"):
+        verify_k_vanishing(square_cone(), 3)
+    assert cli.run(["verify-k-vanishing", SQUARE]) == 3
+    assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 def test_unstabilized_window_leaves_matched_unsettled(monkeypatch):

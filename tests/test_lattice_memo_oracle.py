@@ -4,7 +4,7 @@ smith_basis memoises its Smith stage on the HNF-canonical columns, so two
 presenting matrices of one lattice share it; cokernel memoises its
 normal-form group on the frozen matrix.  The oracles below are the
 uncached constructions, kept test-local: a Smith form of the canonical
-columns with both row transforms, and the normal-form group built from it.
+columns with its row transform, and the normal-form group built from it.
 Both memoised kernels must return what they return, on a cache miss and
 on a hit.  cokernel must still check that every relation dies on a hit,
 and cox that every row of beta dies; each check is one matrix product
@@ -40,14 +40,12 @@ def uncached_smith_basis(m):
     nr = len(m)
     col_canon = hnf_form(transpose(m))
     m = from_columns([row for row in col_canon if any(row)], nr)
-    d, u, u_inv, _ = _snf(m, u=True, u_inv=True)
+    d, u, _ = _snf(m, u=True)
     nc = len(m[0]) if m else 0
     diag = [d[i][i] if i < nc else 0 for i in range(nr)]
     keep = [i for i in range(nr) if diag[i] != 1]
-    u_inv_cols = transpose(u_inv)
     return (tuple(diag[i] for i in keep if diag[i]),
-            freeze(u[i] for i in keep),
-            tuple(u_inv_cols[i] for i in keep))
+            freeze(u[i] for i in keep))
 
 
 def uncached_cokernel(m):

@@ -80,7 +80,7 @@ def _in_reduced_relations(p, k: int, poly: dict) -> bool:
     """Is a homogeneous degree-k polynomial over p's variables a relation?
     It goes through the reduction's phi by _substitute and is projected
     through the reduced degree-k piece."""
-    phi = _reduction(p)[0]
+    phi = _reduction(p)
     basis = monomials(phi.target.n_vars, k)
     image = _substitute(phi, poly)
     vec = [image.get(m, 0) for m in basis]

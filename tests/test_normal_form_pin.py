@@ -1,22 +1,24 @@
 """Pins the exact normal form of every corpus graded piece.
 
-Each digest covers torsion, free rank, projection and lift of graded
-pieces of chow_ring_stack(star_subdivision(cone)), carried back to the
-original monomial basis (carry_back.carried_back).  PINNED_DIGEST covers
-every corpus cone at degrees 0-4 and, except cone 18, at degree 5; it was
-computed on the code as it stood before the eliminations in intlinalg
-stopped tracking transforms no caller reads.  PINNED_DIGEST_CONE_18_DEG_5
-covers cone 18 at degree 5; it was computed on the code as it stood before
-graded_piece eliminated the linear relations, when that piece was still
-expanded over one variable per ray.  Any change to the sequence of
-row/column operations, and hence to a canonical projection or lift, shows
-up here.
+Each digest covers torsion, free rank and projection of graded pieces of
+chow_ring_stack(star_subdivision(cone)), carried back to the original
+monomial basis (carry_back.carried_back).  PINNED_DIGEST covers every
+corpus cone at degrees 0-4 and, except cone 18, at degree 5;
+PINNED_DIGEST_CONE_18_DEG_5 covers cone 18 at degree 5.  Any change to
+the sequence of row/column operations, and hence to a canonical
+projection, shows up here.  The pieces' lifts were hashed too until the
+eliminations in intlinalg stopped tracking an inverse transform and
+AbelianGroup lost its lift; all three digests were recomputed without the
+lift on the code as it stood just before, so they prove every projection
+unchanged by that step.  The earlier, lift-hashing digests had held since
+the eliminations stopped tracking transforms no caller reads (the corpus
+digest) and since graded_piece eliminated the linear relations (cone 18).
 
 PINNED_CLASS_GROUP_DIGEST covers the class groups A_k: chow_relation_data
 and the normal form of chow_groups in every degree k, on three fans of each
 corpus and negative-corpus cone (the one-cone fan, its exceptional_stratum
-subdivision Delta and its stratum fan L).  It was computed on the code as
-it stood while both functions still lived in chow.
+subdivision Delta and its stratum fan L).  It was first computed on the
+code as it stood while both functions still lived in chow.
 """
 
 import hashlib
@@ -28,11 +30,11 @@ from carry_back import carried_back
 from corpus import corpus_cones
 from test_negative_corpus import NEGATIVE
 
-PINNED_DIGEST = "62c0769f592f99d53e2016b274ed02115fde2e34f1563f69532d192289110486"
+PINNED_DIGEST = "c52211cc8371c99b0fd9133e645457521e8d2455f5f9b53323b357235bcbeea2"
 PINNED_DIGEST_CONE_18_DEG_5 = \
-    "1025a688d9196945a1f66c7ec7723fc22feb0ddf5f80bf9ef12bb471b5588ab1"
+    "05d80597bec86a76874a9d59635a6b82bbc1821f8db4c044b120746f1e74077b"
 PINNED_CLASS_GROUP_DIGEST = \
-    "4db882ee6fbde1087e1f9a10181e856494683059eb6a200bb236f0b82e6cc945"
+    "bdb57043d9ec66258c49ce8f398430f3b2104344170675079c69aa63cdd5c5aa"
 MAX_DEG = 4
 DEG_5_PINNED_SEPARATELY = {18}
 
@@ -48,8 +50,8 @@ def normal_form_digest(degrees_of) -> str:
         source = chow_ring_stack(star_subdivision(f, cone))
         for k in degrees:
             g = carried_back(source, k)
-            h.update(repr((idx, k, g.torsion, g.free_rank, g.projection,
-                           g.lift)).encode())
+            h.update(repr((idx, k, g.torsion, g.free_rank,
+                           g.projection)).encode())
     return h.hexdigest()
 
 
@@ -80,8 +82,8 @@ def class_group_digest() -> str:
             for k in range(f.ambient_rank + 1):
                 g = chow_groups(f, k)
                 h.update(repr((idx, which, k, chow_relation_data(f, k),
-                               g.torsion, g.free_rank, g.projection,
-                               g.lift)).encode())
+                               g.torsion, g.free_rank,
+                               g.projection)).encode())
     return h.hexdigest()
 
 

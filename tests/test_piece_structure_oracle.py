@@ -5,7 +5,7 @@ The verdict reads each graded piece's structure off the canonical Hermite
 rows of its relation lattice (intlinalg.lattice_structure, through
 graded.piece_structure), and certifies each homogeneous generator by
 membership in the same rows (intlinalg.lattice_coefficients), with no
-projection, lift or Smith transform.  The oracles:
+projection or Smith transform.  The oracles:
 - lattice_structure equals cokernel(m).structure() and sympy's Smith form
   (test-only) on seeded matrices: torsion, no columns, no rows, zero rows,
   rank deficiency, repeated columns, and free quotients whose Hermite

@@ -145,7 +145,9 @@ def test_star_quotient_fan_matches_the_cone_construction():
     # negative-corpus and seeded cone, its stratum's Delta and L, and its
     # star subdivision at each proper face; and the seeded star
     # subdivisions of complete fans.  A ray adjacent to another in no
-    # cone (a non-pyramidal star) is dropped.
+    # cone (a non-pyramidal star) is dropped.  Every fan here is a
+    # fan by construction (each passes validate_fan), so none trips the
+    # repeated-or-nested check.
     cones = corpus_cones()
     cones += [make_cone(rank, rays) for rank, rays in NEGATIVE_DATA]
     cones += random_cones(59, 150) + random_rank4_cones(13, 30)
