@@ -25,10 +25,9 @@ from .intlinalg import (
     AbelianGroup,
     Matrix,
     Vector,
+    _hnf_form,
     cokernel,
-    freeze,
     from_columns,
-    hnf_form,
     transpose,
 )
 
@@ -66,10 +65,11 @@ def ray_relations(f: Fan) -> Matrix:
     over Q; a rank-0 fan (a point) is accepted.
     """
     n = f.ambient_rank
-    beta = from_columns(freeze(f.rays), n)
     # The nonzero HNF rows of beta span its row lattice, so they count the
-    # rays' rank.
-    kernel = tuple(row for row in hnf_form(beta) if any(row))
+    # rays' rank.  The fan's rays are tuples of ints, so beta goes to the
+    # memo as it is built.
+    kernel = tuple(row for row in _hnf_form(from_columns(f.rays, n))
+                   if any(row))
     if len(kernel) != n:
         raise TorusFactorError(
             "rays span a rank-%d sublattice of Z^%d; the fan has a torus "

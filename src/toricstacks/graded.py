@@ -19,11 +19,14 @@ coordinates.  What is only counted or tested is read off the canonical
 Hermite rows of the piece's relation lattice (_piece_lattice), with no
 group built: piece_structure reads the piece's structure there, and the
 homogeneous leg of the check tests membership there.  An element in the
-original variables enters through _reduction's phi.  No inverse of phi
-and no lift of a coordinate is kept: induced_map, the one reader of
-both, solves for them.  Monomials of a fixed degree are ordered
-descending-lex in the variable order, which makes every piece
-reproducible bit for bit.
+original variables enters through _reduction's phi.  The relations of
+degree k are built as rows, one coefficient vector over the reduced
+degree-k monomials per generator multiple (_relation_matrix), and go to
+the Hermite memo as they are: the lattice's canonical rows are the
+nonzero rows of their HNF.  No inverse of phi and no lift of a
+coordinate is kept: induced_map, the one reader of both, solves for
+them.  Monomials of a fixed degree are ordered descending-lex in the
+variable order, which makes every piece reproducible bit for bit.
 Every substitution of linear forms into a polynomial goes through
 _expand, straight into a coefficient vector over the target's degree-k
 monomials.
@@ -32,10 +35,11 @@ monomials.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
-from .intlinalg import (AbelianGroup, Matrix, Vector, cokernel, freeze,
-                        from_columns, hnf_form, identity,
+from .intlinalg import (AbelianGroup, Matrix, Vector, _hnf_form, cokernel,
+                        freeze, from_columns, identity,
                         lattice_coefficients, lattice_structure, matmul,
                         smith_basis, solve_many_in_span, transpose)
 
@@ -59,23 +63,25 @@ def _normalize_poly(element, n_vars: int) -> Poly:
     items = element.items() if isinstance(element, dict) else element
     out: Poly = {}
     for expt, coeff in items:
-        expt = tuple(int(x) for x in expt)
+        expt = tuple(map(int, expt))
         if len(expt) != n_vars:
             raise ValueError("exponent %r has length %d, expected %d"
                              % (expt, len(expt), n_vars))
-        if any(x < 0 for x in expt):
+        if expt and min(expt) < 0:
             raise ValueError("negative exponent in %r" % (expt,))
         coeff = int(coeff)
         if coeff:
-            out[expt] = out.get(expt, 0) + coeff
-            if not out[expt]:
+            coeff += out.get(expt, 0)
+            if coeff:
+                out[expt] = coeff
+            else:
                 del out[expt]
     return out
 
 
 def _poly_degree(poly: Poly) -> int | None:
     """Degree of a homogeneous poly, None for the zero poly."""
-    degrees = {sum(e) for e in poly}
+    degrees = set(map(sum, poly))
     if not degrees:
         return None
     if len(degrees) > 1:
@@ -157,24 +163,24 @@ def _shifted_column(poly: Poly, shift, n_vars: int, degree: int) -> Vector:
     index = _monomial_index(n_vars, degree)
     col = [0] * len(index)
     for expt, coeff in poly.items():
-        e = tuple(x + y for x, y in zip(expt, shift))
-        col[index[e]] += coeff
+        col[index[tuple(map(add, expt, shift))]] += coeff
     return tuple(col)
 
 
-def _relation_matrix(p: GradedPresentation, k: int) -> Matrix:
-    """Generator multiples of degree k as columns over the degree-k
-    monomial basis."""
-    columns = []
+def _relation_matrix(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
+    """The number of degree-k monomials and the generator multiples of
+    degree k, one coefficient vector over those monomials each: the
+    relations as the rows _piece_lattice reduces."""
+    relations = []
     for row in p.linear_gens:
         gen = {identity(p.n_vars)[i]: c for i, c in enumerate(row) if c}
         for m in monomials(p.n_vars, k - 1):
-            columns.append(_shifted_column(gen, m, p.n_vars, k))
+            relations.append(_shifted_column(gen, m, p.n_vars, k))
     for degree, items in p.homogeneous_gens:
         gen = dict(items)
         for m in monomials(p.n_vars, k - degree):
-            columns.append(_shifted_column(gen, m, p.n_vars, k))
-    return from_columns(columns, len(monomials(p.n_vars, k)))
+            relations.append(_shifted_column(gen, m, p.n_vars, k))
+    return len(monomials(p.n_vars, k)), tuple(relations)
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +202,14 @@ def graded_piece(p: GradedPresentation, k: int) -> AbelianGroup:
 def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
     """The degree-k relation lattice in the reduced variables, as the
     number of reduced degree-k monomials and the lattice's canonical
-    Hermite rows: the nonzero rows of hnf_form of the relation matrix's
-    transpose, built once per (p, k) for graded_piece, piece_structure
-    and the certificate."""
+    Hermite rows, built once per (p, k) for graded_piece, piece_structure
+    and the certificate.  _relation_matrix builds the relations as rows,
+    so they go to the Hermite memo as they are, and the nonzero rows of
+    their HNF are the lattice's canonical rows."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    m = _relation_matrix(_reduction(p).target, k)
-    return len(m), tuple(row for row in hnf_form(transpose(m)) if any(row))
+    n_rows, relations = _relation_matrix(_reduction(p).target, k)
+    return n_rows, tuple(row for row in _hnf_form(relations) if any(row))
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +262,8 @@ def _reduction(p: GradedPresentation) -> RingMap:
     for degree, items in p.homogeneous_gens:
         image = _expand(items, phi_rows, n, degree)
         if any(image):
-            homs.append((degree, zip(monomials(n, degree), image)))
+            homs.append((degree, [(m, c) for m, c in
+                                  zip(monomials(n, degree), image) if c]))
     return RingMap(source=p, target=make_presentation(n, lin, homs),
                    substitution=phi_rows)
 

@@ -33,6 +33,20 @@ and again:
 - identity(n), on n.
 Every cached result is made of immutable tuples, so callers share it
 safely, and cache_clear() on each cache empties it.
+
+Input is normalised once, where it enters.  A public function freezes
+whatever a caller passes (any iterable of integer rows) into tuples of
+ints, or copies it into the working rows of an elimination as ints
+(hnf, snf, rank), and then checks it; smith_basis keys the Hermite memo
+on its transpose's fresh tuples, which equal the frozen ones.  The
+memoised private kernels (_hnf_form, _kernel_basis, _solve_echelon,
+_lattice_smith_basis, _cokernel_group) take frozen tuples: an internal
+caller that built its matrix as tuples of ints itself, as
+cox.ray_relations and graded._piece_lattice do, hands it to the kernel
+straight, under the same key the public function would form.  A name
+the benchmark traces (cokernel, hnf, kernel_basis, solve_in_span, and
+the traced names of the other modules) is never bypassed, so each keeps
+its checks (cokernel's relation assert) and its call count.
 """
 
 from __future__ import annotations
@@ -88,14 +102,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _start(m, u: bool):
-    """The working rows of an elimination of m.  A tracked u rides along as
-    extra columns of the working rows, so each row operation updates it in
-    the same pass."""
+    """(w, nr, nc): the working rows of an elimination of m, with m's row
+    and column counts.  Copying m's entries into w as ints is the
+    elimination's freeze, so any iterable of rows will do.  A tracked u
+    rides along as extra columns of the working rows, so each row
+    operation updates it in the same pass."""
     w = [list(map(int, row)) for row in m]
+    nr = len(w)
+    nc = len(w[0]) if w else 0
     if u:
-        for row, e in zip(w, identity(len(m))):
+        for row, e in zip(w, identity(nr)):
             row += e
-    return w
+    return w, nr, nc
 
 
 def _finish(w, nr: int, nc: int, u: bool):
@@ -115,9 +133,7 @@ def _hnf(m, u: bool = False):
     Each column's pivot is the first row of least nonzero absolute value
     at or below the current one; a row operation subtracts the floor
     quotient times the pivot row."""
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    w = _start(m, u)
+    w, nr, nc = _start(m, u)
     r = 0
     for c in range(nc):
         if r == nr:
@@ -186,10 +202,8 @@ def _snf(m, u: bool = False, v: bool = False):
     u rides along as extra columns of the working rows (see _start), and
     v as extra rows below them, so each column operation on the rows of
     the working list updates the matrix and v together."""
-    nr = len(m)
-    nc = len(m[0]) if m else 0
+    w, nr, nc = _start(m, u)
     n = min(nr, nc)
-    w = _start(m, u)
     if v:
         w += map(list, identity(nc))
 
@@ -397,7 +411,10 @@ def smith_basis(m) -> tuple[Vector, Matrix]:
     columns are HNF-canonicalized first, and the Smith stage is memoised
     on the canonical columns.
     """
-    col_canon = hnf_form(transpose(m))
+    # transpose builds the key's tuples afresh and the Hermite elimination
+    # reads every entry as an int, so the input needs no freeze of its own.
+    m = tuple(m)
+    col_canon = _hnf_form(transpose(m))
     return _lattice_smith_basis(len(m),
                                 tuple(row for row in col_canon if any(row)))
 
@@ -412,7 +429,7 @@ def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
     # The invariant factors run 1, ..., 1, torsion, 0, ..., 0.
     keep = [i for i in range(nr) if diag[i] != 1]
     return (tuple(diag[i] for i in keep if diag[i]),
-            freeze(u[i] for i in keep))
+            tuple(tuple(u[i]) for i in keep))
 
 
 @lru_cache(maxsize=None)
@@ -447,13 +464,14 @@ def normal_form_group(ambient_rank: int, torsion, rows) -> AbelianGroup:
     torsion coordinate, then one per free coordinate), put in normal form:
     torsion rows are reduced mod their d_i, and the free rows are
     HNF-canonicalized, with no transform tracked."""
-    torsion = tuple(torsion)
+    torsion, rows = tuple(torsion), freeze(rows)
     nt = len(torsion)
-    tor_rows = [tuple(x % d for x in row) for row, d in zip(rows, torsion)]
-    free_rows = _hnf(rows[nt:])[0]
+    tor_rows = tuple(tuple(x % d for x in row)
+                     for row, d in zip(rows, torsion))
+    free_rows = tuple(map(tuple, _hnf(rows[nt:])[0]))
     return AbelianGroup(ambient_rank=ambient_rank,
                         free_rank=len(free_rows), torsion=torsion,
-                        projection=freeze(tor_rows + free_rows))
+                        projection=tor_rows + free_rows)
 
 
 def cokernel(m) -> AbelianGroup:
@@ -490,8 +508,8 @@ def kernel_basis(m) -> Matrix:
 def _kernel_basis(m: Matrix) -> Matrix:
     nc = len(m[0]) if m else 0
     h, u = hnf(transpose(m))
-    rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    return from_columns([r for r in hnf_form(rows) if any(r)], nc)
+    rows = tuple(u[i] for i in range(len(h)) if not any(h[i]))
+    return from_columns([r for r in _hnf_form(rows) if any(r)], nc)
 
 
 def rank(m) -> int:

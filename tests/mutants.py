@@ -231,6 +231,19 @@ from . import ktheory  # noqa: F401
            """    psi = solve_many_in_span(transpose(phi_source.substitution), identity(n))""",
            """    psi = transpose(phi_source.substitution)""",
            ("test_induced_map_pin.py",)),
+    Mutant("make_presentation drops the negative-exponent check",
+           "graded.py",
+           """        if expt and min(expt) < 0:
+            raise ValueError("negative exponent in %r" % (expt,))
+""",
+           "",
+           ("test_graded.py",)),
+    Mutant("_relation_matrix skips the linear-generator rows", "graded.py",
+           """    for row in p.linear_gens:
+        gen = {identity(p.n_vars)[i]: c for i, c in enumerate(row) if c}""",
+           """    for row in ():
+        gen = {identity(p.n_vars)[i]: c for i, c in enumerate(row) if c}""",
+           ("test_negative_corpus.py",)),
     Mutant("lattice_structure takes the unit-pivot shortcut on any pivot",
            "intlinalg.py",
            """    if all(next(filter(None, row)) == 1 for row in canon_cols):""",

@@ -162,6 +162,9 @@ def test_make_presentation_errors():
         make_presentation(2, [], [(2, {(1, 0): 1})])
     with pytest.raises(ValueError):
         make_presentation(2, [], [(1, {(1, -1): 1})])
+    # A negative exponent in a term of the labeled degree.
+    with pytest.raises(ValueError, match="negative exponent"):
+        make_presentation(2, [], [(1, {(2, -1): 1})])
     with pytest.raises(ValueError):
         make_presentation(2, [], [(0, {(0, 0): 1})])
     # Mixed-degree generator bodies are rejected outright.
