@@ -566,18 +566,32 @@ def primitive_collections(f: Fan) -> list[frozenset]:
     Batyrev 1991), built level by level as in Apriori: a face t (sorted
     tuple) grows to u = t + (i,) for i > max(t), a face when some maximal
     cone contains it, else a collection when every u - {j}, j in t, is a
-    face of t's level.  Each u arises once, from u - {max u}."""
-    n = len(f.rays)
+    face of t's level.  Each u arises once, from u - {max u}.
+
+    Each face of a level carries the bit mask of the maximal cones holding
+    it, so u is a face exactly when mask(t) & holds[i] is nonzero, with no
+    rescan of the cones.  A ray i held by every maximal cone is in no
+    collection S: S - {i} is a face, so it lies in a maximal cone, which
+    holds i too, and S is a face.  Such rays are left out of the search;
+    on a star subdivision the star ray is one, and leaving it out halves
+    the search."""
     maximal = f.maximal_cones
-    level = {(i,) for i in range(n)}
+    holds = [0] * len(f.rays)
+    for c, m in enumerate(maximal):
+        for i in m:
+            holds[i] |= 1 << c
+    full = (1 << len(maximal)) - 1
+    rays = [i for i, h in enumerate(holds) if h != full]
+    later = {i: rays[p + 1:] for p, i in enumerate(rays)}
+    level = {(i,): holds[i] for i in rays}
     collections: list[frozenset] = []
     while level:
-        grown = set()
-        for t in level:
-            for i in range(t[-1] + 1, n):
-                u = t + (i,)
-                if any(m.issuperset(u) for m in maximal):
-                    grown.add(u)
+        grown = {}
+        for t, mask in level.items():
+            for i in later[t[-1]]:
+                u, common = t + (i,), mask & holds[i]
+                if common:
+                    grown[u] = common
                 elif all(u[:j] + u[j + 1:] in level for j in range(len(t))):
                     collections.append(frozenset(u))
         level = grown

@@ -29,7 +29,12 @@ them.  Monomials of a fixed degree are ordered descending-lex in the
 variable order, which makes every piece reproducible bit for bit.
 Every substitution of linear forms into a polynomial goes through
 _expand, straight into a coefficient vector over the target's degree-k
-monomials.
+monomials.  The well-definedness check expands no generator that the
+substitution only renames onto one of the target's own generators: such
+an image lies in the target ideal by identity, and _reduction carries
+every target generator into the relation lattice of its degree, so the
+lattice test would pass too.  In the Chow comparison every source
+generator is one.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
-from .intlinalg import (AbelianGroup, Matrix, Vector, _hnf_form, cokernel,
-                        freeze, from_columns, identity,
-                        lattice_coefficients, lattice_structure, matmul,
-                        smith_basis, solve_many_in_span, transpose)
+from .intlinalg import (AbelianGroup, Matrix, Vector, _hnf_form,
+                        _lattice_structure, cokernel, freeze, from_columns,
+                        identity, lattice_coefficients, matmul, smith_basis,
+                        solve_many_in_span, transpose)
 
 Poly = dict  # exponent tuple -> nonzero integer coefficient
 
@@ -146,6 +151,8 @@ def _expand(items, substitution: Matrix, n_vars: int, degree: int) -> list:
     for expt, coeff in items:
         term = {(0,) * n_vars: coeff}
         for i, e in enumerate(expt):
+            if not e:
+                continue
             form = [(j, c) for j, c in enumerate(substitution[i]) if c]
             for _ in range(e):
                 product: dict = {}
@@ -216,8 +223,8 @@ def _piece_lattice(p: GradedPresentation, k: int) -> tuple[int, Matrix]:
 def piece_structure(p: GradedPresentation, k: int) \
         -> tuple[int, tuple[int, ...]]:
     """graded_piece(p, k).structure(), read off the piece's Hermite rows
-    (lattice_structure): no projection or Smith transform."""
-    return lattice_structure(*_piece_lattice(p, k))
+    (_lattice_structure): no projection or Smith transform."""
+    return _lattice_structure(*_piece_lattice(p, k))
 
 
 class RingMap(NamedTuple):
@@ -293,6 +300,16 @@ def certify_well_defined(rm: RingMap) -> Certification:
     the memo piece_structure reads too, so no group is built for it.  The
     witness is the first generator that fails, linear generators first, as
     (degree, generator as sorted item tuple).
+
+    A monomial generator whose variables each go to one target variable
+    with coefficient 1 has a monomial image (_renamed).  When that image
+    is one of the target's homogeneous generators it lies in the target
+    ideal, and it is not expanded.  This never changes the outcome:
+    _reduction carries each target generator into the target's relations,
+    so its image passes the lattice test as well.  The Chow comparison
+    takes this leg for every generator: the target's generators are the
+    source's primitive collections carried across the ray matching, no
+    collection holds the star ray, and every other variable is renamed.
     """
     phi = _reduction(rm.target)
     composite = matmul(rm.substitution, phi.substitution)
@@ -304,12 +321,32 @@ def certify_well_defined(rm: RingMap) -> Certification:
                        if any(piece.project(image)))
             unit = identity(rm.source.n_vars)
             return _failure(1, {unit[i]: c for i, c in enumerate(row) if c})
+    target_gens = rm.target.homogeneous_gens
     for degree, items in rm.source.homogeneous_gens:
+        if (degree, _renamed(items, rm.substitution)) in target_gens:
+            continue
         image = _expand(items, composite, phi.target.n_vars, degree)
         if lattice_coefficients(_piece_lattice(rm.target, degree)[1],
                                 image) is None:
             return _failure(degree, dict(items))
     return Certification(ok=True, witness=None)
+
+
+def _renamed(items, substitution: Matrix) -> tuple | None:
+    """The image of a monomial, as a sorted item tuple, when the
+    substitution sends each of its variables to one target variable with
+    coefficient 1; None for any other generator."""
+    if len(items) != 1:
+        return None
+    ((expt, coeff),) = items
+    out = [0] * len(substitution[0])
+    for i, e in enumerate(expt):
+        if e:
+            row = substitution[i]
+            if 1 not in row or row.count(0) != len(row) - 1:
+                return None
+            out[row.index(1)] += e
+    return ((tuple(out), coeff),)
 
 
 def _failure(degree: int, gen: Poly) -> Certification:

@@ -27,7 +27,7 @@ and again:
   transpose and its transform), on the frozen matrix;
 - smith_basis's Smith stage, on the canonical columns (so two presenting
   matrices of one lattice share it);
-- lattice_structure, the invariant factors alone, on the same canonical
+- _lattice_structure, the invariant factors alone, on the same canonical
   columns;
 - cokernel's group, on its frozen input;
 - identity(n), on n.
@@ -40,10 +40,10 @@ ints, or copies it into the working rows of an elimination as ints
 (hnf, snf, rank), and then checks it; smith_basis keys the Hermite memo
 on its transpose's fresh tuples, which equal the frozen ones.  The
 memoised private kernels (_hnf_form, _kernel_basis, _solve_echelon,
-_lattice_smith_basis, _cokernel_group) take frozen tuples: an internal
-caller that built its matrix as tuples of ints itself, as
-cox.ray_relations and graded._piece_lattice do, hands it to the kernel
-straight, under the same key the public function would form.  A name
+_lattice_smith_basis, _lattice_structure, _cokernel_group) take frozen
+tuples: an internal caller that built its matrix as tuples of ints
+itself, as cox.ray_relations and graded._piece_lattice do, hands it to
+the kernel straight, under the same key the public function would form.  A name
 the benchmark traces (cokernel, hnf, kernel_basis, solve_in_span, and
 the traced names of the other modules) is never bypassed, so each keeps
 its checks (cokernel's relation assert) and its call count.
@@ -433,13 +433,19 @@ def _lattice_smith_basis(nr: int, canon_cols: Matrix) \
 
 
 @lru_cache(maxsize=None)
-def lattice_structure(nr: int, canon_cols: Matrix) \
+def _lattice_structure(nr: int, canon_cols: Matrix) \
         -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion) of the quotient of Z^nr by the lattice spanned
     by canon_cols, its canonical Hermite rows (the nonzero rows of
     hnf_form(transpose(m)) for any m presenting it): cokernel(m).structure()
     with no transform computed.  Memoised on the rows, as
     _lattice_smith_basis is.
+
+    The rows must already be that: a tuple of int tuples in Hermite form,
+    zero rows dropped.  Nothing here checks it; other rows give a wrong
+    answer (the pivot read below takes each row's first nonzero entry) or
+    an unhashable key.  Its one caller, graded.piece_structure, passes
+    _piece_lattice's rows.
 
     When every pivot is 1 the quotient is free of rank nr - rank, with no
     elimination at all: projecting onto the pivot coordinates maps the
@@ -605,7 +611,7 @@ def lattice_coefficients(rows, b) -> list[int] | None:
     (each row's first nonzero entry, its pivot, right of the one before),
     or None when b is outside their integer span: the back-substitution
     solve_many_in_span runs on its echelon, and a membership test in a
-    lattice given by its canonical Hermite rows (as lattice_structure
+    lattice given by its canonical Hermite rows (as _lattice_structure
     reads them), with no transform.
 
     Each coordinate of b is read once, as the reduction passes it: one

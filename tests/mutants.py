@@ -244,7 +244,20 @@ from . import ktheory  # noqa: F401
            """    for row in ():
         gen = {identity(p.n_vars)[i]: c for i, c in enumerate(row) if c}""",
            ("test_negative_corpus.py",)),
-    Mutant("lattice_structure takes the unit-pivot shortcut on any pivot",
+    Mutant("the identity leg accepts any renamed image", "graded.py",
+           """        if (degree, _renamed(items, rm.substitution)) in target_gens:""",
+           """        if _renamed(items, rm.substitution) is not None:""",
+           ("test_linear_certificate_oracle.py",)),
+    Mutant("primitive_collections does not narrow by holds[i]", "fan.py",
+           """                u, common = t + (i,), mask & holds[i]""",
+           """                u, common = t + (i,), mask""",
+           ("test_primitive_collections_oracle.py",)),
+    Mutant("the prune drops rays held by all but one cone", "fan.py",
+           """    rays = [i for i, h in enumerate(holds) if h != full]""",
+           """    rays = [i for i, h in enumerate(holds)
+            if bin(full & ~h).count("1") > 1]""",
+           ("test_primitive_collections_oracle.py",)),
+    Mutant("_lattice_structure takes the unit-pivot shortcut on any pivot",
            "intlinalg.py",
            """    if all(next(filter(None, row)) == 1 for row in canon_cols):""",
            """    if True:""",
@@ -253,7 +266,7 @@ from . import ktheory  # noqa: F401
            """        if r or any(res[start:p]):""",
            """        if any(res[start:p]):""",
            ("test_piece_structure_oracle.py",)),
-    Mutant("lattice_structure drops the invariant-factor assert",
+    Mutant("_lattice_structure drops the invariant-factor assert",
            "intlinalg.py",
            """    assert all(diag), "Smith diagonal shorter than the Hermite rank"
 """,

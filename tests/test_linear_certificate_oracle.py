@@ -14,17 +14,27 @@ s_j -> t_src(j) of the identified ones; on those forward maps with one
 substitution entry changed or the extra row corrupted; and on seeded
 random presentations whose targets include torsion in degree 1 and no
 reduced variables at all.
+
+A monomial generator that the substitution only renames onto a target
+generator is proved by identity, with no expansion.  On every corpus and
+negative-corpus forward map certify_well_defined expands nothing.  On
+seeded maps beside such a carried generator, the other generator takes
+the lattice test and must agree with the oracle: a renamed monomial that
+is no target generator, in the ideal or not, a target generator's
+multiple, twice a target generator, and a monomial through a row with
+coefficient -1 or 2 or with two nonzero entries.
 """
 
 import random
 from collections import Counter
+from operator import add
 
 import pytest
 
 from corpus import corpus_cones
 from test_chow_certificate import clear_package_caches, random_cones
 from test_negative_corpus import NEGATIVE
-from toricstacks import chow
+from toricstacks import chow, graded
 from toricstacks.chow import ComparisonError, exceptional_stratum
 from toricstacks.fan import Cone
 from toricstacks.graded import (
@@ -246,3 +256,99 @@ def test_random_presentations():
     assert min(kinds.values()) == 200
     assert tally["degree 1"] >= 50 and tally["ok"] >= 50, tally
     assert tally["degree 2"] + tally["degree 3"] >= 20, tally
+
+
+def _counting_expand(monkeypatch) -> list:
+    calls = []
+    real = graded._expand
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "_expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("corpus", "negative"))
+def test_forward_maps_expand_nothing(name, monkeypatch):
+    clear_package_caches()
+    forward = [rm for rm, star in comparison_maps(SETS[name](), monkeypatch)
+               if star is not None]
+    calls = _counting_expand(monkeypatch)
+    for rm in forward:
+        _reduction(rm.target)  # warm: its own expansions are not counted
+        del calls[:]
+        certify_well_defined(rm)
+        assert not calls, rm
+    assert sum(len(rm.source.homogeneous_gens) for rm in forward) \
+        > len(forward)
+
+
+KINDS = ("renamed", "multiple", "scaled", "coefficient")
+
+
+def _fallback_map(rng, kind):
+    """A map whose one source generator of the given kind takes the
+    lattice test, with a carried generator before or after it.
+
+    The target has 1-2 monomial generators of degree 2 in 2-4 variables
+    x_i, and 0-1 linear relations; x_a x_c is one of its generators.  The
+    source variable y_i goes to x_i for i < n, and the last three go to
+    -x_a, 2 x_a and x_a + x_b.  Kinds: renamed, a degree-2 monomial in
+    y_0..y_(n-1) whose image is no target generator (in the ideal or
+    not); multiple, y_a y_c y_j (in the ideal, not a generator); scaled,
+    y_c times one of the last three (-x_a x_c and 2 x_a x_c lie in the
+    ideal, (x_a + x_b) x_c may not); coefficient, 2 y_a y_c."""
+    n = rng.randint(2, 4)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lin = [tuple(rng.randint(-1, 1) for _ in range(n))
+           for _ in range(rng.randint(0, 1))]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    gens = rng.sample(pairs, rng.randint(1, 2))
+    target = make_presentation(n, lin, [
+        (2, {tuple(map(add, unit[i], unit[j])): 1}) for i, j in gens])
+    a, c = rng.choice(gens)
+    b = rng.choice([i for i in range(n) if i != a])
+    sub = unit + [tuple(-x for x in unit[a]), tuple(2 * x for x in unit[a]),
+                  tuple(map(add, unit[a], unit[b]))]
+
+    def source_gen(coeff, *factors):
+        expt = [0] * (n + 3)
+        for i in factors:
+            expt[i] += 1
+        return (len(factors), {tuple(expt): coeff})
+
+    if kind == "renamed":
+        gen = source_gen(1, *rng.choice([p for p in pairs if p not in gens]))
+    elif kind == "multiple":
+        gen = source_gen(1, a, c, rng.randrange(n))
+    elif kind == "scaled":
+        gen = source_gen(1, c, n + rng.randrange(3))
+    else:
+        gen = source_gen(2, a, c)
+    homs = [source_gen(1, a, c), gen]
+    rng.shuffle(homs)
+    return ring_map(make_presentation(n + 3, (), homs), target, sub)
+
+
+def test_fallback_generators_match_the_oracle(monkeypatch):
+    rng = random.Random(20190505)
+    tally = Counter()
+    calls = _counting_expand(monkeypatch)
+    for trial in range(400):
+        kind = KINDS[trial % len(KINDS)]
+        rm = _fallback_map(rng, kind)
+        _reduction(rm.target)
+        del calls[:]
+        got = certify_well_defined(rm)
+        # The carried generator is not expanded; the other one is.
+        assert len(calls) == 1, (kind, rm)
+        assert got == per_generator_certify(rm), (kind, rm)
+        tally[kind, got.ok] += 1
+    assert tally["renamed", False] >= 50 and tally["renamed", True] >= 10, \
+        tally
+    assert tally["multiple", True] == tally["coefficient", True] == 100, \
+        tally
+    assert tally["scaled", True] >= 50 and tally["scaled", False] >= 10, \
+        tally

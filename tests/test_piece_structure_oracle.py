@@ -2,11 +2,11 @@
 the full cokernel.
 
 The verdict reads each graded piece's structure off the canonical Hermite
-rows of its relation lattice (intlinalg.lattice_structure, through
+rows of its relation lattice (intlinalg._lattice_structure, through
 graded.piece_structure), and certifies each homogeneous generator by
 membership in the same rows (intlinalg.lattice_coefficients), with no
 projection or Smith transform.  The oracles:
-- lattice_structure equals cokernel(m).structure() and sympy's Smith form
+- _lattice_structure equals cokernel(m).structure() and sympy's Smith form
   (test-only) on seeded matrices: torsion, no columns, no rows, zero rows,
   rank deficiency, repeated columns, and free quotients whose Hermite
   pivots are not all 1, such as the lattice spanned by (2, 1);
@@ -40,10 +40,10 @@ from toricstacks.chow import (
 from toricstacks.fan import make_cone
 from toricstacks.graded import graded_piece, piece_structure
 from toricstacks.intlinalg import (
+    _lattice_structure,
     cokernel,
     hnf_form,
     lattice_coefficients,
-    lattice_structure,
     matvec,
     transpose,
 )
@@ -72,7 +72,7 @@ def canon(m) -> tuple:
 
 
 def structure(m) -> tuple:
-    return lattice_structure(len(m), canon(m))
+    return _lattice_structure(len(m), canon(m))
 
 
 def random_matrix(rng: random.Random, kind: int) -> tuple:
@@ -122,7 +122,7 @@ def test_mix_covers_the_branches():
 
 
 def test_structure_equals_cokernel():
-    intlinalg.lattice_structure.cache_clear()
+    intlinalg._lattice_structure.cache_clear()
     for m in matrices():
         assert structure(m) == cokernel(m).structure(), m
         # A second read is a memo hit with the same answer.
@@ -217,7 +217,7 @@ def test_piece_structures_equal_graded_pieces():
 
 
 def test_short_smith_diagonal_is_an_internal_error(monkeypatch):
-    intlinalg.lattice_structure.cache_clear()
+    intlinalg._lattice_structure.cache_clear()
     real = intlinalg._snf
 
     def short(m, *args, **kwargs):
@@ -227,8 +227,8 @@ def test_short_smith_diagonal_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_snf", short)
     with pytest.raises(AssertionError):
-        lattice_structure(2, ((2, 0), (0, 4)))
-    intlinalg.lattice_structure.cache_clear()
+        _lattice_structure(2, ((2, 0), (0, 4)))
+    intlinalg._lattice_structure.cache_clear()
 
 
 def test_verdicts_build_only_the_degree_one_target_piece(monkeypatch):
