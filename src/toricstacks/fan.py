@@ -14,19 +14,18 @@ indexed in first-seen order and every report downstream is keyed to that
 order.  All geometry is exact.  Every cone, and the dual cone whose facet
 normals are intersect_cones' rays, enumerates supporting hyperplanes over
 the (d-1)-subsets of rays (_facet_data), adequate at this library's scale
-(rank <= 6, around a dozen rays); each normal is the primitive vector of
-the subset's signed maximal minors (intlinalg.kernel_generator).  A
-cone's faces are the closure of its facets under intersection.
+(rank <= 6, around a dozen rays); each normal is the one column of the
+subset's memoised kernel basis (intlinalg.kernel_basis).  A cone's faces
+are the closure of its facets under intersection.
 
 A cone keeps its perp lattice; its span basis and ray coordinates serve
 only to build its facets, at construction, on one path.  All ray
 coordinates are solved against one HNF of the span, and all normal lifts
 against one HNF of its transpose; a full-dimensional cone needs neither,
-since its span is the identity, and n rays in rank n with a nonzero
-determinant are known full-dimensional with no kernel computed.  A
-simplicial cone skips the strong-convexity and extremality rank checks,
-which d independent rays always pass.  A cone's faces and a fan's face
-lattice (Fan.cones) are built on first read.  Operations that need a
+since its perp is empty and its span is the identity.  A simplicial cone
+skips the strong-convexity and extremality rank checks, which d
+independent rays always pass.  A cone's faces and a fan's face lattice
+(Fan.cones) are built on first read.  Operations that need a
 cone's facets read them from that data and build no cone per facet.
 
 The orbit fan of a ray (star_quotient_fan, and L in exceptional_stratum)
@@ -52,11 +51,9 @@ from .intlinalg import (
     Matrix,
     Vector,
     cokernel,
-    det,
     from_columns,
     identity,
     kernel_basis,
-    kernel_generator,
     matvec,
     rank,
     solve_many_in_span,
@@ -127,12 +124,10 @@ class Cone:
         self._faces = None
 
         # Saturated span lattice: perp of the rays, then perp of the perp.
-        # n rays with a nonzero determinant span everything, with no
-        # kernel to compute.  A full-dimensional cone has the identity as
-        # its span, so its rays are their own coordinates and its normals
+        # A full-dimensional cone has no perp and the identity as its
+        # span, so its rays are their own coordinates and its normals
         # their own lifts.
-        perp_rows = () if len(gens) == n and det(gens) \
-            else transpose(kernel_basis(gens))
+        perp_rows = transpose(kernel_basis(gens))
         if perp_rows:
             span = kernel_basis(perp_rows)
             coords = list(solve_many_in_span(span, gens))
@@ -241,18 +236,22 @@ def _facet_data(coords, d):
     dual cone of intersect_cones may hold a line; all of space has none).
 
     Every facet is cut out by d-1 independent rays, so the candidates are
-    the (d-1)-subsets whose kernel generator (signed maximal minors over
-    their content) exists; a candidate is kept when all rays lie on one
-    side of it, with the sign flipped to point inward.  Its zero set is
-    then a facet: it holds the d-1 independent rays and lies in the
-    candidate's perp, so its rank is d-1.  Ray-set order is the order of
-    each facet's first independent subset: where two ray sets first differ,
-    the smaller set's element is off the other facet, so off their prefix."""
+    the (d-1)-subsets whose integer kernel has rank 1 (for d = 1, the
+    empty subset, whose kernel is all of Z): the one column of its
+    memoised kernel_basis is the primitive normal, first nonzero entry
+    positive.  A candidate is kept when all rays lie on one side of it,
+    with the sign flipped to point inward.  Its zero set is then a facet:
+    it holds the d-1 independent rays and lies in the candidate's perp, so
+    its rank is d-1.  Ray-set order is the order of each facet's first
+    independent subset: where two ray sets first differ, the smaller set's
+    element is off the other facet, so off their prefix."""
     seen: dict[frozenset, Vector] = {}
     for sub in combinations(range(len(coords)), d - 1):
-        w = kernel_generator([coords[i] for i in sub])
-        if w is None:
+        basis = transpose(kernel_basis([coords[i] for i in sub])) if sub \
+            else identity(d)
+        if len(basis) != 1:
             continue
+        w = basis[0]
         pairings = [_dot(w, c) for c in coords]
         if all(p <= 0 for p in pairings):
             w = tuple(-x for x in w)

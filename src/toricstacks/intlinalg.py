@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
-cokernels, determinants, and integral linear solving.
+cokernels, and integral linear solving.
 
 Everything runs on plain Python ints, so there is no overflow and no floating
 point anywhere.  Matrices are sequences of equal-length integer rows; public
@@ -522,57 +522,6 @@ def rank(m) -> int:
     """Rank of m: the number of nonzero rows of its HNF, with no transform
     tracked."""
     return sum(1 for row in _hnf(m)[0] if any(row))
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination: every intermediate entry is a minor of m, so each division
-    is exact."""
-    a = [list(map(int, row)) for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            p = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if p is None:
-                return 0
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            x = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - x * row_k[j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if a else 1
-
-
-def kernel_generator(m) -> Vector | None:
-    """The primitive generator of the kernel of a (d-1) x d integer matrix
-    of rank d-1, signed like kernel_basis (first nonzero entry positive);
-    None when the rank is below d-1.
-
-    The kernel of such a matrix is spanned by its signed maximal minors,
-    w_j = (-1)^j det(m without column j), which vanish together exactly
-    when the rank drops; dividing by their content gives the generator.
-    An empty matrix has d = 1 and kernel Z."""
-    rows = [tuple(map(int, row)) for row in m]
-    d = len(rows) + 1
-    if any(len(row) != d for row in rows):
-        raise ValueError("kernel generator needs a (d-1) x d matrix")
-    w = [det([row[:j] + row[j + 1:] for row in rows]) for j in range(d)]
-    g = 0
-    for j in range(d):
-        if j % 2:
-            w[j] = -w[j]
-        g = gcd(g, w[j])
-    if not g:
-        return None
-    if next(x for x in w if x) < 0:
-        g = -g
-    return tuple(x // g for x in w)
 
 
 def solve_in_span(m, b) -> Vector | None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from test_fan_combinatorics_oracle import old_orbit_relation_data
+from test_kernel_generator_oracle import det
 from toricstacks.fan import (
     Cone,
     Fan,
@@ -23,7 +24,7 @@ from toricstacks.fan import (
     star_vector,
     validate_fan,
 )
-from toricstacks.intlinalg import det, matvec
+from toricstacks.intlinalg import matvec
 
 SQUARE_RAYS = [(1, 0, 1), (0, -1, 1), (-1, 0, 1), (0, 1, 1)]
 

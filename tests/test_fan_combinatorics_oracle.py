@@ -39,7 +39,6 @@ from toricstacks.intlinalg import (
     cokernel,
     identity,
     kernel_basis,
-    kernel_generator,
     matvec,
     solve_many_in_span,
     transpose,
@@ -47,6 +46,7 @@ from toricstacks.intlinalg import (
 
 from corpus import corpus_cones
 from test_geometry_hnf_oracle import span_coordinates
+from test_kernel_generator_oracle import kernel_generator
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

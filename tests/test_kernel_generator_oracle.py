@@ -1,21 +1,114 @@
-"""Checks det, adjugate and kernel_generator on seeded matrices.
+"""Checks the kernel basis that cone facets read against the
+signed-minors generator it replaced, and keeps the dense references other
+tests use.
 
-kernel_generator is compared with kernel_basis, an HNF computation: it
-must return None exactly when the kernel has more than one basis column,
-and otherwise that column, sign included.  det is compared with cofactor
+_facet_data once took each facet normal from kernel_generator, the
+primitive vector of a subset's signed maximal minors (through the Bareiss
+det), and Cone skipped the kernel of n rays in rank n when their det was
+nonzero.  Both left the library for the memoised kernel_basis; det and
+kernel_generator below keep that code as written, with adjugate, the
+fraction-free Gauss-Jordan reference simplicial cones once read their
+facets from.  test_fan, test_simplicial_cone_oracle,
+test_lazy_geometry_oracle, test_sympy_oracle and
+test_fan_combinatorics_oracle import them.
+
+On seeded (d-1) x d matrices, kernel_basis (the identity of rank 1 for
+d = 1), read as _facet_data reads it, must have exactly one column when
+kernel_generator returns a vector, and that column, sign included, and
+more than one column when it returns None.  det is compared with cofactor
 expansion and, when sympy is installed, with sympy's determinant.
-adjugate, the test-local reference kept in test_simplicial_cone_oracle,
-must return det and a matrix with m * adj = det * I, or (0, None) for a
-singular matrix.
+adjugate must return det and a matrix with m * adj = det * I, or
+(0, None) for a singular matrix.
 """
 
 import random
+from math import gcd
 
 import pytest
 
-from test_simplicial_cone_oracle import adjugate
-from toricstacks.intlinalg import det, identity, kernel_basis, \
-    kernel_generator, matmul, transpose
+from toricstacks.intlinalg import Matrix, Vector, identity, kernel_basis, \
+    matmul, transpose
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor of m, so each division
+    is exact."""
+    a = [list(map(int, row)) for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - x * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if a else 1
+
+
+def kernel_generator(m) -> Vector | None:
+    """The primitive generator of the kernel of a (d-1) x d integer matrix
+    of rank d-1, signed like kernel_basis (first nonzero entry positive);
+    None when the rank is below d-1.
+
+    The kernel of such a matrix is spanned by its signed maximal minors,
+    w_j = (-1)^j det(m without column j), which vanish together exactly
+    when the rank drops; dividing by their content gives the generator.
+    An empty matrix has d = 1 and kernel Z."""
+    rows = [tuple(map(int, row)) for row in m]
+    d = len(rows) + 1
+    if any(len(row) != d for row in rows):
+        raise ValueError("kernel generator needs a (d-1) x d matrix")
+    w = [det([row[:j] + row[j + 1:] for row in rows]) for j in range(d)]
+    g = 0
+    for j in range(d):
+        if j % 2:
+            w[j] = -w[j]
+        g = gcd(g, w[j])
+    if not g:
+        return None
+    if next(x for x in w if x) < 0:
+        g = -g
+    return tuple(x // g for x in w)
+
+
+def adjugate(m) -> tuple[int, Matrix | None]:
+    """(det m, adj m), so m * adj = det * I, by fraction-free (Bareiss)
+    Gauss-Jordan elimination of [m | I], where every division is exact;
+    (0, None) for a singular m."""
+    n = len(m)
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0, None
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a:
+            if row is not row_k:
+                x = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (row[j] * pivot - x * row_k[j]) // prev
+        prev = pivot
+    # a is now E [m | I] with E m = prev * I and prev = det(P m) for the
+    # row swaps P, so E = sign * adj m.
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
 
 N_MATRICES = 300
 KINDS = ("generic", "zero", "zero-row", "duplicate-row", "rank-deficient",
@@ -64,9 +157,11 @@ def _square_cases():
     return out
 
 
-def _expected_generator(rows, d):
-    ker = transpose(kernel_basis(rows or [[0] * d]))
-    return ker[0] if len(ker) == 1 else None
+def _facet_normal(rows, d):
+    """The normal _facet_data reads for a (d-1)-subset with these rows:
+    the one column of their kernel basis, or None when it has more."""
+    basis = transpose(kernel_basis(rows)) if rows else identity(d)
+    return basis[0] if len(basis) == 1 else None
 
 
 def test_kernel_generator_matches_kernel_basis():
@@ -74,7 +169,7 @@ def test_kernel_generator_matches_kernel_basis():
     for rows in _kernel_cases():
         d = len(rows) + 1
         got = kernel_generator(rows)
-        assert got == _expected_generator(rows, d), rows
+        assert got == _facet_normal(rows, d), rows
         seen["none" if got is None else "vector"] += 1
     assert seen["none"] >= 100 and seen["vector"] >= 100
 

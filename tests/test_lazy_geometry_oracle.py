@@ -25,6 +25,7 @@ import pytest
 
 from corpus import corpus_cones
 from test_chow_certificate import clear_package_caches
+from test_kernel_generator_oracle import det
 from test_negative_corpus import NEGATIVE
 from test_simplicial_cone_oracle import _sets, _simplicial_facets
 from toricstacks import fan
@@ -38,7 +39,6 @@ from toricstacks.fan import (
     star_subdivision,
 )
 from toricstacks.intlinalg import (
-    det,
     identity,
     kernel_basis,
     rank,

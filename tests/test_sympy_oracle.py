@@ -5,7 +5,7 @@ few hundred seeded matrices (zero, rank-deficient, wide and tall) is an
 independent check of cokernel and of snf's diagonal.  The same matrices
 check that the transform-free Hermite form agrees with the tracked one.
 Seeded square matrices check the test-local adjugate of
-test_simplicial_cone_oracle against sympy's det and adjugate, and the
+test_kernel_generator_oracle against sympy's det and adjugate, and the
 facet normals of seeded simplicial cones against sympy's adjugate
 columns: column i of adj pairs to det with ray i and to 0 with the rest,
 so sign(det) times it, made primitive, is the inward normal of the facet
@@ -16,11 +16,10 @@ import random
 
 import pytest
 
-from test_simplicial_cone_oracle import adjugate
+from test_kernel_generator_oracle import adjugate, det
 from toricstacks.fan import Cone, primitivize
 from toricstacks.intlinalg import (
     cokernel,
-    det,
     hnf,
     hnf_form,
     matmul,
